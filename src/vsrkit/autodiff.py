@@ -7,12 +7,12 @@ with the identity of the producing node.
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import expit
 
 __all__ = [
     "Tensor",
     "Tape",
     "AutodiffError",
-    "tensor",
     "add",
     "sub",
     "mul",
@@ -25,9 +25,7 @@ __all__ = [
     "exp",
     "log",
     "sqrt",
-    "sigmoid",
     "silu",
-    "relu",
     "reduce_sum",
     "reduce_mean",
     "reduce_logsumexp",
@@ -116,11 +114,6 @@ class Tensor:
 
     def __getitem__(self, key):
         return slice_(self, key)
-
-
-def tensor(data):
-    """Create a leaf tensor."""
-    return Tensor(data)
 
 
 def _as_tensor(x):
@@ -263,25 +256,16 @@ def sqrt(a):
     return Tensor(out, (a,), lambda g: (g * 0.5 / out,), op="sqrt")
 
 
-def sigmoid(a):
-    a = _as_tensor(a)
-    out = np.empty_like(a.data)
-    pos = a.data >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    ez = np.exp(a.data[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return Tensor(out, (a,), lambda g: (g * out * (1.0 - out),), op="sigmoid")
-
-
 def silu(a):
-    """Smooth gated unit x * sigmoid(x)."""
-    return mul(a, sigmoid(a))
-
-
-def relu(a):
+    """Smooth gated unit x * sigmoid(x) as one node."""
     a = _as_tensor(a)
-    mask = a.data > 0
-    return Tensor(a.data * mask, (a,), lambda g: (g * mask,), op="relu")
+    s = expit(a.data)
+    return Tensor(
+        a.data * s,
+        (a,),
+        lambda g: (g * (s * (1.0 + a.data * (1.0 - s))),),
+        op="silu",
+    )
 
 
 def reduce_sum(a, axis=None, keepdims=False):

@@ -11,6 +11,7 @@ from .linguistics import BLANK
 
 __all__ = [
     "Hypothesis",
+    "log_probs",
     "ctc_greedy_decode",
     "ctc_beam_decode",
     "attention_greedy_decode",
@@ -27,7 +28,8 @@ class Hypothesis:
     activation: object = None
 
 
-def _log_probs(logits):
+def log_probs(logits):
+    """Log-softmax over the last axis, as plain numpy."""
     logits = np.asarray(logits, dtype=np.float64)
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -57,7 +59,7 @@ def ctc_beam_decode(logits, beam_width=8):
     """
     if beam_width != math.inf and beam_width < 1:
         raise ValueError("beam_width must be >= 1")
-    lp = _log_probs(logits)
+    lp = log_probs(logits)
     T, K = lp.shape
 
     NEG = -math.inf

@@ -3,8 +3,12 @@ combination, the semantic-guided local contrastive alignment loss, and the
 total multitask loss.
 
 All losses return scalar autodiff Tensors so gradients reach the model
-through one reverse pass. CTC is a single taped node whose gradient comes
-from the forward-backward recursion rather than from taping every cell.
+through one reverse pass. CTC takes a padded B x T x K batch with per-
+utterance targets and frame lengths and is a single taped node per batch:
+its value is the batch mean of -log p, and its gradient comes from the
+forward-backward recursion, vectorised over utterances and label
+positions, rather than from taping every cell. Padded frames get exactly
+zero gradient.
 """
 from __future__ import annotations
 
@@ -14,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .decoding import log_probs
 from .linguistics import (
     BLANK,
     LinguisticInventory,
@@ -38,10 +43,6 @@ __all__ = [
 ]
 
 NEG_INF = -np.inf
-
-# Test hook: when set, the blank-interleaved label sequence is built one
-# position short, which must make the enumeration oracle suite fail.
-_fault_inject_extended_labels = False
 
 
 class CtcError(ValueError):
@@ -105,20 +106,18 @@ class LossBundle:
         return out
 
 
-def _logaddexp_stack(stack):
-    """logsumexp over axis 0 of a stack that may contain -inf entries."""
-    m = stack.max(axis=0)
+def _logaddexp3(a, b, c):
+    """Elementwise log(exp(a) + exp(b) + exp(c)); all -inf stays -inf."""
+    m = np.maximum(np.maximum(a, b), c)
     safe = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore"):
-        out = np.log(np.exp(stack - safe).sum(axis=0)) + safe
-    return np.where(np.isfinite(m), out, NEG_INF)
+        return np.log(np.exp(a - safe) + np.exp(b - safe) + np.exp(c - safe)) \
+            + safe
 
 
 def _extended_labels(target):
     ext = np.full(2 * len(target) + 1, BLANK, dtype=np.int64)
     ext[1::2] = target
-    if _fault_inject_extended_labels and len(ext) > 1:
-        ext = ext[1:]
     return ext
 
 
@@ -127,95 +126,110 @@ def _min_frames(target):
     return len(target) + repeats
 
 
-def ctc_loss(logits, target) -> Tensor:
-    """Negative log-probability of ``target`` summed over all alignments.
+def ctc_loss(logits, targets, lengths=None) -> Tensor:
+    """Batch mean of -log p(target | logits), summed over all alignments.
 
-    ``logits`` is a T x K Tensor with the blank class at index 0; ``target``
-    is a blank-free token index sequence of length L <= T. Forward values
-    come from the log-space alpha recursion over the blank-interleaved label
-    sequence; the gradient uses the alpha/beta occupancy posteriors.
+    ``logits`` is a B x T x K Tensor with the blank class at index 0,
+    ``targets`` holds B blank-free token sequences and ``lengths`` the B
+    frame counts (default T each); frames at or past T_b are padding. A
+    T x K ``logits`` with one ``targets`` sequence is the B = 1 case.
+
+    The alpha and beta recursions run once over all utterances and the
+    blank-interleaved label positions, padded to the longest; beta starts
+    at each utterance's own last frame. The gradient comes from the
+    occupancy posteriors and is exactly zero on padded frames.
+    ``CtcNoValidPathError`` names the first infeasible batch element.
     """
     if not isinstance(logits, Tensor):
         logits = Tensor(logits)
-    if logits.data.ndim != 2:
-        raise CtcError(f"logits must be T x K, got shape {logits.data.shape}")
-    T, K = logits.data.shape
-    target = np.asarray(target, dtype=np.int64)
-    if target.ndim != 1:
-        raise CtcError("target must be a 1-D token sequence")
-    if target.size and (target.min() < 1 or target.max() >= K):
-        if (target == BLANK).any():
-            raise CtcError("target must not contain the blank index")
-        raise CtcError("target token out of range")
-    if _min_frames(target.tolist()) > T:
-        raise CtcNoValidPathError(
-            f"target of length {target.size} cannot fit in {T} frames"
-        )
+    x = logits.data
+    if x.ndim == 2:
+        x, targets = x[None], [targets]
+    elif x.ndim != 3:
+        raise CtcError(f"logits must be B x T x K or T x K, got shape {x.shape}")
+    B, T, K = x.shape
+    lengths = np.asarray([T] * B if lengths is None else lengths,
+                         dtype=np.int64)
+    if len(targets) != B or lengths.shape != (B,):
+        raise CtcError(f"need one target and one length per batch element, "
+                       f"got {len(targets)} and {lengths.size} for B = {B}")
+    if (lengths < 1).any() or (lengths > T).any():
+        raise CtcError(f"lengths must lie in [1, {T}], got {lengths.tolist()}")
 
-    ext = _extended_labels(target)
-    S = len(ext)
+    exts = []
+    for b, target in enumerate(targets):
+        target = np.asarray(target, dtype=np.int64)
+        at = f"batch element {b}:"
+        if target.ndim != 1:
+            raise CtcError(f"{at} target must be a 1-D token sequence")
+        if target.size and (target.min() < 1 or target.max() >= K):
+            if (target == BLANK).any():
+                raise CtcError(f"{at} target must not contain the blank index")
+            raise CtcError(f"{at} target token out of range")
+        if _min_frames(target.tolist()) > lengths[b]:
+            raise CtcNoValidPathError(f"{at} target of length {target.size} "
+                                      f"cannot fit in {lengths[b]} frames")
+        exts.append(_extended_labels(target))
 
-    a = logits.data
-    a_shift = a - a.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(a_shift).sum(axis=1, keepdims=True))
-    lp = a_shift - lse  # log softmax, T x K
-    lp_ext = lp[:, ext]  # T x S
+    S_len = np.array([len(e) for e in exts])
+    S = int(S_len.max())
+    ext = np.full((B, S), BLANK, dtype=np.int64)  # padding never feeds a path
+    for b, e in enumerate(exts):
+        ext[b, :len(e)] = e
+    bi = np.arange(B)
+    ends = lengths - 1
 
-    # transition structure: from s, a path may also arrive from s-2 when the
-    # label there differs and s is a non-blank position
-    skip_in = np.zeros(S, dtype=bool)
-    if S > 2:
-        skip_in[2:] = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
+    lp = log_probs(x)  # B x T x K
+    lp_ext = np.take_along_axis(lp, ext[:, None, :], axis=2)  # B x T x S
 
-    la = np.full((T, S), NEG_INF)
-    la[0, 0] = lp_ext[0, 0]
-    if S > 1:
-        la[0, 1] = lp_ext[0, 1]
+    # a path may also reach s from s-2 when s holds a label that differs
+    # from the one at s-2
+    skip_in = np.zeros((B, S), dtype=bool)
+    skip_in[:, 2:] = (ext[:, 2:] != BLANK) & (ext[:, 2:] != ext[:, :-2])
+    skip_out = np.zeros((B, S), dtype=bool)
+    skip_out[:, :-2] = skip_in[:, 2:]
+
+    # two leading -inf columns stand for positions -2 and -1; positions past
+    # S_b only ever receive from lower positions, so they never feed back
+    la = np.full((B, T, S + 2), NEG_INF)
+    la[:, 0, 2:4] = lp_ext[:, 0, :2]
     for t in range(1, T):
-        prev = la[t - 1]
-        stay = prev
-        step = np.concatenate(([NEG_INF], prev[:-1]))
-        skip = np.concatenate(([NEG_INF, NEG_INF], prev[:-2])) if S > 2 \
-            else np.full(S, NEG_INF)
-        skip = np.where(skip_in, skip, NEG_INF)
-        la[t] = _logaddexp_stack(np.stack([stay, step, skip])) + lp_ext[t]
+        prev = la[:, t - 1]
+        la[:, t, 2:] = lp_ext[:, t] + _logaddexp3(
+            prev[:, 2:], prev[:, 1:-1], np.where(skip_in, prev[:, :-2], NEG_INF))
+    la = la[:, :, 2:]
 
-    tails = [la[T - 1, S - 1]]
-    if S > 1:
-        tails.append(la[T - 1, S - 2])
-    log_p = _logaddexp_stack(np.asarray(tails).reshape(-1, 1))[0]
-    if not np.isfinite(log_p):
-        raise CtcNoValidPathError("no alignment has nonzero probability")
+    pos = np.arange(S)
+    last_two = (pos >= S_len[:, None] - 2) & (pos < S_len[:, None])
+    log_p = np.logaddexp.reduce(
+        np.where(last_two, la[bi, ends], NEG_INF), axis=-1)
+    bad = np.flatnonzero(~np.isfinite(log_p))
+    if bad.size:
+        raise CtcNoValidPathError(
+            f"batch element {bad[0]}: no alignment has nonzero probability")
 
-    lb = np.full((T, S), NEG_INF)
-    lb[T - 1, S - 1] = lp_ext[T - 1, S - 1]
-    if S > 1:
-        lb[T - 1, S - 2] = lp_ext[T - 1, S - 2]
-    skip_out = np.zeros(S, dtype=bool)
-    if S > 2:
-        skip_out[:-2] = skip_in[2:]
-    for t in range(T - 2, -1, -1):
-        nxt = lb[t + 1]
-        stay = nxt
-        step = np.concatenate((nxt[1:], [NEG_INF]))
-        skip = np.concatenate((nxt[2:], [NEG_INF, NEG_INF])) if S > 2 \
-            else np.full(S, NEG_INF)
-        skip = np.where(skip_out, skip, NEG_INF)
-        lb[t] = _logaddexp_stack(np.stack([stay, step, skip])) + lp_ext[t]
+    # an extra -inf frame past T and two trailing -inf columns; frames past
+    # T_b - 1 stay -inf, which zeroes their occupancy
+    lb = np.full((B, T + 1, S + 2), NEG_INF)
+    start = np.where(last_two, lp_ext[bi, ends], NEG_INF)
+    for t in range(T - 1, -1, -1):
+        nxt = lb[:, t + 1]
+        rec = lp_ext[:, t] + _logaddexp3(
+            nxt[:, :-2], nxt[:, 1:-1], np.where(skip_out, nxt[:, 2:], NEG_INF))
+        lb[:, t, :-2] = np.where((ends == t)[:, None], start, rec)
+    lb = lb[:, :T, :-2]
 
-    # occupancy posterior: gamma[t, s] = log alpha + log beta - log emit
-    gamma = la + lb - lp_ext
-    occ = np.zeros((T, K))
-    for k in np.unique(ext):
-        cols = gamma[:, ext == k]
-        occ[:, k] = np.exp(_logaddexp_stack(cols.T) - log_p)
-    y = np.exp(lp)
-    grad = y - occ  # d(-log p)/d logits
+    # occupancy posterior of each position, summed onto its label
+    post = np.exp(la + lb - lp_ext - log_p[:, None, None])  # B x T x S
+    occ = post @ (ext[:, :, None] == np.arange(K)).astype(np.float64)
+    frame_valid = np.arange(T)[None, :, None] < lengths[:, None, None]
+    grad = np.where(frame_valid, np.exp(lp) - occ, 0.0).reshape(
+        logits.data.shape)  # d(-log p_b)/d logits
 
     return ad.custom_op(
-        np.float64(-log_p),
+        np.float64(-log_p.mean()),
         (logits,),
-        lambda g: (g * grad,),
+        lambda g: ((g * (1.0 / B)) * grad,),
         op="ctc_loss",
     )
 

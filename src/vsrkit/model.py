@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .decoding import Hypothesis, attention_greedy_decode, ctc_beam_decode, \
-    ctc_greedy_decode
+    ctc_greedy_decode, log_probs
 
 __all__ = [
     "ModelConfig",
@@ -496,10 +496,7 @@ class Model:
 
         if decode == "ctc_greedy":
             tokens = ctc_greedy_decode(ctc_logits.data[0])
-            lp = ctc_logits.data[0]
-            lp = lp - np.log(np.exp(lp - lp.max(-1, keepdims=True))
-                             .sum(-1, keepdims=True)) - lp.max(-1, keepdims=True)
-            score = float(lp.max(axis=-1).sum())
+            score = float(log_probs(ctc_logits.data[0]).max(axis=-1).sum())
         elif decode == "ctc_beam":
             hyps = ctc_beam_decode(ctc_logits.data[0], beam_width=beam_width)
             tokens, score = (list(hyps[0].tokens), hyps[0].score) if hyps \

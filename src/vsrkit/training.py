@@ -197,10 +197,8 @@ def _batch_losses(state: TrainState, utts, inv, augment_rng=None,
     out = model.forward_train(feats, lengths, dec_in, state.rng,
                               use_branches=not cfg.disable_branches)
 
-    char_ctc = _mean_loss([
-        ctc_loss(out.char_ctc_logits[b, :lengths[b]], _char_tokens(u))
-        for b, u in enumerate(utts)
-    ])
+    char_ctc = ctc_loss(out.char_ctc_logits,
+                        [_char_tokens(u) for u in utts], lengths)
     char_attn = _mean_loss([
         attention_ce_loss(
             out.char_attn_logits[b, :len(u.labels.chars) + 1],
@@ -211,14 +209,10 @@ def _batch_losses(state: TrainState, utts, inv, augment_rng=None,
 
     phoneme_ctc = viseme_ctc = align = None
     if not cfg.disable_branches:
-        phoneme_ctc = _mean_loss([
-            ctc_loss(out.phoneme_logits[b, :lengths[b]], u.labels.phonemes)
-            for b, u in enumerate(utts)
-        ])
-        viseme_ctc = _mean_loss([
-            ctc_loss(out.viseme_logits[b, :lengths[b]], u.labels.visemes)
-            for b, u in enumerate(utts)
-        ])
+        phoneme_ctc = ctc_loss(out.phoneme_logits,
+                               [u.labels.phonemes for u in utts], lengths)
+        viseme_ctc = ctc_loss(out.viseme_logits,
+                              [u.labels.visemes for u in utts], lengths)
         if not cfg.disable_align:
             B, T = len(utts), feats.shape[1]
             if cfg.align_on_frame_labels:

@@ -1,5 +1,10 @@
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vsrkit import autodiff as ad
 from vsrkit.autodiff import (
@@ -12,18 +17,24 @@ from vsrkit.autodiff import (
 )
 
 
-def central_diff(f, x, step=1e-6):
+def central_diff(f, x, step=1e-4):
+    """Richardson-extrapolated central difference: (4 D(h) - D(2h)) / 3
+    cancels the h^2 error term, so a step large enough to keep round-off
+    near 1e-12 still gives an O(h^4) truncation error."""
     g = np.zeros_like(x)
     flat = x.ravel()
     out = g.ravel()
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + step
-        hi = float(f(x).data)
-        flat[i] = orig - step
-        lo = float(f(x).data)
+        d = []
+        for h in (step, 2 * step):
+            flat[i] = orig + h
+            hi = float(f(x).data)
+            flat[i] = orig - h
+            lo = float(f(x).data)
+            d.append((hi - lo) / (2 * h))
         flat[i] = orig
-        out[i] = (hi - lo) / (2 * step)
+        out[i] = (4 * d[0] - d[1]) / 3
     return g
 
 
@@ -62,7 +73,6 @@ PRIMITIVES = {
     "exp": lambda x: ad.reduce_sum(ad.mul(ad.exp(x), OTHER)),
     "log": lambda x: ad.reduce_sum(ad.log(ad.add(ad.mul(x, x), 0.5))),
     "sqrt": lambda x: ad.reduce_sum(ad.sqrt(ad.add(ad.mul(x, x), 0.5))),
-    "sigmoid": lambda x: ad.reduce_sum(ad.mul(ad.sigmoid(x), OTHER)),
     "silu": lambda x: ad.reduce_sum(ad.mul(ad.silu(x), OTHER)),
     "reduce_sum_axis": lambda x: ad.reduce_sum(
         ad.mul(ad.reduce_sum(x, axis=1), OTHER[:, 0])),
@@ -78,19 +88,33 @@ PRIMITIVES = {
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVES))
 def test_primitive_gradients_match_finite_differences(name):
-    check_primitive(PRIMITIVES[name], (3, 4), np.random.default_rng(hash(name) % 2**31))
+    # crc32, unlike hash(), does not change with PYTHONHASHSEED
+    check_primitive(PRIMITIVES[name], (3, 4),
+                    np.random.default_rng(zlib.crc32(name.encode())))
 
 
-def test_relu_gradient_away_from_kink():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        x = rng.normal(size=(3, 4))
-        x[np.abs(x) < 1e-3] = 0.1  # keep probes off the nondifferentiable point
-        leaf = Tensor(x.copy())
-        backward(ad.reduce_sum(ad.mul(ad.relu(leaf), OTHER)))
-        numeric = central_diff(
-            lambda a: ad.reduce_sum(ad.mul(ad.relu(Tensor(a)), OTHER)), x)
-        assert np.allclose(grad_of(leaf), numeric, atol=1e-5)
+def _sigmoid_reference(a):
+    out = np.empty_like(a.data)
+    pos = a.data >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
+    ez = np.exp(a.data[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return Tensor(out, (a,), lambda g: (g * out * (1.0 - out),), op="sigmoid")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3),
+                  elements=st.floats(-100.0, 100.0)))
+def test_silu_matches_the_sigmoid_composite(x):
+    weights = np.cos(np.arange(x.size)).reshape(x.shape)
+    fused, composite = Tensor(x.copy()), Tensor(x.copy())
+    out = ad.silu(fused)
+    ref = ad.mul(composite, _sigmoid_reference(composite))
+    backward(ad.reduce_sum(ad.mul(out, weights)))
+    backward(ad.reduce_sum(ad.mul(ref, weights)))
+    for got, want in ((out.data, ref.data),
+                      (grad_of(fused), grad_of(composite))):
+        assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
 
 
 def test_softmax_of_constant_row_is_uniform():

@@ -185,13 +185,8 @@ def test_verify_fast_json(capsys):
         {"ctc_oracle", "align_oracle", "cer_oracle", "gradient_checks"}
 
 
-def test_verify_fails_under_fault_injection(capsys):
-    from vsrkit import losses as losses_mod
-    losses_mod._fault_inject_extended_labels = True
-    try:
-        code = run("verify", "--fast", "--json")
-    finally:
-        losses_mod._fault_inject_extended_labels = False
+def test_verify_fails_under_fault_injection(capsys, short_extended_labels):
+    code = run("verify", "--fast", "--json")
     assert code == 2
     payload = json.loads(capsys.readouterr().out)
     suites = {s["suite"]: s["passed"] for s in payload["suites"]}

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vsrkit import autodiff as ad
+from vsrkit import verify
 from vsrkit.autodiff import Tensor, backward, finite_difference_check, grad_of
 from vsrkit.linguistics import build_mapping_matrix, build_window_mask, \
     default_inventory
@@ -21,6 +24,7 @@ from vsrkit.losses import (
     similarity_matrix,
     total_loss,
 )
+from vsrkit.losses import _min_frames
 from vsrkit.verify import align_loss_dense, ctc_path_enumeration
 
 INV = default_inventory()
@@ -100,17 +104,108 @@ def test_ctc_gradient_matches_finite_differences():
     assert worst < 1e-4
 
 
-def test_ctc_fault_injection_hook_breaks_the_oracle():
-    from vsrkit import losses as losses_mod
+def test_ctc_fault_injection_hook_breaks_the_oracle(short_extended_labels):
     logits = np.random.default_rng(3).normal(size=(4, 3))
-    good = float(ctc_loss(Tensor(logits), [1, 2]).data)
-    losses_mod._fault_inject_extended_labels = True
-    try:
-        bad = float(ctc_loss(Tensor(logits), [1, 2]).data)
-    finally:
-        losses_mod._fault_inject_extended_labels = False
+    bad = float(ctc_loss(Tensor(logits), [1, 2]).data)
     assert abs(math.exp(-bad) - ctc_path_enumeration(logits, [1, 2])) > 1e-6
-    assert bad != good
+
+
+@st.composite
+def ctc_batches(draw, max_batch=4, max_label=4):
+    """Padded logits, targets and frame lengths with mixed T_b and L_b.
+
+    Small vocabularies make repeated labels common; ``slack`` = 0 puts an
+    utterance at exactly its minimum frame count.
+    """
+    B = draw(st.integers(1, max_batch))
+    K = draw(st.integers(2, 5))
+    targets, lengths = [], []
+    for _ in range(B):
+        target = draw(st.lists(st.integers(1, K - 1), max_size=max_label))
+        slack = draw(st.integers(0, 3))
+        targets.append(target)
+        lengths.append(max(1, _min_frames(target)) + slack)
+    T = max(lengths) + draw(st.integers(0, 2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = draw(st.sampled_from([0.1, 1.0, 4.0]))
+    logits = scale * np.random.default_rng(seed).normal(size=(B, T, K))
+    return logits, targets, lengths
+
+
+_REPEAT_EMPTY_TIGHT = (
+    np.random.default_rng(0).normal(size=(3, 5, 3)),
+    [[1, 1, 2], [], [2]],
+    [4, 5, 1],
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(ctc_batches())
+@example(_REPEAT_EMPTY_TIGHT)
+def test_batched_ctc_is_the_mean_of_single_utterance_calls(batch):
+    logits, targets, lengths = batch
+    B = len(targets)
+    batched, single = Tensor(logits.copy()), Tensor(logits.copy())
+    loss = ctc_loss(batched, targets, lengths)
+    backward(loss)
+    parts = [ctc_loss(single[b, :lengths[b]], targets[b]) for b in range(B)]
+    mean = parts[0]
+    for p in parts[1:]:
+        mean = ad.add(mean, p)
+    mean = ad.mul(mean, 1.0 / B)
+    backward(mean)
+    assert abs(float(loss.data) - float(mean.data)) <= \
+        1e-12 * max(1.0, abs(float(mean.data)))
+    assert np.abs(grad_of(batched) - grad_of(single)).max() <= 1e-12
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(ctc_batches())
+@example(_REPEAT_EMPTY_TIGHT)
+def test_batched_ctc_gives_padded_frames_zero_gradient(batch):
+    logits, targets, lengths = batch
+    leaf = Tensor(logits)
+    backward(ctc_loss(leaf, targets, lengths))
+    g = grad_of(leaf)
+    for b, Tb in enumerate(lengths):
+        assert not g[b, Tb:].any()
+        assert np.allclose(g[b, :Tb].sum(axis=-1), 0.0, atol=1e-12)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(ctc_batches(), st.data())
+def test_batched_ctc_names_the_infeasible_batch_element(batch, data):
+    logits, targets, lengths = batch
+    bad = data.draw(st.integers(0, len(targets) - 1))
+    targets = [list(t) for t in targets]
+    targets[bad] = [1] * (logits.shape[1] + 1)  # never fits in T frames
+    with pytest.raises(CtcNoValidPathError, match=f"batch element {bad}:"):
+        ctc_loss(Tensor(logits), targets, lengths)
+
+
+def test_batched_ctc_rejects_mismatched_batch_arguments():
+    logits = np.zeros((2, 3, 3))
+    with pytest.raises(CtcError, match="one target and one length"):
+        ctc_loss(Tensor(logits), [[1]], [3, 3])
+    with pytest.raises(CtcError, match="lengths"):
+        ctc_loss(Tensor(logits), [[1], [2]], [3, 4])
+
+
+# ----------------------------------------------------------------------
+# oracle suites
+
+
+@pytest.mark.parametrize("suite", [
+    lambda: verify.ctc_suite(draws=1, max_T=3),
+    lambda: verify.gradient_suite(instances=3, model_instances=0),
+])
+def test_oracle_suites_surface_unexpected_ctc_errors(monkeypatch, suite):
+    def broken(*args, **kwargs):
+        raise IndexError("broken ctc_loss")
+
+    monkeypatch.setattr(verify, "ctc_loss", broken)
+    with pytest.raises(IndexError):
+        suite()
 
 
 # ----------------------------------------------------------------------
