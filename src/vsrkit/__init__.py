@@ -22,7 +22,6 @@ from .losses import (
     attention_ce_loss,
     ctc_loss,
     hybrid_loss,
-    local_distribution,
     positive_distribution,
     positive_mask,
     similarity_matrix,

@@ -29,7 +29,7 @@ from .model import ALL_ACTIVATIONS, CHAR_OFFSET, ActivationConfig, Model, \
     ModelConfig
 from .synth import SynthConfig, generate_corpus, make_lexicon, read_manifest, \
     viseme_frequencies, write_manifest
-from .training import TrainConfig, TrainState, evaluate, train
+from .training import TrainConfig, evaluate, train
 from .verify import run_all
 
 __all__ = ["main"]
@@ -271,11 +271,7 @@ def cmd_eval(args):
         [a.name for a in ALL_ACTIVATIONS]
     activations = [ActivationConfig.from_name(n) for n in names]
 
-    try:
-        state = TrainState.load(args.checkpoint)
-        model = state.model
-    except Exception:
-        model = Model.load(args.checkpoint)
+    model = Model.load(args.checkpoint)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -377,7 +373,8 @@ def _build_parser():
     t.add_argument("--resume", help="continue from a saved training state")
 
     e = sub.add_parser("eval", help="evaluate a checkpoint per activation")
-    e.add_argument("--checkpoint", help="training state or model file")
+    e.add_argument("--checkpoint",
+                   help="checkpoint file (model or training state)")
     e.add_argument("--data", help="manifest directory")
     e.add_argument("--activate", action="append",
                    choices=["f", "f+p", "f+v", "f+p+v"],

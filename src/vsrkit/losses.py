@@ -36,7 +36,6 @@ __all__ = [
     "hybrid_loss",
     "similarity_matrix",
     "positive_mask",
-    "local_distribution",
     "positive_distribution",
     "align_loss",
     "total_loss",
@@ -93,7 +92,6 @@ class LossBundle:
     viseme_ctc: object = None
     align: object = None
     total: object = None
-    grad_available: bool = False
 
     def floats(self) -> dict:
         out = {}
@@ -285,21 +283,6 @@ def positive_mask(M, W) -> np.ndarray:
     return M * W
 
 
-def local_distribution(S, W, tau) -> Tensor:
-    """Temperature-scaled softmax of each row restricted to its window;
-    entries outside the window are exactly zero."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if not isinstance(S, Tensor):
-        S = Tensor(S)
-    W = np.asarray(W, dtype=np.float64)
-    if S.data.shape != W.shape:
-        raise ValueError(f"shape mismatch: {S.data.shape} vs {W.shape}")
-    scaled = ad.mul(S, 1.0 / tau)
-    windowed = ad.masked_fill(scaled, W == 0)
-    return ad.mul(ad.softmax(windowed, axis=-1), W)
-
-
 def positive_distribution(P_mask):
     """Row-normalized positive mask plus the indicator of rows that have at
     least one positive; inactive rows come back all-zero."""
@@ -366,10 +349,15 @@ def align_loss(V, P, viseme_classes, phoneme_classes,
         kl_sum = ad.reduce_sum(ad.mul(kl_rows, active.astype(np.float64)))
         per_sample.append(ad.mul(kl_sum, 1.0 / (n_active + cfg.epsilon)))
 
-    total = per_sample[0]
-    for s in per_sample[1:]:
-        total = ad.add(total, s)
-    return ad.mul(total, 1.0 / B)
+    return _batch_mean(per_sample)
+
+
+def _batch_mean(parts):
+    """Mean of per-utterance scalar losses, summed left to right."""
+    total = parts[0]
+    for p in parts[1:]:
+        total = ad.add(total, p)
+    return ad.mul(total, 1.0 / len(parts))
 
 
 def total_loss(char_ctc, char_attn, cfg: LossConfig,
@@ -387,7 +375,6 @@ def total_loss(char_ctc, char_attn, cfg: LossConfig,
         if phoneme_ctc is None or viseme_ctc is None:
             raise ValueError("phoneme and viseme losses must come together")
         total = ad.add(total, ad.mul(ad.add(phoneme_ctc, viseme_ctc), cfg.lambda2))
-    grad_available = isinstance(total, Tensor)
     return LossBundle(
         char_ctc=char_ctc,
         char_attn=char_attn,
@@ -396,5 +383,4 @@ def total_loss(char_ctc, char_attn, cfg: LossConfig,
         viseme_ctc=viseme_ctc,
         align=align,
         total=total,
-        grad_available=grad_available,
     )

@@ -5,6 +5,12 @@ encoder/decoder pair producing CTC and attention logits from one memory.
 All compute runs on the autodiff Tensor graph; parameters are named with
 group prefixes (trunk/phoneme/viseme/fusion/char_encoder/char_decoder/heads)
 so checkpoints can verify which branches exist.
+
+There is one checkpoint file layout, written by ``Model.save`` and read by
+``Model.load``: a ``.npz`` with ``__version__`` ("vsrkit-checkpoint v2"),
+``__config__`` (the model config JSON) and ``param::<name>`` arrays. A
+training state is the same file with extra sections (``__train__`` and
+the optimizer moments) that ``Model.load`` ignores.
 """
 from __future__ import annotations
 
@@ -31,7 +37,7 @@ __all__ = [
     "CHAR_OFFSET",
 ]
 
-CHECKPOINT_VERSION = "vsrkit-checkpoint v1"
+CHECKPOINT_VERSION = "vsrkit-checkpoint v2"
 
 # character token layout shared by both char heads
 BLANK_ID = 0
@@ -520,19 +526,28 @@ class Model:
     # ------------------------------------------------------------------
     # checkpoints
 
-    def save(self, path):
-        arrays = {name: p.data for name, p in self.params.items()}
+    def save(self, path, **sections):
+        """Write the one checkpoint layout: ``__version__``, ``__config__``
+        (the model config JSON) and one ``param::<name>`` array per
+        parameter. ``sections`` are extra named arrays stored alongside,
+        such as a training state's; ``load`` ignores them."""
         np.savez(path,
                  __version__=np.array(CHECKPOINT_VERSION),
                  __config__=np.array(self.cfg.to_json()),
-                 **arrays)
+                 **{f"param::{k}": p.data for k, p in self.params.items()},
+                 **sections)
 
     @classmethod
     def load(cls, path):
+        """Read a model or training-state checkpoint: check the version,
+        then take only ``__config__`` and the ``param::`` arrays."""
         with np.load(path, allow_pickle=False) as z:
-            if "__version__" not in z or str(z["__version__"]) != CHECKPOINT_VERSION:
-                raise CheckpointError(f"unsupported checkpoint version in {path}")
+            version = str(z["__version__"]) if "__version__" in z else None
+            if version != CHECKPOINT_VERSION:
+                raise CheckpointError(
+                    f"unsupported checkpoint version {version!r} in {path}; "
+                    f"expected {CHECKPOINT_VERSION!r}")
             cfg = ModelConfig.from_json(str(z["__config__"]))
-            params = {k: Tensor(z[k]) for k in z.files
-                      if not k.startswith("__")}
+            params = {k.removeprefix("param::"): Tensor(z[k]) for k in z.files
+                      if k.startswith("param::")}
         return cls(cfg, params=params)

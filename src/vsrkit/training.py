@@ -10,11 +10,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor, backward
+from .autodiff import backward
 from .linguistics import LinguisticInventory
 from .losses import (
     LossConfig,
+    _batch_mean,
     align_loss,
     attention_ce_loss,
     ctc_loss,
@@ -103,36 +103,35 @@ class TrainState:
         return cls(model=model, cfg=cfg, rng=rng)
 
     def save(self, path):
-        arrays = {f"param::{k}": p.data for k, p in self.model.params.items()}
-        arrays.update({f"m::{k}": v for k, v in self.opt_m.items()})
-        arrays.update({f"v::{k}": v for k, v in self.opt_v.items()})
-        meta = {
+        """Write the model checkpoint (see ``Model.save``) plus this state's
+        own sections: ``__train__`` (JSON of the step, phase, epoch, rng
+        state and train config) and the ``m::<name>`` and ``v::<name>``
+        moment arrays. ``Model.load`` reads the same file as a model."""
+        train_meta = {
             "step": self.step,
             "phase_idx": self.phase_idx,
             "epoch_idx": self.epoch_idx,
             "rng_state": self.rng.bit_generator.state,
             "train_cfg": {**self.cfg.__dict__, "loss": self.cfg.loss.__dict__},
-            "model_cfg": json.loads(self.model.cfg.to_json()),
         }
-        np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+        self.model.save(path, __train__=np.array(json.dumps(train_meta)),
+                        **{f"m::{k}": v for k, v in self.opt_m.items()},
+                        **{f"v::{k}": v for k, v in self.opt_v.items()})
 
     @classmethod
     def load(cls, path):
+        """Model from ``Model.load``; step, rng, train config and moments
+        from the ``__train__``, ``m::`` and ``v::`` sections."""
+        model = Model.load(path)
         with np.load(path, allow_pickle=False) as z:
-            if "__meta__" not in z:
-                raise TrainingError(f"{path} is not a training state file")
-            meta = json.loads(str(z["__meta__"]))
-            params, m, v = {}, {}, {}
-            for k in z.files:
-                if k.startswith("param::"):
-                    params[k[7:]] = Tensor(z[k])
-                elif k.startswith("m::"):
-                    m[k[3:]] = z[k].copy()
-                elif k.startswith("v::"):
-                    v[k[3:]] = z[k].copy()
+            if "__train__" not in z.files:
+                raise TrainingError(
+                    f"{path} holds a model but no training state")
+            meta = json.loads(str(z["__train__"]))
+            m = {k[3:]: z[k] for k in z.files if k.startswith("m::")}
+            v = {k[3:]: z[k] for k in z.files if k.startswith("v::")}
         loss_cfg = LossConfig(**meta["train_cfg"].pop("loss"))
         cfg = TrainConfig(loss=loss_cfg, **meta["train_cfg"])
-        model = Model(ModelConfig(**meta["model_cfg"]), params=params)
         rng = np.random.default_rng(0)
         rng.bit_generator.state = meta["rng_state"]
         return cls(model=model, cfg=cfg, step=meta["step"],
@@ -176,13 +175,6 @@ def _decoder_batch(utts, max_decode_len):
     return dec_in, target, tok_valid
 
 
-def _mean_loss(parts):
-    total = parts[0]
-    for p in parts[1:]:
-        total = ad.add(total, p)
-    return ad.mul(total, 1.0 / len(parts))
-
-
 def _batch_losses(state: TrainState, utts, inv, augment_rng=None,
                   augment=False):
     cfg = state.cfg
@@ -199,7 +191,7 @@ def _batch_losses(state: TrainState, utts, inv, augment_rng=None,
 
     char_ctc = ctc_loss(out.char_ctc_logits,
                         [_char_tokens(u) for u in utts], lengths)
-    char_attn = _mean_loss([
+    char_attn = _batch_mean([
         attention_ce_loss(
             out.char_attn_logits[b, :len(u.labels.chars) + 1],
             target[b, :len(u.labels.chars) + 1],

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from vsrkit.cli import main
@@ -147,6 +148,45 @@ def test_eval_single_activation(tmp_path, cfg_file):
                for ln in (ed / "report.jsonl").read_text().splitlines()]
     assert all(r.get("activation", "f") == "f" for r in records
                if r["kind"] == "utterance")
+
+
+def _edited_state(tmp_path, cfg_file, edit):
+    """Manifest directory and final training state of a tiny run, the
+    state's arrays rewritten in place by ``edit``."""
+    data = tmp_path / "data"
+    run("--config", cfg_file, "--out", str(data), "--quiet", "gen")
+    rd = tmp_path / "run"
+    run("--config", cfg_file, "--out", str(rd), "--quiet", "train",
+        "--data", str(data))
+    ck = rd / "final.npz"
+    with np.load(ck) as z:
+        arrays = {k: z[k] for k in z.files}
+    edit(arrays)
+    np.savez(ck, **arrays)
+    return data, ck
+
+
+def _add_unknown_train_cfg_key(arrays):
+    meta = json.loads(str(arrays["__train__"]))
+    meta["train_cfg"]["no_such_field"] = 1
+    arrays["__train__"] = np.array(json.dumps(meta))
+
+
+def test_eval_reads_only_the_model_of_a_training_state(tmp_path, cfg_file):
+    data, ck = _edited_state(tmp_path, cfg_file, _add_unknown_train_cfg_key)
+    assert run("--out", str(tmp_path / "eval"), "--quiet", "eval",
+               "--checkpoint", str(ck), "--data", str(data),
+               "--activate", "f") == 0
+
+
+def test_eval_names_an_unsupported_version(tmp_path, cfg_file, capsys):
+    data, ck = _edited_state(
+        tmp_path, cfg_file,
+        lambda arrays: arrays.update(__version__=np.array("bogus v9")))
+    assert run("--out", str(tmp_path / "eval"), "--quiet", "eval",
+               "--checkpoint", str(ck), "--data", str(data)) == 2
+    err = capsys.readouterr().err
+    assert "CheckpointError" in err and "'bogus v9'" in err
 
 
 def test_eval_requires_arguments(cfg_file):

@@ -18,7 +18,6 @@ from vsrkit.losses import (
     attention_ce_loss,
     ctc_loss,
     hybrid_loss,
-    local_distribution,
     positive_distribution,
     positive_mask,
     similarity_matrix,
@@ -268,6 +267,12 @@ def test_hybrid_rejects_bad_alpha():
         hybrid_loss(Tensor(1.0), Tensor(1.0), 1.5)
 
 
+@pytest.mark.parametrize("tau", [0.0, -0.5])
+def test_loss_config_rejects_non_positive_tau(tau):
+    with pytest.raises(ValueError, match="tau"):
+        LossConfig(tau=tau)
+
+
 def test_total_loss_lambda_zero_reduces_to_hybrid():
     cfg = LossConfig(alpha=0.5, lambda1=0.0, lambda2=0.0)
     bundle = total_loss(Tensor(4.0), Tensor(2.0), cfg,
@@ -355,44 +360,6 @@ def test_positive_mask_is_elementwise_product():
     assert np.array_equal(positive_mask(np.ones((2, 2)), np.eye(2)), np.eye(2))
     with pytest.raises(ValueError):
         positive_mask(np.ones((2, 2)), np.ones((3, 3)))
-
-
-def test_local_distribution_uniform_within_window():
-    S = np.zeros((5, 5))
-    W = build_window_mask(5, 3)
-    q = local_distribution(Tensor(S), W, tau=0.5).data
-    row = q[2]
-    assert np.allclose(row[[1, 2, 3]], 1 / 3)
-    assert row[0] == row[4] == 0.0
-
-
-def test_local_distribution_low_temperature_concentrates():
-    rng = np.random.default_rng(0)
-    S = rng.normal(size=(6, 6))
-    W = build_window_mask(6, 5)
-    q = local_distribution(Tensor(S), W, tau=1e-3).data
-    for i in range(6):
-        in_window = np.flatnonzero(W[i])
-        top = in_window[np.argmax(S[i, in_window])]
-        assert q[i, top] == pytest.approx(1.0, abs=1e-6)
-
-
-def test_local_distribution_rows_sum_to_one_and_match_direct():
-    rng = np.random.default_rng(3)
-    S = rng.normal(size=(5, 5))
-    W = build_window_mask(5, 3)
-    tau = 0.1
-    q = local_distribution(Tensor(S), W, tau).data
-    assert np.allclose(q.sum(axis=1), 1.0, atol=1e-12)
-    for i in range(5):
-        idx = np.flatnonzero(W[i])
-        e = np.exp(S[i, idx] / tau - (S[i, idx] / tau).max())
-        assert np.allclose(q[i, idx], e / e.sum(), atol=1e-12)
-
-
-def test_local_distribution_rejects_bad_tau():
-    with pytest.raises(ValueError):
-        local_distribution(Tensor(np.zeros((2, 2))), np.ones((2, 2)), 0.0)
 
 
 def test_positive_distribution_cases():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -284,10 +286,11 @@ def test_checkpoint_roundtrip(tmp_path, model):
 
 def test_checkpoint_version_check(tmp_path, model):
     path = tmp_path / "model.npz"
-    np.savez(path, __version__=np.array("bogus v9"),
-             __config__=np.array(model.cfg.to_json()))
-    with pytest.raises(CheckpointError):
-        Model.load(path)
+    for version in ("bogus v9", "vsrkit-checkpoint v1", None):
+        header = {} if version is None else {"__version__": np.array(version)}
+        np.savez(path, __config__=np.array(model.cfg.to_json()), **header)
+        with pytest.raises(CheckpointError, match=re.escape(f"{version!r} in {path}")):
+            Model.load(path)
 
 
 def test_branchless_checkpoint_keeps_branch_absence(tmp_path):

@@ -1,11 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from vsrkit.linguistics import default_inventory
 from vsrkit.losses import LossConfig
-from vsrkit.model import CHAR_OFFSET, ActivationConfig, ModelConfig
+from vsrkit.model import CHAR_OFFSET, ActivationConfig, Model, ModelConfig
 from vsrkit.synth import SynthConfig, generate_corpus, make_lexicon
 from vsrkit.training import (
     TrainConfig,
@@ -186,6 +187,26 @@ def test_state_roundtrip(tmp_path):
     assert all(np.array_equal(state.opt_m[k], again.opt_m[k])
                for k in state.opt_m)
     assert again.rng.bit_generator.state == state.rng.bit_generator.state
+
+
+def test_state_file_loads_as_a_model(tmp_path):
+    corpus, _, mcfg, tcfg = tiny_setup(epochs=(1, 0))
+    state = train(tcfg, corpus, INV, mcfg)
+    path = tmp_path / "state.npz"
+    state.save(path)
+    model = Model.load(path)
+    assert model.cfg == state.model.cfg
+    assert set(model.params) == set(state.model.params)
+    assert all(np.array_equal(state.model.params[k].data, model.params[k].data)
+               for k in model.params)
+
+
+def test_state_load_of_a_model_file_names_the_path(tmp_path):
+    _, _, mcfg, _ = tiny_setup()
+    path = tmp_path / "model.npz"
+    Model(mcfg).save(path)
+    with pytest.raises(TrainingError, match=re.escape(str(path))):
+        TrainState.load(path)
 
 
 # ----------------------------------------------------------------------
