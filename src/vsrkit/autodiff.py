@@ -3,6 +3,11 @@
 Every operation builds a node graph; ``backward`` replays the graph in
 reverse topological order exactly once per node. NaNs abort immediately
 with the identity of the producing node.
+
+The transformer blocks run on four fused nodes with closed-form gradients:
+``linear``, ``layer_norm``, multi-head ``attention`` and ``depthwise_conv``.
+A node adopts the first gradient it receives and sums later ones into a new
+array, so gradient arrays may be shared and are read-only.
 """
 from __future__ import annotations
 
@@ -16,20 +21,19 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "div",
     "neg",
     "matmul",
+    "linear",
     "transpose",
     "slice_",
-    "concat",
     "exp",
     "log",
-    "sqrt",
     "silu",
+    "layer_norm",
+    "attention",
+    "depthwise_conv",
     "reduce_sum",
-    "reduce_mean",
     "reduce_logsumexp",
-    "softmax",
     "log_softmax",
     "l2_normalize",
     "masked_fill",
@@ -86,33 +90,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.data.shape})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return slice_(self, key)
 
@@ -167,19 +144,6 @@ def mul(a, b):
     )
 
 
-def div(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    return Tensor(
-        a.data / b.data,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
-        ),
-        op="div",
-    )
-
-
 def neg(a):
     a = _as_tensor(a)
     return Tensor(-a.data, (a,), lambda g: (-g,), op="neg")
@@ -200,6 +164,25 @@ def matmul(a, b):
     return Tensor(out, (a, b), grad_fn, op="matmul")
 
 
+def linear(x, w, b=None):
+    """``x @ w (+ b)`` over the last axis of ``x`` as one 2-D GEMM on the
+    flattened rows; the weight gradient is one 2-D GEMM too."""
+    parents = tuple(_as_tensor(t) for t in (x, w, b) if t is not None)
+    x, w = parents[:2]
+    x2 = x.data.reshape(-1, x.data.shape[-1])
+    out = x2 @ w.data
+    if b is not None:
+        out += parents[2].data
+
+    def grad_fn(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        return ((g2 @ w.data.T).reshape(x.data.shape), x2.T @ g2,
+                g2.sum(axis=0))[:len(parents)]
+
+    return Tensor(out.reshape(*x.data.shape[:-1], -1), parents, grad_fn,
+                  op="linear")
+
+
 def transpose(a, axes):
     a = _as_tensor(a)
     inverse = np.argsort(axes)
@@ -213,29 +196,18 @@ def transpose(a, axes):
 
 def slice_(a, key):
     a = _as_tensor(a)
+    fancy = any(isinstance(k, (list, np.ndarray))
+                for k in (key if isinstance(key, tuple) else (key,)))
 
     def grad_fn(g):
         full = np.zeros_like(a.data)
-        full[key] = g
+        if fancy:  # an index array may repeat an element: accumulate
+            np.add.at(full, key, g)
+        else:
+            full[key] = g
         return (full,)
 
     return Tensor(a.data[key], (a,), grad_fn, op="slice")
-
-
-def concat(tensors, axis=0):
-    tensors = [_as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def grad_fn(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return Tensor(
-        np.concatenate([t.data for t in tensors], axis=axis),
-        tensors,
-        grad_fn,
-        op="concat",
-    )
 
 
 def exp(a):
@@ -251,12 +223,6 @@ def log(a):
     return Tensor(out, (a,), lambda g: (g / a.data,), op="log")
 
 
-def sqrt(a):
-    a = _as_tensor(a)
-    out = np.sqrt(a.data)
-    return Tensor(out, (a,), lambda g: (g * 0.5 / out,), op="sqrt")
-
-
 def silu(a):
     """Smooth gated unit x * sigmoid(x) as one node."""
     a = _as_tensor(a)
@@ -267,6 +233,87 @@ def silu(a):
         lambda g: (g * (s * (1.0 + a.data * (1.0 - s))),),
         op="silu",
     )
+
+
+def layer_norm(x, scale, bias, eps):
+    """Normalise the last axis to zero mean and unit variance, then apply
+    ``scale`` and ``bias``."""
+    x, scale, bias = _as_tensor(x), _as_tensor(scale), _as_tensor(bias)
+    n = x.data.shape[-1]
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) * (1.0 / n)
+    var = (xc * xc).sum(axis=-1, keepdims=True) * (1.0 / n)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+
+    def grad_fn(g):
+        gh = g * scale.data
+        gx = inv * (gh - (gh.sum(axis=-1, keepdims=True)
+                          + xhat * (gh * xhat).sum(axis=-1, keepdims=True))
+                    * (1.0 / n))
+        g2 = g.reshape(-1, n)
+        return gx, (g2 * xhat.reshape(-1, n)).sum(axis=0), g2.sum(axis=0)
+
+    return Tensor(xhat * scale.data + bias.data, (x, scale, bias), grad_fn,
+                  op="layer_norm")
+
+
+def attention(q, k, v, heads, disallow=None):
+    """Multi-head scaled dot-product attention of ``(B, T, heads * dh)``
+    inputs, computed on ``(B, heads, T, dh)`` and merged back. Scores where
+    the boolean ``disallow`` (broadcast to ``(B, Tq, Tk)``) is set become
+    -1e30 before the softmax. Batch axes broadcast as in numpy."""
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+
+    def split(a):  # (..., T, heads * dh) -> (..., heads, T, dh)
+        return a.reshape(*a.shape[:-1], heads, -1).swapaxes(-2, -3)
+
+    def merge(g, a, ah):  # gradient for ``a`` from one on its split ``ah``
+        return _unbroadcast(g, ah.shape).swapaxes(-2, -3).reshape(a.data.shape)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scale = 1.0 / np.sqrt(qh.shape[-1])
+    scores = (qh @ kh.swapaxes(-1, -2)) * scale
+    if disallow is not None:
+        disallow = np.asarray(disallow, dtype=bool)[..., None, :, :]
+        scores = np.where(disallow, -1e30, scores)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = p @ vh
+
+    def grad_fn(g):
+        go = split(g)
+        gp = go @ vh.swapaxes(-1, -2)
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+        if disallow is not None:
+            gs = np.where(disallow, 0.0, gs)
+        gs *= scale
+        return (merge(gs @ kh, q, qh),
+                merge(gs.swapaxes(-1, -2) @ qh, k, kh),
+                merge(p.swapaxes(-1, -2) @ go, v, vh))
+
+    merged = out.swapaxes(-2, -3)
+    return Tensor(merged.reshape(*merged.shape[:-2], -1), (q, k, v), grad_fn,
+                  op="attention")
+
+
+def depthwise_conv(x, w):
+    """Per-channel convolution along T of ``(B, T, C)`` input with a
+    ``(k, C)`` kernel, k odd, zero-padded to keep T frames."""
+    x, w = _as_tensor(x), _as_tensor(w)
+    k, T, r = w.data.shape[0], x.data.shape[1], w.data.shape[0] // 2
+    xp = np.pad(x.data, ((0, 0), (r, r), (0, 0)))
+    out = xp[:, :T] * w.data[0]
+    for i in range(1, k):
+        out = out + xp[:, i:i + T] * w.data[i]
+
+    def grad_fn(g):
+        gx = np.zeros_like(xp)
+        for i in range(k):
+            gx[:, i:i + T] += g * w.data[i]
+        return gx[:, r:r + T], np.stack(
+            [(g * xp[:, i:i + T]).sum(axis=(0, 1)) for i in range(k)])
+
+    return Tensor(out, (x, w), grad_fn, op="depthwise_conv")
 
 
 def reduce_sum(a, axis=None, keepdims=False):
@@ -280,12 +327,6 @@ def reduce_sum(a, axis=None, keepdims=False):
         return (np.broadcast_to(g_exp, a.data.shape).copy(),)
 
     return Tensor(out, (a,), grad_fn, op="reduce_sum")
-
-
-def reduce_mean(a, axis=None, keepdims=False):
-    a = _as_tensor(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(reduce_sum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 def reduce_logsumexp(a, axis=-1, keepdims=False):
@@ -307,19 +348,6 @@ def reduce_logsumexp(a, axis=-1, keepdims=False):
         return (g_exp * soft,)
 
     return Tensor(out, (a,), grad_fn, op="reduce_logsumexp")
-
-
-def softmax(a, axis=-1):
-    a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def grad_fn(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
-
-    return Tensor(out, (a,), grad_fn, op="softmax")
 
 
 def log_softmax(a, axis=-1):
@@ -389,7 +417,9 @@ def backward(output, tape=None):
 
     Returns the tape that was walked. Leaves that do not feed the output
     keep a zero gradient (set lazily: untouched ``grad`` stays None and is
-    treated as zero by callers).
+    treated as zero by callers). A node's first gradient is adopted as is
+    and later ones are summed into a new array, so ``grad`` arrays may be
+    shared with other nodes and must be treated as read-only.
     """
     if output.data.size != 1:
         raise AutodiffError(
@@ -407,9 +437,7 @@ def backward(output, tape=None):
         for parent, g in zip(node.parents, grads):
             if g is None:
                 continue
-            if parent.grad is None:
-                parent.grad = np.zeros_like(parent.data)
-            parent.grad = parent.grad + g
+            parent.grad = g if parent.grad is None else parent.grad + g
     return tape
 
 

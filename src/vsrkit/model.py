@@ -136,14 +136,6 @@ class ForwardOutputs:
     drop_masks: tuple = None
 
 
-def _layer_norm(x, scale, bias):
-    mu = ad.reduce_mean(x, axis=-1, keepdims=True)
-    xc = ad.sub(x, mu)
-    var = ad.reduce_mean(ad.mul(xc, xc), axis=-1, keepdims=True)
-    inv = ad.div(Tensor(1.0), ad.sqrt(ad.add(var, _LN_EPS)))
-    return ad.add(ad.mul(ad.mul(xc, inv), scale), bias)
-
-
 def droppath_sum(F, P, V, mask_p, mask_v, p_drop, training):
     """Pre-activation fused sum.
 
@@ -280,64 +272,45 @@ class Model:
         except KeyError:
             raise CheckpointError(f"parameter group missing: {name}") from None
 
+    def _norm(self, x, prefix):
+        return ad.layer_norm(x, self._p(f"{prefix}_scale"),
+                             self._p(f"{prefix}_bias"), _LN_EPS)
+
+    def _linear(self, x, prefix, suffix, bias=True):
+        """``x @ {prefix}_w{suffix} + {prefix}_b{suffix}`` as one node."""
+        return ad.linear(x, self._p(f"{prefix}_w{suffix}"),
+                         self._p(f"{prefix}_b{suffix}") if bias else None)
+
     def _ffn(self, x, prefix):
-        h = _layer_norm(x, self._p(f"{prefix}_norm_scale"),
-                        self._p(f"{prefix}_norm_bias"))
-        h = ad.add(ad.matmul(h, self._p(f"{prefix}_w1")), self._p(f"{prefix}_b1"))
-        h = ad.silu(h)
-        h = ad.add(ad.matmul(h, self._p(f"{prefix}_w2")), self._p(f"{prefix}_b2"))
-        return ad.add(x, h)
+        h = ad.silu(self._linear(self._norm(x, f"{prefix}_norm"), prefix, 1))
+        return ad.add(x, self._linear(h, prefix, 2))
 
     def _attention(self, x_q, x_kv, prefix, key_valid=None, causal=False):
-        cfg = self.cfg
-        h = cfg.attention_heads
-        dh = cfg.model_dim // h
-        xq = _layer_norm(x_q, self._p(f"{prefix}_norm_scale"),
-                         self._p(f"{prefix}_norm_bias"))
+        """Pre-norm multi-head attention plus residual. ``x_q`` is B_q x T_q
+        x C; ``x_kv`` is B_k x T_k x C, or None for self-attention. B_q and
+        B_k broadcast as numpy batch axes (a batch-1 token row may attend
+        into a batch-2 memory) and the result has the broadcast batch size.
+        ``key_valid`` (B_k x T_k) hides padded keys; ``causal`` (self-attention
+        only) hides keys after each query."""
+        xq = self._norm(x_q, f"{prefix}_norm")
         xkv = xq if x_kv is None else x_kv
-        q = ad.add(ad.matmul(xq, self._p(f"{prefix}_wq")), self._p(f"{prefix}_bq"))
-        k = ad.matmul(xkv, self._p(f"{prefix}_wk"))
-        v = ad.add(ad.matmul(xkv, self._p(f"{prefix}_wv")), self._p(f"{prefix}_bv"))
-
-        Tq = q.data.shape[-2]
-        Tk = k.data.shape[-2]
-        disallow = np.zeros((1, Tq, Tk), dtype=bool)
-        if key_valid is not None:
-            disallow = disallow | ~key_valid[:, None, :]
+        disallow = None if key_valid is None else ~key_valid[:, None, :]
         if causal:
-            disallow = disallow | np.triu(np.ones((Tq, Tk), dtype=bool), k=1)
-
-        outs = []
-        for i in range(h):
-            sl = (Ellipsis, slice(i * dh, (i + 1) * dh))
-            qh, kh, vh = q[sl], k[sl], v[sl]
-            scores = ad.mul(ad.matmul(qh, ad.transpose(kh, (0, 2, 1))),
-                            1.0 / np.sqrt(dh))
-            scores = ad.masked_fill(scores, disallow)
-            outs.append(ad.matmul(ad.softmax(scores, axis=-1), vh))
-        concat = ad.concat(outs, axis=-1)
-        out = ad.add(ad.matmul(concat, self._p(f"{prefix}_wo")),
-                     self._p(f"{prefix}_bo"))
-        return ad.add(x_q, out)
+            T = xq.data.shape[-2]
+            future = np.triu(np.ones((T, T), dtype=bool), k=1)
+            disallow = future if disallow is None else disallow | future
+        heads = ad.attention(self._linear(xq, prefix, "q"),
+                             self._linear(xkv, prefix, "k", bias=False),
+                             self._linear(xkv, prefix, "v"),
+                             self.cfg.attention_heads, disallow)
+        return ad.add(x_q, self._linear(heads, prefix, "o"))
 
     def _depthwise_conv(self, x, prefix, valid):
         # zero out padding so the kernel never reads garbage across the edge
-        cfg = self.cfg
-        h = _layer_norm(x, self._p(f"{prefix}_norm_scale"),
-                        self._p(f"{prefix}_norm_bias"))
-        h = ad.mul(h, valid[:, :, None].astype(np.float64))
-        B, T, C = h.data.shape
-        k = cfg.conv_kernel
-        r = k // 2
-        zeros = Tensor(np.zeros((B, r, C)))
-        padded = ad.concat([zeros, h, zeros], axis=1)
-        wk = self._p(f"{prefix}_w")
-        acc = None
-        for i in range(k):
-            tap = ad.mul(padded[:, i:i + T, :], wk[(i,)])
-            acc = tap if acc is None else ad.add(acc, tap)
-        acc = ad.silu(ad.add(acc, self._p(f"{prefix}_b")))
-        return ad.add(x, acc)
+        h = ad.mul(self._norm(x, f"{prefix}_norm"),
+                   valid[:, :, None].astype(np.float64))
+        h = ad.depthwise_conv(h, self._p(f"{prefix}_w"))
+        return ad.add(x, ad.silu(ad.add(h, self._p(f"{prefix}_b"))))
 
     # ------------------------------------------------------------------
     # forward passes
@@ -358,9 +331,8 @@ class Model:
             raise ValueError(f"sequence of {T} frames exceeds max_frames")
         if valid is None:
             valid = np.ones((B, T), dtype=bool)
-        x = ad.add(ad.matmul(features, self._p("trunk/in_proj_w")),
-                   self._p("trunk/in_proj_b"))
-        x = ad.add(x, self._p("trunk/pos")[:T])
+        x = ad.add(self._linear(features, "trunk/in_proj", ""),
+                   self._p("trunk/pos")[:T])
         x = ad.mul(x, valid[:, :, None].astype(np.float64))
         for i in range(cfg.trunk_layers):
             x = self._ffn(x, f"trunk/ffn{i}")
@@ -382,9 +354,7 @@ class Model:
         return x, logits
 
     def _head(self, x, prefix):
-        h = ad.add(ad.matmul(x, self._p(f"{prefix}_w1")), self._p(f"{prefix}_b1"))
-        h = ad.silu(h)
-        return ad.add(ad.matmul(h, self._p(f"{prefix}_w2")), self._p(f"{prefix}_b2"))
+        return self._linear(ad.silu(self._linear(x, prefix, 1)), prefix, 2)
 
     def fuse(self, F, P, V, drop_masks=None, training=False):
         """Stochastic branch-drop fusion: nonlinearity over the sum of the
@@ -407,16 +377,14 @@ class Model:
         cfg = self.cfg
         if valid is None:
             valid = np.ones(fused.data.shape[:2], dtype=bool)
-        x = _layer_norm(fused, self._p("fusion/norm_scale"),
-                        self._p("fusion/norm_bias"))
+        x = self._norm(fused, "fusion/norm")
         for i in range(cfg.char_encoder_layers):
             x = self._ffn(x, f"char_encoder/layer{i}_ffn1")
             x = self._attention(x, None, f"char_encoder/layer{i}_attn",
                                 key_valid=valid)
             x = self._depthwise_conv(x, f"char_encoder/layer{i}_conv", valid)
             x = self._ffn(x, f"char_encoder/layer{i}_ffn2")
-        F_mem = _layer_norm(x, self._p("char_encoder/out_norm_scale"),
-                            self._p("char_encoder/out_norm_bias"))
+        F_mem = self._norm(x, "char_encoder/out_norm")
         ctc_logits = self._head(F_mem, "heads/char_ctc")
         attn_logits = None
         if decoder_inputs is not None:
@@ -430,13 +398,11 @@ class Model:
         prefix and cross-attention into the encoder memory."""
         cfg = self.cfg
         tokens = np.asarray(tokens, dtype=np.int64)
-        B, L = tokens.shape
+        _, L = tokens.shape
         if L > cfg.max_decode_len + 1:
             raise ValueError("decoder input longer than max_decode_len")
-        onehot = np.zeros((B, L, cfg.char_vocab))
-        onehot[np.arange(B)[:, None], np.arange(L)[None, :], tokens] = 1.0
-        x = ad.matmul(Tensor(onehot), self._p("char_decoder/embed"))
-        x = ad.add(x, self._p("char_decoder/pos")[:L])
+        x = ad.add(self._p("char_decoder/embed")[tokens],
+                   self._p("char_decoder/pos")[:L])
         if token_valid is not None:
             x = ad.mul(x, token_valid[:, :, None].astype(np.float64))
         for i in range(cfg.char_decoder_layers):
@@ -445,9 +411,8 @@ class Model:
             x = self._attention(x, F_mem, f"char_decoder/layer{i}_cross",
                                 key_valid=memory_valid)
             x = self._ffn(x, f"char_decoder/layer{i}_ffn")
-        x = _layer_norm(x, self._p("char_decoder/out_norm_scale"),
-                        self._p("char_decoder/out_norm_bias"))
-        return self._head(x, "heads/char_attn")
+        return self._head(self._norm(x, "char_decoder/out_norm"),
+                          "heads/char_attn")
 
     def forward_train(self, features, lengths, decoder_inputs, rng,
                       use_branches=True) -> ForwardOutputs:

@@ -242,6 +242,8 @@ def _verify_combination(bundle, cfg: LossConfig, step):
 
 
 def _adamw_step(state: TrainState, lr):
+    """Clip the gradient to ``clip_norm`` and take one AdamW step; returns
+    the global gradient norm and the clip scale applied to it."""
     cfg = state.cfg
     grads = {}
     sq = 0.0
@@ -271,6 +273,7 @@ def _adamw_step(state: TrainState, lr):
             update = update + cfg.weight_decay * p.data
         p.data = p.data - lr * update
         p.grad = None
+    return float(norm), float(scale)
 
 
 def train(cfg: TrainConfig, corpus, inv: LinguisticInventory,
@@ -280,7 +283,8 @@ def train(cfg: TrainConfig, corpus, inv: LinguisticInventory,
 
     Phase 1 sees only utterances of at most ``phase1_max_frames`` frames;
     phase 2 sees the full corpus with time-mask augmentation. Every step
-    logs all loss components and re-verifies their combination.
+    logs all loss components, re-verifies their combination, and logs the
+    global gradient norm and the clip scale applied to it.
     """
     if not corpus:
         raise TrainingError("corpus is empty")
@@ -321,12 +325,14 @@ def train(cfg: TrainConfig, corpus, inv: LinguisticInventory,
                                            augment=augment)
                     _verify_combination(bundle, cfg.loss, state.step)
                     backward(bundle.total)
-                    _adamw_step(state, lr)
+                    grad_norm, clip_scale = _adamw_step(state, lr)
                     record = {
                         "step": state.step,
                         "phase": phase_idx + 1,
                         "lr": lr,
                         **bundle.floats(),
+                        "grad_norm": grad_norm,
+                        "clip_scale": clip_scale,
                     }
                     if log_file:
                         log_file.write(json.dumps(record) + "\n")

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vsrkit import autodiff as ad
 from vsrkit.autodiff import Tensor, backward, grad_of
@@ -192,6 +194,37 @@ def test_decoder_causality(model):
     lb = model.decoder_forward(F_mem, b).data
     assert np.array_equal(la[0, :3], lb[0, :3])
     assert not np.array_equal(la[0, 3], lb[0, 3])
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 9),
+                          st.integers(1, CFG.max_decode_len + 1)),
+                min_size=1, max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_padded_batch_matches_per_utterance_forwards(sizes, seed):
+    # noise in the padding must not reach any valid frame or token
+    model = Model(CFG, seed=3)
+    rng = np.random.default_rng(seed)
+    T, L = max(t for t, _ in sizes), max(n for _, n in sizes)
+    feats = rng.normal(size=(len(sizes), T, CFG.input_dim))
+    tokens = rng.integers(0, CFG.char_vocab, size=(len(sizes), L))
+    valid = np.arange(T)[None, :] < np.array([t for t, _ in sizes])[:, None]
+    F = model.trunk_forward(feats, valid)
+    P, p_logits = model.branch_forward(F, "phoneme", valid)
+    V, v_logits = model.branch_forward(F, "viseme", valid)
+    unit = np.ones((len(sizes), 1, 1))
+    fused = model.fuse(F, P, V, (unit, unit))
+    _, ctc, attn = model.char_forward(fused, valid, tokens)
+    for b, (t, n) in enumerate(sizes):
+        F1 = model.trunk_forward(feats[b:b + 1, :t])
+        P1, p1 = model.branch_forward(F1, "phoneme")
+        V1, v1 = model.branch_forward(F1, "viseme")
+        fused1 = model.fuse(F1, P1, V1, (unit[:1], unit[:1]))
+        _, ctc1, attn1 = model.char_forward(fused1, None, tokens[b:b + 1, :n])
+        for batched, single in ((F, F1), (P, P1), (p_logits, p1), (V, V1),
+                                (v_logits, v1), (fused, fused1), (ctc, ctc1)):
+            assert np.abs(batched.data[b, :t] - single.data[0]).max() <= 1e-10
+        assert np.abs(attn.data[b, :n] - attn1.data[0]).max() <= 1e-10
 
 
 # ----------------------------------------------------------------------

@@ -261,3 +261,18 @@ def test_evaluate_accepts_activation_names():
     state = train(tcfg, corpus, INV, mcfg)
     res = evaluate(state.model, corpus[:2], ["f+p"], lexicon=lex)
     assert res[0]["summary"]["activation"] == "f+p"
+
+
+def test_logged_grad_norm_and_clip_scale(tmp_path):
+    corpus, _, mcfg, tcfg = tiny_setup(epochs=(1, 0))
+    for clip_norm in (1e-3, 1e3):  # every step clipped, then none
+        cfg = TrainConfig(**{**tcfg.__dict__, "clip_norm": clip_norm})
+        seen = []
+        train(cfg, corpus, INV, mcfg, log_fn=seen.append)
+        for rec in seen:
+            norm, scale = rec["grad_norm"], rec["clip_scale"]
+            assert np.isfinite(norm) and np.isfinite(scale)
+            assert (scale < 1.0) == (norm > clip_norm)
+            assert scale == (clip_norm / norm if norm > clip_norm else 1.0)
+        clipped = [r["clip_scale"] < 1.0 for r in seen]
+        assert all(clipped) if clip_norm < 1.0 else not any(clipped)
