@@ -6,6 +6,8 @@ with the identity of the producing node.
 
 The transformer blocks run on four fused nodes with closed-form gradients:
 ``linear``, ``layer_norm``, multi-head ``attention`` and ``depthwise_conv``.
+``pack`` and ``unpack`` move between a padded ``(B, T, C)`` array and its
+``(N, C)`` rows under a boolean ``(B, T)`` mask.
 A node adopts the first gradient it receives and sums later ones into a new
 array, so gradient arrays may be shared and are read-only.
 """
@@ -21,11 +23,12 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "neg",
     "matmul",
     "linear",
     "transpose",
     "slice_",
+    "pack",
+    "unpack",
     "exp",
     "log",
     "silu",
@@ -144,11 +147,6 @@ def mul(a, b):
     )
 
 
-def neg(a):
-    a = _as_tensor(a)
-    return Tensor(-a.data, (a,), lambda g: (-g,), op="neg")
-
-
 def matmul(a, b):
     """Matrix product with numpy stacking semantics on the leading axes."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -208,6 +206,26 @@ def slice_(a, key):
         return (full,)
 
     return Tensor(a.data[key], (a,), grad_fn, op="slice")
+
+
+def _scatter(a, rows):
+    out = np.zeros((*rows.shape, a.shape[-1]))
+    out[rows] = a  # masked rows never repeat: no accumulation
+    return out
+
+
+def pack(x, rows):
+    """The ``(N, C)`` rows of a ``(B, T, C)`` Tensor where the boolean
+    ``(B, T)`` mask ``rows`` is set, in row-major order. With ``rows``
+    None there is no padding and ``x`` itself is returned."""
+    return x if rows is None else Tensor(
+        x.data[rows], (x,), lambda g: (_scatter(g, rows),), op="pack")
+
+
+def unpack(x, rows):
+    """Inverse of ``pack``: ``(N, C)`` rows scattered into zeros."""
+    return x if rows is None else Tensor(
+        _scatter(x.data, rows), (x,), lambda g: (g[rows],), op="unpack")
 
 
 def exp(a):

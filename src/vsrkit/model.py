@@ -6,6 +6,12 @@ All compute runs on the autodiff Tensor graph; parameters are named with
 group prefixes (trunk/phoneme/viseme/fusion/char_encoder/char_decoder/heads)
 so checkpoints can verify which branches exist.
 
+Every method takes and returns padded ``(B, T, ·)`` arrays, and the decoder
+runs on them. Given a ``valid`` mask, the trunk, the branches and the
+character encoder compute on its packed ``(N, C)`` rows; only attention and
+the depthwise conv unpack, inside the block. Padded rows of their outputs
+are exactly zero. With ``valid=None`` nothing is packed.
+
 There is one checkpoint file layout, written by ``Model.save`` and read by
 ``Model.load``: a ``.npz`` with ``__version__`` ("vsrkit-checkpoint v2"),
 ``__config__`` (the model config JSON) and ``param::<name>`` arrays. A
@@ -291,8 +297,10 @@ class Model:
         B_k broadcast as numpy batch axes (a batch-1 token row may attend
         into a batch-2 memory) and the result has the broadcast batch size.
         ``key_valid`` (B_k x T_k) hides padded keys; ``causal`` (self-attention
-        only) hides keys after each query."""
-        xq = self._norm(x_q, f"{prefix}_norm")
+        only) hides keys after each query. A 2-D ``x_q`` holds the packed
+        ``key_valid`` rows of a self-attention, and so does the result."""
+        rows = key_valid if x_q.data.ndim == 2 else None
+        xq = ad.unpack(self._norm(x_q, f"{prefix}_norm"), rows)
         xkv = xq if x_kv is None else x_kv
         disallow = None if key_valid is None else ~key_valid[:, None, :]
         if causal:
@@ -303,13 +311,12 @@ class Model:
                              self._linear(xkv, prefix, "k", bias=False),
                              self._linear(xkv, prefix, "v"),
                              self.cfg.attention_heads, disallow)
-        return ad.add(x_q, self._linear(heads, prefix, "o"))
+        return ad.add(x_q, self._linear(ad.pack(heads, rows), prefix, "o"))
 
     def _depthwise_conv(self, x, prefix, valid):
-        # zero out padding so the kernel never reads garbage across the edge
-        h = ad.mul(self._norm(x, f"{prefix}_norm"),
-                   valid[:, :, None].astype(np.float64))
-        h = ad.depthwise_conv(h, self._p(f"{prefix}_w"))
+        # unpacking zero-fills the padding the kernel reads across the edge
+        h = ad.unpack(self._norm(x, f"{prefix}_norm"), valid)
+        h = ad.pack(ad.depthwise_conv(h, self._p(f"{prefix}_w")), valid)
         return ad.add(x, ad.silu(ad.add(h, self._p(f"{prefix}_b"))))
 
     # ------------------------------------------------------------------
@@ -326,32 +333,28 @@ class Model:
                 f"features must be B x T x {cfg.input_dim}, "
                 f"got {features.data.shape}"
             )
-        B, T, _ = features.data.shape
+        T = features.data.shape[1]
         if T > cfg.max_frames:
             raise ValueError(f"sequence of {T} frames exceeds max_frames")
-        if valid is None:
-            valid = np.ones((B, T), dtype=bool)
         x = ad.add(self._linear(features, "trunk/in_proj", ""),
                    self._p("trunk/pos")[:T])
-        x = ad.mul(x, valid[:, :, None].astype(np.float64))
+        x = ad.pack(x, valid)
         for i in range(cfg.trunk_layers):
             x = self._ffn(x, f"trunk/ffn{i}")
         x = self._attention(x, None, "trunk/attn", key_valid=valid)
-        return x
+        return ad.unpack(x, valid)
 
     def branch_forward(self, F, which, valid=None):
         """One intermediate-representation branch: encoder layers plus the
         class head. Returns (representation, framewise logits)."""
         if which not in ("phoneme", "viseme"):
             raise ValueError(f"unknown branch {which!r}")
-        if valid is None:
-            valid = np.ones(F.data.shape[:2], dtype=bool)
-        x = F
+        x = ad.pack(F, valid)
         for i in range(self.cfg.branch_layers):
             x = self._attention(x, None, f"{which}/layer{i}_attn", key_valid=valid)
             x = self._ffn(x, f"{which}/layer{i}_ffn")
         logits = self._head(x, f"heads/{which}")
-        return x, logits
+        return ad.unpack(x, valid), ad.unpack(logits, valid)
 
     def _head(self, x, prefix):
         return self._linear(ad.silu(self._linear(x, prefix, 1)), prefix, 2)
@@ -375,9 +378,7 @@ class Model:
         """Character encoder over fused features; returns the memory, CTC
         logits, and (when teacher-forced inputs are given) attention logits."""
         cfg = self.cfg
-        if valid is None:
-            valid = np.ones(fused.data.shape[:2], dtype=bool)
-        x = self._norm(fused, "fusion/norm")
+        x = self._norm(ad.pack(fused, valid), "fusion/norm")
         for i in range(cfg.char_encoder_layers):
             x = self._ffn(x, f"char_encoder/layer{i}_ffn1")
             x = self._attention(x, None, f"char_encoder/layer{i}_attn",
@@ -385,15 +386,15 @@ class Model:
             x = self._depthwise_conv(x, f"char_encoder/layer{i}_conv", valid)
             x = self._ffn(x, f"char_encoder/layer{i}_ffn2")
         F_mem = self._norm(x, "char_encoder/out_norm")
-        ctc_logits = self._head(F_mem, "heads/char_ctc")
+        ctc_logits = ad.unpack(self._head(F_mem, "heads/char_ctc"), valid)
+        F_mem = ad.unpack(F_mem, valid)
         attn_logits = None
         if decoder_inputs is not None:
             attn_logits = self.decoder_forward(F_mem, decoder_inputs,
                                                memory_valid=valid)
         return F_mem, ctc_logits, attn_logits
 
-    def decoder_forward(self, F_mem, tokens, memory_valid=None,
-                        token_valid=None):
+    def decoder_forward(self, F_mem, tokens, memory_valid=None):
         """Teacher-forced decoder: causal self-attention over the token
         prefix and cross-attention into the encoder memory."""
         cfg = self.cfg
@@ -403,11 +404,9 @@ class Model:
             raise ValueError("decoder input longer than max_decode_len")
         x = ad.add(self._p("char_decoder/embed")[tokens],
                    self._p("char_decoder/pos")[:L])
-        if token_valid is not None:
-            x = ad.mul(x, token_valid[:, :, None].astype(np.float64))
         for i in range(cfg.char_decoder_layers):
             x = self._attention(x, None, f"char_decoder/layer{i}_self",
-                                key_valid=token_valid, causal=True)
+                                causal=True)
             x = self._attention(x, F_mem, f"char_decoder/layer{i}_cross",
                                 key_valid=memory_valid)
             x = self._ffn(x, f"char_decoder/layer{i}_ffn")

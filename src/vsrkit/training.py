@@ -166,13 +166,11 @@ def _decoder_batch(utts, max_decode_len):
     L = max(len(t) for t in tok) + 1
     dec_in = np.full((len(tok), L), EOS_ID, dtype=np.int64)
     target = np.full((len(tok), L), EOS_ID, dtype=np.int64)
-    tok_valid = np.zeros((len(tok), L), dtype=bool)
     for i, t in enumerate(tok):
         dec_in[i, 0] = SOS_ID
         dec_in[i, 1:len(t) + 1] = t
         target[i, :len(t)] = t
-        tok_valid[i, :len(t) + 1] = True
-    return dec_in, target, tok_valid
+    return dec_in, target
 
 
 def _batch_losses(state: TrainState, utts, inv, augment_rng=None,
@@ -185,7 +183,7 @@ def _batch_losses(state: TrainState, utts, inv, augment_rng=None,
         cfg.time_mask_prob,
         cfg.time_mask_max_width,
     )
-    dec_in, target, tok_valid = _decoder_batch(utts, model.cfg.max_decode_len)
+    dec_in, target = _decoder_batch(utts, model.cfg.max_decode_len)
     out = model.forward_train(feats, lengths, dec_in, state.rng,
                               use_branches=not cfg.disable_branches)
 

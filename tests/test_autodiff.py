@@ -43,7 +43,6 @@ PRIMITIVES = {
     "add": lambda x: ad.reduce_sum(ad.mul(ad.add(x, OTHER), OTHER)),
     "sub": lambda x: ad.reduce_sum(ad.mul(ad.sub(x, OTHER), OTHER)),
     "mul": lambda x: ad.reduce_sum(ad.mul(ad.mul(x, OTHER), OTHER)),
-    "neg": lambda x: ad.reduce_sum(ad.mul(ad.neg(x), OTHER)),
     "matmul": lambda x: ad.reduce_sum(ad.mul(ad.matmul(x, MAT),
                                              OTHER @ MAT)),
     "transpose": lambda x: ad.reduce_sum(ad.mul(ad.transpose(x, (1, 0)),
@@ -94,6 +93,8 @@ KV1 = RNG.normal(size=(1, 5, 4))
 KEY_MASK = np.arange(5)[None, None, :] >= np.array([2, 0])[:, None, None]
 CAUSAL = np.triu(np.ones((3, 3), dtype=bool), k=1)
 CONV_W = RNG.normal(size=(3, 4))
+# ragged rows: the first utterance has 2 of 3 frames, the second all 3
+ROWS = np.arange(3)[None, :] < np.array([2, 3])[:, None]
 
 
 def _attention_with(mask):
@@ -114,7 +115,9 @@ for _name, _op, _args, _out in (
          (X3, KV1, KV1), (2, 3, 4)),
         ("attention_query_broadcast", _attention_with(None),
          (X3[:1], KV, KV), (2, 3, 4)),
-        ("depthwise_conv", ad.depthwise_conv, (X3, CONV_W), (2, 3, 4))):
+        ("depthwise_conv", ad.depthwise_conv, (X3, CONV_W), (2, 3, 4)),
+        ("pack", lambda x: ad.pack(x, ROWS), (X3,), (5, 4)),
+        ("unpack", lambda x: ad.unpack(x, ROWS), (X3[ROWS],), (2, 3, 4))):
     for _i in range(len(_args)):
         FUSED[f"{_name}[{_i}]"] = _probe(_op, _args, _i, _out)
 

@@ -227,6 +227,26 @@ def test_padded_batch_matches_per_utterance_forwards(sizes, seed):
         assert np.abs(attn.data[b, :n] - attn1.data[0]).max() <= 1e-10
 
 
+def test_padded_rows_of_block_outputs_are_zero(model):
+    rng = np.random.default_rng(12)
+    feats, _, dec_in = batch(rng, T=7)
+    lengths = [4, 7]
+    out = model.forward_train(feats, lengths, dec_in, np.random.default_rng(0))
+    for name in ("F", "P", "V", "F_mem", "phoneme_logits", "viseme_logits",
+                 "char_ctc_logits"):
+        rows = getattr(out, name).data[0]
+        assert not rows[4:].any() and rows[:4].any(), name
+
+
+def test_unpadded_forward_records_no_layout_nodes(model):
+    # no padding: no pack, no unpack and no mask multiply on the tape
+    F = model.trunk_forward(Tensor(np.ones((1, 5, CFG.input_dim))))
+    F_mem, ctc, _ = model.char_forward(model.fuse(F, None, None))
+    ops = {n.op for n in ad.trace(ad.add(ad.reduce_sum(F_mem),
+                                         ad.reduce_sum(ctc))).nodes}
+    assert "depthwise_conv" in ops and not ops & {"pack", "unpack", "mul"}
+
+
 # ----------------------------------------------------------------------
 # inference and activation
 
