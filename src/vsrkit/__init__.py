@@ -22,9 +22,6 @@ from .losses import (
     attention_ce_loss,
     ctc_loss,
     hybrid_loss,
-    positive_distribution,
-    positive_mask,
-    similarity_matrix,
     total_loss,
 )
 from .decoding import Hypothesis, attention_greedy_decode, ctc_beam_decode, \

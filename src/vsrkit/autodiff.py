@@ -4,10 +4,13 @@ Every operation builds a node graph; ``backward`` replays the graph in
 reverse topological order exactly once per node. NaNs abort immediately
 with the identity of the producing node.
 
-The transformer blocks run on four fused nodes with closed-form gradients:
+The ops are the ones the model and the losses use. ``add``, ``mul`` and
+``silu`` are elementwise, and ``slice_`` backs ``Tensor[...]``. The
+transformer blocks run on four fused nodes with closed-form gradients:
 ``linear``, ``layer_norm``, multi-head ``attention`` and ``depthwise_conv``.
 ``pack`` and ``unpack`` move between a padded ``(B, T, C)`` array and its
-``(N, C)`` rows under a boolean ``(B, T)`` mask.
+``(N, C)`` rows under a boolean ``(B, T)`` mask. ``custom_op`` registers a
+value computed in numpy with a hand-written gradient; each loss is one.
 A node adopts the first gradient it receives and sums later ones into a new
 array, so gradient arrays may be shared and are read-only.
 """
@@ -21,25 +24,16 @@ __all__ = [
     "Tape",
     "AutodiffError",
     "add",
-    "sub",
     "mul",
-    "matmul",
     "linear",
-    "transpose",
     "slice_",
     "pack",
     "unpack",
-    "exp",
-    "log",
     "silu",
     "layer_norm",
     "attention",
     "depthwise_conv",
-    "reduce_sum",
-    "reduce_logsumexp",
-    "log_softmax",
-    "l2_normalize",
-    "masked_fill",
+    "custom_op",
     "backward",
     "trace",
     "central_difference",
@@ -124,16 +118,6 @@ def add(a, b):
     )
 
 
-def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    return Tensor(
-        a.data - b.data,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)),
-        op="sub",
-    )
-
-
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     return Tensor(
@@ -145,21 +129,6 @@ def mul(a, b):
         ),
         op="mul",
     )
-
-
-def matmul(a, b):
-    """Matrix product with numpy stacking semantics on the leading axes."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data @ b.data
-
-    def grad_fn(g):
-        if a.data.ndim == 1 or b.data.ndim == 1:
-            raise AutodiffError("matmul requires operands of rank >= 2")
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
-
-    return Tensor(out, (a, b), grad_fn, op="matmul")
 
 
 def linear(x, w, b=None):
@@ -179,17 +148,6 @@ def linear(x, w, b=None):
 
     return Tensor(out.reshape(*x.data.shape[:-1], -1), parents, grad_fn,
                   op="linear")
-
-
-def transpose(a, axes):
-    a = _as_tensor(a)
-    inverse = np.argsort(axes)
-    return Tensor(
-        np.transpose(a.data, axes),
-        (a,),
-        lambda g: (np.transpose(g, inverse),),
-        op="transpose",
-    )
 
 
 def slice_(a, key):
@@ -226,19 +184,6 @@ def unpack(x, rows):
     """Inverse of ``pack``: ``(N, C)`` rows scattered into zeros."""
     return x if rows is None else Tensor(
         _scatter(x.data, rows), (x,), lambda g: (g[rows],), op="unpack")
-
-
-def exp(a):
-    a = _as_tensor(a)
-    out = np.exp(a.data)
-    return Tensor(out, (a,), lambda g: (g * out,), op="exp")
-
-
-def log(a):
-    a = _as_tensor(a)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.log(a.data)
-    return Tensor(out, (a,), lambda g: (g / a.data,), op="log")
 
 
 def silu(a):
@@ -332,68 +277,6 @@ def depthwise_conv(x, w):
             [(g * xp[:, i:i + T]).sum(axis=(0, 1)) for i in range(k)])
 
     return Tensor(out, (x, w), grad_fn, op="depthwise_conv")
-
-
-def reduce_sum(a, axis=None, keepdims=False):
-    a = _as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def grad_fn(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        g_exp = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g_exp, a.data.shape).copy(),)
-
-    return Tensor(out, (a,), grad_fn, op="reduce_sum")
-
-
-def reduce_logsumexp(a, axis=-1, keepdims=False):
-    """log(sum(exp(x))) along one axis, stable against -inf rows."""
-    a = _as_tensor(a)
-    m = np.max(a.data, axis=axis, keepdims=True)
-    m_safe = np.where(np.isfinite(m), m, 0.0)
-    shifted = np.exp(a.data - m_safe)
-    total = shifted.sum(axis=axis, keepdims=True)
-    with np.errstate(divide="ignore"):
-        out_k = np.log(total) + m_safe
-    out_k = np.where(np.isfinite(m), out_k, m)  # all -inf row stays -inf
-    out = out_k if keepdims else np.squeeze(out_k, axis=axis)
-    total_safe = np.where(total == 0.0, 1.0, total)
-
-    def grad_fn(g):
-        g_exp = g if keepdims else np.expand_dims(g, axis)
-        soft = shifted / total_safe
-        return (g_exp * soft,)
-
-    return Tensor(out, (a,), grad_fn, op="reduce_logsumexp")
-
-
-def log_softmax(a, axis=-1):
-    return sub(a, reduce_logsumexp(a, axis=axis, keepdims=True))
-
-
-def l2_normalize(a, axis=-1, eps=1e-12):
-    """Rows scaled to unit norm; norms below eps are clamped to eps."""
-    a = _as_tensor(a)
-    norm = np.sqrt((a.data * a.data).sum(axis=axis, keepdims=True))
-    denom = np.maximum(norm, eps)
-    out = a.data / denom
-
-    def grad_fn(g):
-        clipped = norm <= eps
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        grad = (g - np.where(clipped, 0.0, out * dot)) / denom
-        return (grad,)
-
-    return Tensor(out, (a,), grad_fn, op="l2_normalize")
-
-
-def masked_fill(a, mask, value=-1e30):
-    """Where mask is nonzero the output takes ``value`` and passes no gradient."""
-    a = _as_tensor(a)
-    m = np.asarray(mask, dtype=bool)
-    out = np.where(m, value, a.data)
-    return Tensor(out, (a,), lambda g: (np.where(m, 0.0, g),), op="masked_fill")
 
 
 def custom_op(out_data, parents, grad_fn, op):

@@ -1,5 +1,7 @@
-"""The standard synthetic benchmark: fixed data/model/training recipes used
-by the ablation and activation trade-off experiments.
+"""The standard synthetic benchmark: fixed data/model/training recipes.
+Its ``VARIANTS`` are the paper's ablation (``full``, ``no_align``,
+``no_branches``); ``vsrkit train --disable-align`` / ``--disable-branches``
+runs the same switches from the command line.
 
 A benchmark seed fully determines the train and held-out corpora (which
 share a phoneme codebook and lexicon), the model init, and the data order.
@@ -8,20 +10,17 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
-
 from .linguistics import default_inventory
 from .losses import LossConfig
-from .model import CHAR_OFFSET, ActivationConfig, ModelConfig
+from .model import CHAR_OFFSET, ModelConfig
 from .synth import SynthConfig, generate_corpus, make_lexicon
-from .training import TrainConfig, evaluate, train
+from .training import TrainConfig
 
 __all__ = [
     "benchmark_synth_config",
     "benchmark_model_config",
     "benchmark_train_config",
     "make_benchmark_data",
-    "run_benchmark",
     "VARIANTS",
 ]
 
@@ -95,20 +94,3 @@ def make_benchmark_data(seed):
     return (generate_corpus(train_cfg, inv, lexicon),
             generate_corpus(test_cfg, inv, lexicon),
             inv, lexicon)
-
-
-def run_benchmark(seed, variant="full", activations=None, log_fn=None):
-    """Train one benchmark variant and evaluate it on the held-out set.
-
-    The branch-less variant can only run the plain-features activation; the
-    others default to the fully activated model.
-    """
-    train_corpus, test_corpus, inv, lexicon = make_benchmark_data(seed)
-    tcfg = benchmark_train_config(seed, variant)
-    mcfg = benchmark_model_config(len(lexicon))
-    state = train(tcfg, train_corpus, inv, mcfg, log_fn=log_fn)
-    if activations is None:
-        activations = [ActivationConfig(False, False)] if \
-            variant == "no_branches" else [ActivationConfig(True, True)]
-    results = evaluate(state.model, test_corpus, activations, lexicon=lexicon)
-    return state, results

@@ -3,12 +3,13 @@ combination, the semantic-guided local contrastive alignment loss, and the
 total multitask loss.
 
 All losses return scalar autodiff Tensors so gradients reach the model
-through one reverse pass. CTC takes a padded B x T x K batch with per-
-utterance targets and frame lengths and is a single taped node per batch:
-its value is the batch mean of -log p, and its gradient comes from the
-forward-backward recursion, vectorised over utterances and label
-positions, rather than from taping every cell. Padded frames get exactly
-zero gradient.
+through one reverse pass. CTC, the attention cross-entropy and the
+alignment loss each take a padded batch with per-utterance lengths and are
+one taped node per batch (``autodiff.custom_op``): the value is computed
+in numpy, vectorised over utterances, and the gradient has a closed form
+(for CTC, from the forward-backward recursion) rather than coming from
+taping every intermediate. Padded frames and rows get exactly zero
+gradient.
 """
 from __future__ import annotations
 
@@ -34,9 +35,6 @@ __all__ = [
     "ctc_loss",
     "attention_ce_loss",
     "hybrid_loss",
-    "similarity_matrix",
-    "positive_mask",
-    "positive_distribution",
     "align_loss",
     "total_loss",
 ]
@@ -232,21 +230,55 @@ def ctc_loss(logits, targets, lengths=None) -> Tensor:
     )
 
 
-def attention_ce_loss(decoder_logits, target) -> Tensor:
-    """Mean cross-entropy of teacher-forced decoder logits against targets."""
-    if not isinstance(decoder_logits, Tensor):
-        decoder_logits = Tensor(decoder_logits)
-    target = np.asarray(target, dtype=np.int64)
-    if decoder_logits.data.ndim != 2:
-        raise ValueError("decoder logits must be L x K")
-    L, K = decoder_logits.data.shape
-    if target.shape != (L,):
+def attention_ce_loss(logits, targets, lengths=None) -> Tensor:
+    """Batch mean of the per-utterance mean cross-entropy of teacher-forced
+    decoder logits against their targets.
+
+    ``logits`` is a B x L x K Tensor, ``targets`` a B x L array of class
+    indices and ``lengths`` the B target lengths (default L each); rows at
+    or past L_b are padding, their targets are ignored and their gradient
+    is exactly zero. An L x K ``logits`` with one length-L target is the
+    B = 1 case.
+    """
+    if not isinstance(logits, Tensor):
+        logits = Tensor(logits)
+    x = logits.data
+    targets = np.asarray(targets, dtype=np.int64)
+    if x.ndim == 2:
+        x, targets = x[None], targets[None]
+    elif x.ndim != 3:
         raise ValueError(
-            f"target length {target.shape} does not match logits rows {L}"
-        )
-    ls = ad.log_softmax(decoder_logits, axis=-1)
-    picked = ls[(np.arange(L), target)]
-    return ad.mul(ad.reduce_sum(picked), -1.0 / L)
+            f"decoder logits must be B x L x K or L x K, got shape {x.shape}")
+    B, L, K = x.shape
+    if targets.shape != (B, L):
+        raise ValueError(f"targets of shape {targets.shape} do not match "
+                         f"the logits rows {(B, L)}")
+    lengths = np.asarray([L] * B if lengths is None else lengths,
+                         dtype=np.int64)
+    if lengths.shape != (B,):
+        raise ValueError(f"need one length per batch element, got "
+                         f"{lengths.size} for B = {B}")
+    valid = np.arange(L) < lengths[:, None]
+    for b in range(B):
+        if not 1 <= lengths[b] <= L:
+            raise ValueError(f"batch element {b}: length {lengths[b]} "
+                             f"outside [1, {L}]")
+        tb = targets[b, :lengths[b]]
+        if tb.min() < 0 or tb.max() >= K:
+            raise ValueError(f"batch element {b}: target outside [0, {K})")
+
+    targets = np.where(valid, targets, 0)
+    lp = log_probs(x)  # B x L x K
+    picked = np.take_along_axis(lp, targets[..., None], axis=-1)[..., 0]
+    weight = valid * (1.0 / (B * lengths))[:, None]  # d loss / d row loss
+    grad = ((np.exp(lp) - (targets[..., None] == np.arange(K)))
+            * weight[..., None]).reshape(logits.data.shape)
+    return ad.custom_op(
+        np.float64(-(picked * weight).sum()),
+        (logits,),
+        lambda g: (g * grad,),
+        op="attention_ce_loss",
+    )
 
 
 def hybrid_loss(attn, ctc, alpha):
@@ -256,108 +288,94 @@ def hybrid_loss(attn, ctc, alpha):
     return ad.add(ad.mul(attn, alpha), ad.mul(ctc, 1.0 - alpha))
 
 
-def similarity_matrix(V, P) -> Tensor:
-    """Cosine similarity between all row pairs of two equally shaped
-    feature sequences; supports (T, C) and batched (B, T, C) inputs."""
-    if not isinstance(V, Tensor):
-        V = Tensor(V)
-    if not isinstance(P, Tensor):
-        P = Tensor(P)
-    if V.data.shape != P.data.shape or V.data.ndim not in (2, 3):
-        raise ValueError(
-            f"feature shapes must match and be rank 2 or 3, "
-            f"got {V.data.shape} and {P.data.shape}"
-        )
-    nv = ad.l2_normalize(V, axis=-1)
-    np_ = ad.l2_normalize(P, axis=-1)
-    axes = (1, 0) if V.data.ndim == 2 else (0, 2, 1)
-    return ad.matmul(nv, ad.transpose(np_, axes))
+def _unit_rows(x):
+    """Rows of ``x`` scaled to unit norm, with norms below 1e-12 clamped to
+    1e-12, plus the map from a gradient on the unit rows to one on ``x``."""
+    norm = np.sqrt((x * x).sum(axis=-1, keepdims=True))
+    denom = np.maximum(norm, 1e-12)
+    unit = x / denom
+    clamped = norm <= 1e-12
 
+    def grad(g):
+        dot = (g * unit).sum(axis=-1, keepdims=True)
+        return (g - np.where(clamped, 0.0, unit * dot)) / denom
 
-def positive_mask(M, W) -> np.ndarray:
-    """Elementwise product of the semantic mapping and window masks."""
-    M = np.asarray(M, dtype=np.float64)
-    W = np.asarray(W, dtype=np.float64)
-    if M.shape != W.shape:
-        raise ValueError(f"mask shapes differ: {M.shape} vs {W.shape}")
-    return M * W
-
-
-def positive_distribution(P_mask):
-    """Row-normalized positive mask plus the indicator of rows that have at
-    least one positive; inactive rows come back all-zero."""
-    P_mask = np.asarray(P_mask, dtype=np.float64)
-    row_sum = P_mask.sum(axis=-1)
-    active = row_sum > 0
-    denom = np.where(active, row_sum, 1.0)
-    return P_mask / denom[..., None], active
+    return unit, grad
 
 
 def align_loss(V, P, viseme_classes, phoneme_classes,
                inv: LinguisticInventory, cfg: LossConfig,
                lengths=None) -> Tensor:
     """Semantic-guided local contrastive loss between viseme features V and
-    phoneme features P (both B x T x C).
+    phoneme features P (both B x T x C), with ``lengths`` the B frame counts
+    (default T each; 0 is an empty utterance that adds 0 to the mean).
 
     Per batch element the framewise classes define the semantic mapping
     matrix, the window mask localizes the contrast, and the loss is the KL
-    divergence from the positive distribution to the local similarity
-    distribution, averaged over rows that have positives and then over the
-    batch. Gradients reach V and P only; the classes are hard labels.
+    divergence from the positive distribution p to the local similarity
+    distribution q = softmax(cos(V_i, P_j) / tau) over the window, averaged
+    over rows that have positives and then over the batch. Gradients reach
+    V and P only; the classes are hard labels. The gradient is closed-form:
+    (q - p) on the rows with positives, scaled by 1 / (tau * B *
+    (n_active + epsilon)), taken through the cosine similarity. Padded
+    frames get exactly zero gradient.
     """
     if not isinstance(V, Tensor):
         V = Tensor(V)
     if not isinstance(P, Tensor):
         P = Tensor(P)
-    if V.data.shape != P.data.shape or V.data.ndim != 3:
+    if V.data.shape != P.data.shape or V.data.ndim != 3 or \
+            V.data.shape[1] < 1:
         raise ValueError(
-            f"V and P must share a B x T x C shape, got {V.data.shape} "
-            f"and {P.data.shape}"
+            f"V and P must share a B x T x C shape with T >= 1, got "
+            f"{V.data.shape} and {P.data.shape}"
         )
     B, T, _ = V.data.shape
     vis = np.asarray(viseme_classes, dtype=np.int64)
     pho = np.asarray(phoneme_classes, dtype=np.int64)
     if vis.shape != (B, T) or pho.shape != (B, T):
         raise ValueError("class arrays must be B x T")
-    if lengths is None:
-        lengths = [T] * B
-    if len(lengths) != B:
+    lengths = np.asarray([T] * B if lengths is None else lengths,
+                         dtype=np.int64)
+    if lengths.shape != (B,):
         raise ValueError("lengths must have one entry per batch element")
 
-    per_sample = []
-    for b in range(B):
-        Tb = int(lengths[b])
-        if Tb < 1:
-            per_sample.append(Tensor(0.0))
-            continue
-        M = build_mapping_matrix(vis[b, :Tb], pho[b, :Tb], inv)
-        W = build_window_mask(Tb, cfg.window_w)
-        pmask = positive_mask(M, W)
-        p, active = positive_distribution(pmask)
-        n_active = float(active.sum())
+    # positive distribution and window of each utterance, zero-padded
+    p = np.zeros((B, T, T))
+    window = np.zeros((B, T, T), dtype=bool)
+    for b, Tb in enumerate(lengths):
+        if not 0 <= Tb <= T:
+            raise ValueError(f"batch element {b}: length {Tb} "
+                             f"outside [0, {T}]")
+        if Tb:
+            W = build_window_mask(Tb, cfg.window_w)
+            p[b, :Tb, :Tb] = build_mapping_matrix(
+                vis[b, :Tb], pho[b, :Tb], inv) * W
+            window[b, :Tb, :Tb] = W > 0
+    row_sum = p.sum(axis=-1)
+    active = row_sum > 0
+    p /= np.where(active, row_sum, 1.0)[..., None]
+    n_active = active.sum(axis=-1)
 
-        Sb = similarity_matrix(V[b, :Tb], P[b, :Tb])
-        scaled = ad.mul(Sb, 1.0 / cfg.tau)
-        windowed = ad.masked_fill(scaled, W == 0)
-        log_q = ad.log_softmax(windowed, axis=-1)
+    v_hat, v_grad = _unit_rows(V.data)
+    p_hat, p_grad = _unit_rows(P.data)
+    scaled = (v_hat @ p_hat.swapaxes(-1, -2)) * (1.0 / cfg.tau)
+    log_q = log_probs(np.where(window, scaled, -1e30))
 
-        # KL(p || q) row-wise: sum p log p is a constant, cross term is taped
-        with np.errstate(divide="ignore", invalid="ignore"):
-            plogp = np.where(p > 0, p * np.log(p), 0.0).sum(axis=-1)
-        cross = ad.reduce_sum(ad.mul(log_q, p), axis=-1)
-        kl_rows = ad.sub(Tensor(plogp), cross)
-        kl_sum = ad.reduce_sum(ad.mul(kl_rows, active.astype(np.float64)))
-        per_sample.append(ad.mul(kl_sum, 1.0 / (n_active + cfg.epsilon)))
+    # KL(p || q) summed over rows; rows without positives have p = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(p > 0, p * np.log(p), 0.0)
+    kl = (plogp - p * log_q).sum(axis=(1, 2))
+    per_utt = kl * (1.0 / (n_active + cfg.epsilon))
 
-    return _batch_mean(per_sample)
+    def grad_fn(g):
+        scale = g / (cfg.tau * B * (n_active + cfg.epsilon))
+        gz = (np.exp(log_q) * active[..., None] - p) * scale[:, None, None]
+        return (v_grad(gz @ p_hat),
+                p_grad(gz.swapaxes(-1, -2) @ v_hat))
 
-
-def _batch_mean(parts):
-    """Mean of per-utterance scalar losses, summed left to right."""
-    total = parts[0]
-    for p in parts[1:]:
-        total = ad.add(total, p)
-    return ad.mul(total, 1.0 / len(parts))
+    return ad.custom_op(np.float64(per_utt.sum() * (1.0 / B)), (V, P),
+                        grad_fn, op="align_loss")
 
 
 def total_loss(char_ctc, char_attn, cfg: LossConfig,

@@ -14,7 +14,6 @@ from .autodiff import backward
 from .linguistics import LinguisticInventory
 from .losses import (
     LossConfig,
-    _batch_mean,
     align_loss,
     attention_ce_loss,
     ctc_loss,
@@ -189,13 +188,8 @@ def _batch_losses(state: TrainState, utts, inv, augment_rng=None,
 
     char_ctc = ctc_loss(out.char_ctc_logits,
                         [_char_tokens(u) for u in utts], lengths)
-    char_attn = _batch_mean([
-        attention_ce_loss(
-            out.char_attn_logits[b, :len(u.labels.chars) + 1],
-            target[b, :len(u.labels.chars) + 1],
-        )
-        for b, u in enumerate(utts)
-    ])
+    char_attn = attention_ce_loss(out.char_attn_logits, target,
+                                  [len(u.labels.chars) + 1 for u in utts])
 
     phoneme_ctc = viseme_ctc = align = None
     if not cfg.disable_branches:

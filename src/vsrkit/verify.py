@@ -234,6 +234,9 @@ def gradient_suite(instances=50, loss_tol=1e-4, model_tol=1e-3, seed=777,
                    model_instances=None, model_params=20):
     """Analytic gradients against central finite differences."""
     rng = np.random.default_rng(seed)
+    # the ragged-length instances draw from their own stream, so the
+    # other instances stay the same
+    ragged = np.random.default_rng(seed + 1)
     inv = default_inventory()
     t0 = time.perf_counter()
     results = {}
@@ -260,6 +263,10 @@ def gradient_suite(instances=50, loss_tol=1e-4, model_tol=1e-3, seed=777,
         x = rng.normal(size=(L, K))
         worst = max(worst, finite_difference_check(
             lambda t: attention_ce_loss(t, target), Tensor(x)))
+    target = ragged.integers(0, 4, size=(2, 5))
+    worst = max(worst, finite_difference_check(
+        lambda t: attention_ce_loss(t, target, [5, 2]),
+        Tensor(ragged.normal(size=(2, 5, 4)))))
     results["attention_ce"] = worst
 
     worst = 0.0
@@ -278,6 +285,17 @@ def gradient_suite(instances=50, loss_tol=1e-4, model_tol=1e-3, seed=777,
             lambda t: align_loss(Tensor(other), t, vis, pho, inv, cfg),
         )[side:side + 1]:
             worst = max(worst, finite_difference_check(fn, Tensor(x)))
+    cfg = LossConfig(window_w=3)
+    pho = ragged.integers(0, inv.num_phonemes, size=(2, 6))
+    vis = np.asarray(inv.phoneme_to_viseme)[pho]  # each frame matches itself
+    vis[:, 1] = 0  # a row with no positive
+    other = ragged.normal(size=(2, 6, 4))
+    for fn in (
+        lambda t: align_loss(t, Tensor(other), vis, pho, inv, cfg, [6, 3]),
+        lambda t: align_loss(Tensor(other), t, vis, pho, inv, cfg, [6, 3]),
+    ):
+        worst = max(worst, finite_difference_check(
+            fn, Tensor(ragged.normal(size=(2, 6, 4)))))
     results["align"] = worst
 
     worst = 0.0

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from vsrkit import autodiff as ad
 from vsrkit import verify
 from vsrkit.autodiff import Tensor, backward, finite_difference_check, grad_of
-from vsrkit.linguistics import build_mapping_matrix, build_window_mask, \
-    default_inventory
+from vsrkit.linguistics import build_mapping_matrix, default_inventory
 from vsrkit.losses import (
     CtcError,
     CtcNoValidPathError,
@@ -18,9 +17,6 @@ from vsrkit.losses import (
     attention_ce_loss,
     ctc_loss,
     hybrid_loss,
-    positive_distribution,
-    positive_mask,
-    similarity_matrix,
     total_loss,
 )
 from vsrkit.losses import _min_frames
@@ -138,6 +134,19 @@ _REPEAT_EMPTY_TIGHT = (
 )
 
 
+def _mean(parts):
+    """Mean of per-utterance scalar losses as taped nodes."""
+    total = parts[0]
+    for p in parts[1:]:
+        total = ad.add(total, p)
+    return ad.mul(total, 1.0 / len(parts))
+
+
+def _assert_close(got, want, tol=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want)))
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(ctc_batches())
 @example(_REPEAT_EMPTY_TIGHT)
@@ -147,11 +156,8 @@ def test_batched_ctc_is_the_mean_of_single_utterance_calls(batch):
     batched, single = Tensor(logits.copy()), Tensor(logits.copy())
     loss = ctc_loss(batched, targets, lengths)
     backward(loss)
-    parts = [ctc_loss(single[b, :lengths[b]], targets[b]) for b in range(B)]
-    mean = parts[0]
-    for p in parts[1:]:
-        mean = ad.add(mean, p)
-    mean = ad.mul(mean, 1.0 / B)
+    mean = _mean([ctc_loss(single[b, :lengths[b]], targets[b])
+                  for b in range(B)])
     backward(mean)
     assert abs(float(loss.data) - float(mean.data)) <= \
         1e-12 * max(1.0, abs(float(mean.data)))
@@ -252,6 +258,74 @@ def test_attention_ce_gradient():
         assert err < 1e-4
 
 
+def test_batched_attention_ce_gradient_with_ragged_lengths():
+    rng = np.random.default_rng(14)
+    for _ in range(10):
+        target = rng.integers(0, 5, size=(3, 4))
+        err = finite_difference_check(
+            lambda t: attention_ce_loss(t, target, [4, 1, 3]),
+            Tensor(rng.normal(size=(3, 4, 5))))
+        assert err < 1e-4
+
+
+@pytest.mark.parametrize("target", [[0, -1], [0, 4], [7, 1]])
+def test_attention_ce_rejects_out_of_range_targets(target):
+    with pytest.raises(ValueError, match="batch element 0: target"):
+        attention_ce_loss(Tensor(np.zeros((2, 4))), target)
+
+
+def test_attention_ce_names_the_element_with_a_bad_target_or_length():
+    logits = Tensor(np.zeros((2, 3, 4)))
+    # a target past the utterance's length is padding and is not checked
+    attention_ce_loss(logits, [[1, 2, 9], [0, 3, -1]], [2, 2])
+    with pytest.raises(ValueError, match="batch element 1: target"):
+        attention_ce_loss(logits, [[1, 2, 3], [0, 4, 3]], [3, 2])
+    for lengths in ([3, 0], [3, 4]):
+        with pytest.raises(ValueError, match="batch element 1: length"):
+            attention_ce_loss(logits, np.zeros((2, 3), dtype=int), lengths)
+    with pytest.raises(ValueError, match="one length per batch element"):
+        attention_ce_loss(logits, np.zeros((2, 3), dtype=int), [3])
+
+
+@st.composite
+def attention_batches(draw, max_batch=4, max_len=5):
+    """Padded decoder logits, targets and target lengths with mixed L_b."""
+    B = draw(st.integers(1, max_batch))
+    K = draw(st.integers(2, 6))
+    lengths = draw(st.lists(st.integers(1, max_len), min_size=B, max_size=B))
+    L = max(lengths) + draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.1, 1.0, 4.0]))
+    return (scale * rng.normal(size=(B, L, K)),
+            rng.integers(0, K, size=(B, L)), lengths)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(attention_batches())
+def test_batched_attention_ce_is_the_mean_of_single_utterance_calls(batch):
+    logits, targets, lengths = batch
+    batched, single = Tensor(logits.copy()), Tensor(logits.copy())
+    loss = attention_ce_loss(batched, targets, lengths)
+    backward(loss)
+    mean = _mean([attention_ce_loss(single[b, :n], targets[b, :n])
+                  for b, n in enumerate(lengths)])
+    backward(mean)
+    _assert_close(loss.data, mean.data)
+    _assert_close(grad_of(batched), grad_of(single))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(attention_batches())
+def test_batched_attention_ce_gives_padded_rows_zero_gradient(batch):
+    logits, targets, lengths = batch
+    leaf = Tensor(logits)
+    backward(attention_ce_loss(leaf, targets, lengths))
+    g = grad_of(leaf)
+    for b, n in enumerate(lengths):
+        assert not g[b, n:].any()
+        assert np.allclose(g[b, :n].sum(axis=-1), 0.0, atol=1e-12)
+
+
 # ----------------------------------------------------------------------
 # hybrid and total
 
@@ -323,54 +397,6 @@ def test_total_loss_requires_branch_pair():
     cfg = LossConfig()
     with pytest.raises(ValueError):
         total_loss(Tensor(1.0), Tensor(1.0), cfg, phoneme_ctc=Tensor(1.0))
-
-
-# ----------------------------------------------------------------------
-# similarity / masks / distributions
-
-
-def test_similarity_identity_on_unit_rows():
-    V = np.eye(3)
-    S = similarity_matrix(Tensor(V), Tensor(V))
-    assert np.allclose(np.diag(S.data), 1.0)
-
-
-def test_similarity_orthogonal_rows():
-    V = np.array([[1.0, 0.0]])
-    P = np.array([[0.0, 1.0]])
-    assert similarity_matrix(Tensor(V), Tensor(P)).data[0, 0] == \
-        pytest.approx(0.0, abs=1e-12)
-
-
-def test_similarity_known_value():
-    V = np.array([[1.0, 0.0]])
-    P = np.array([[1.0, 1.0]])
-    got = similarity_matrix(Tensor(V), Tensor(P)).data[0, 0]
-    assert got == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-
-
-def test_similarity_shape_mismatch():
-    with pytest.raises(ValueError):
-        similarity_matrix(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))))
-
-
-def test_positive_mask_is_elementwise_product():
-    M = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert np.array_equal(positive_mask(M, np.ones((2, 2))), M)
-    assert np.array_equal(positive_mask(np.ones((2, 2)), np.eye(2)), np.eye(2))
-    with pytest.raises(ValueError):
-        positive_mask(np.ones((2, 2)), np.ones((3, 3)))
-
-
-def test_positive_distribution_cases():
-    P, active = positive_distribution(np.array([[1.0, 1.0, 0.0],
-                                                [0.0, 0.0, 0.0]]))
-    assert np.allclose(P[0], [0.5, 0.5, 0.0])
-    assert np.array_equal(P[1], np.zeros(3))
-    assert active.tolist() == [True, False]
-    Pi, act = positive_distribution(np.eye(4))
-    assert np.array_equal(Pi, np.eye(4))
-    assert act.all()
 
 
 # ----------------------------------------------------------------------
@@ -514,10 +540,101 @@ def test_align_loss_shape_validation():
                    np.ones((1, 2)), np.ones((1, 2)), INV, cfg)
 
 
+@pytest.mark.parametrize("lengths", [[4, -2], [4, 6]])
+def test_align_loss_names_the_element_with_a_bad_length(lengths):
+    cfg, V, P, vis, pho = _random_instance(np.random.default_rng(3), T=4)
+    with pytest.raises(ValueError, match=r"batch element 1: length .* \[0, 4\]"):
+        align_loss(Tensor(V), Tensor(P), vis, pho, INV, cfg, lengths=lengths)
+
+
+def _classes_with_positives(rng, B, T):
+    """Viseme classes from {blank, 2, 4} and phonemes of visemes 2 and 4, so
+    rows with and without in-window positives are both common."""
+    vis = rng.choice([0, 2, 4], size=(B, T))
+    pho = rng.choice([INV.phonemes_of_viseme(2)[0],
+                      INV.phonemes_of_viseme(4)[0]], size=(B, T))
+    return vis, pho
+
+
+@st.composite
+def align_batches(draw, max_batch=3, max_T=7):
+    """Padded V and P, classes, frame lengths (0 allowed) and a config."""
+    B = draw(st.integers(1, max_batch))
+    lengths = draw(st.lists(st.integers(0, max_T), min_size=B, max_size=B))
+    T = max(1, max(lengths) + draw(st.integers(0, 2)))
+    C = draw(st.integers(1, 5))
+    cfg = LossConfig(window_w=draw(st.sampled_from([1, 3, 5])),
+                     tau=draw(st.sampled_from([0.05, 0.3, 1.0])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vis, pho = _classes_with_positives(rng, B, T)
+    return (rng.normal(size=(B, T, C)), rng.normal(size=(B, T, C)), vis,
+            pho, lengths, cfg)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(align_batches())
+def test_batched_align_loss_is_the_mean_of_single_utterance_calls(batch):
+    V, P, vis, pho, lengths, cfg = batch
+    tv, tp = Tensor(V.copy()), Tensor(P.copy())
+    loss = align_loss(tv, tp, vis, pho, INV, cfg, lengths=lengths)
+    backward(loss)
+    sv, sp = Tensor(V.copy()), Tensor(P.copy())
+    mean = _mean([
+        align_loss(sv[b:b + 1, :n], sp[b:b + 1, :n], vis[b:b + 1, :n],
+                   pho[b:b + 1, :n], INV, cfg) if n else Tensor(0.0)
+        for b, n in enumerate(lengths)])
+    backward(mean)
+    _assert_close(loss.data, mean.data)
+    _assert_close(grad_of(tv), grad_of(sv))
+    _assert_close(grad_of(tp), grad_of(sp))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(align_batches())
+def test_batched_align_loss_gives_padded_frames_zero_gradient(batch):
+    V, P, vis, pho, lengths, cfg = batch
+    tv, tp = Tensor(V), Tensor(P)
+    backward(align_loss(tv, tp, vis, pho, INV, cfg, lengths=lengths))
+    for b, n in enumerate(lengths):
+        assert not grad_of(tv)[b, n:].any()
+        assert not grad_of(tp)[b, n:].any()
+
+
+@pytest.mark.parametrize("side", ["V", "P"])
+def test_align_loss_gradient_with_ragged_lengths_and_rows_without_positives(
+        side):
+    rng = np.random.default_rng(15)
+    cfg = LossConfig(window_w=3, tau=0.3)
+    for _ in range(10):
+        vis, pho = _classes_with_positives(rng, 2, 6)
+        vis[:, 1] = 0  # blank: this row has no positive
+        other = rng.normal(size=(2, 6, 4))
+
+        def f(t):
+            pair = (t, Tensor(other)) if side == "V" else (Tensor(other), t)
+            return align_loss(*pair, vis, pho, INV, cfg, lengths=[6, 4])
+
+        assert finite_difference_check(f, Tensor(rng.normal(size=(2, 6, 4)))) \
+            < 1e-4
+
+
+def test_align_loss_guards_all_zero_feature_rows():
+    rng = np.random.default_rng(16)
+    cfg = LossConfig(window_w=3)
+    vis = np.full((1, 4), 2)
+    pho = np.full((1, 4), INV.phonemes_of_viseme(2)[0])
+    V, P = rng.normal(size=(1, 4, 3)), rng.normal(size=(1, 4, 3))
+    V[0, 1] = P[0, 2] = 0.0
+    tv, tp = Tensor(V), Tensor(P)
+    loss = align_loss(tv, tp, vis, pho, INV, cfg)
+    backward(loss)
+    assert np.isfinite(float(loss.data))
+    assert np.all(np.isfinite(grad_of(tv))) and np.all(np.isfinite(grad_of(tp)))
+
+
 def test_pipeline_masks_compose():
     # mapping matrix from the earlier example through the mask product
     p = INV.phoneme_index("p")
     t = INV.phoneme_index("t")
     M = build_mapping_matrix([2, 4], [p, t], INV)
-    P_mask = positive_mask(M, np.ones((2, 2)))
-    assert np.array_equal(P_mask, np.eye(2))
+    assert np.array_equal(M, np.eye(2))

@@ -16,6 +16,8 @@ from vsrkit.model import (
     droppath_sum,
 )
 
+from scalarize import weighted_sum
+
 CFG = ModelConfig(char_vocab=12, phoneme_vocab=10, viseme_vocab=6,
                   input_dim=5, model_dim=16, trunk_layers=1, branch_layers=1,
                   char_encoder_layers=1, char_decoder_layers=1,
@@ -242,8 +244,8 @@ def test_unpadded_forward_records_no_layout_nodes(model):
     # no padding: no pack, no unpack and no mask multiply on the tape
     F = model.trunk_forward(Tensor(np.ones((1, 5, CFG.input_dim))))
     F_mem, ctc, _ = model.char_forward(model.fuse(F, None, None))
-    ops = {n.op for n in ad.trace(ad.add(ad.reduce_sum(F_mem),
-                                         ad.reduce_sum(ctc))).nodes}
+    ops = {n.op for n in ad.trace(ad.add(weighted_sum(F_mem),
+                                         weighted_sum(ctc))).nodes}
     assert "depthwise_conv" in ops and not ops & {"pack", "unpack", "mul"}
 
 
