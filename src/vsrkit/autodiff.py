@@ -81,9 +81,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self):
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.data.shape})"
 
@@ -313,7 +310,7 @@ def trace(output):
     return Tape(order)
 
 
-def backward(output, tape=None):
+def backward(output):
     """Accumulate gradients of a scalar ``output`` into every reachable node.
 
     Returns the tape that was walked. Leaves that do not feed the output
@@ -326,8 +323,7 @@ def backward(output, tape=None):
         raise AutodiffError(
             f"backward requires a scalar output, got shape {output.data.shape}"
         )
-    if tape is None:
-        tape = trace(output)
+    tape = trace(output)
     for node in tape.nodes:
         node.grad = None
     output.grad = np.ones_like(output.data)

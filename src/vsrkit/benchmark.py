@@ -42,7 +42,6 @@ def benchmark_synth_config(seed, num_utterances=_TRAIN_UTTERANCES):
         frames_per_phoneme=(3, 7),
         feature_dim=16,
         noise_std=0.6,
-        viseme_prior=True,
         viseme_scale=1.0,
         phoneme_scale=0.35,
     )

@@ -14,8 +14,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .linguistics import (
     default_inventory,
     default_lexicon,
@@ -25,8 +23,8 @@ from .linguistics import (
 )
 from .losses import LossConfig
 from .metrics import write_eval_report
-from .model import ALL_ACTIVATIONS, CHAR_OFFSET, ActivationConfig, Model, \
-    ModelConfig
+from .model import ALL_ACTIVATIONS, CHAR_OFFSET, DECODE_MODES, \
+    ActivationConfig, Model, ModelConfig
 from .synth import SynthConfig, generate_corpus, make_lexicon, read_manifest, \
     viseme_frequencies, write_manifest
 from .training import TrainConfig, evaluate, train
@@ -40,9 +38,6 @@ _CONFIG_SECTIONS = {
     "train": TrainConfig,
     "model": ModelConfig,
 }
-
-# model fields normally derived from the data, allowed to be absent
-_MODEL_DERIVED = ("char_vocab", "input_dim", "max_frames", "max_decode_len")
 
 _EVAL_KEYS = {"decode": str, "beam_width": int, "activations": str}
 
@@ -59,35 +54,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _coerce(value: str, py_type):
-    if py_type is bool:
-        v = value.strip().lower()
-        if v in ("1", "true", "yes", "on"):
-            return True
-        if v in ("0", "false", "no", "off"):
-            return False
-        raise UsageError(f"not a boolean: {value!r}")
-    if py_type is int:
-        return int(value)
-    if py_type is float:
-        return float(value)
-    if py_type is tuple:
-        return tuple(int(x) for x in value.split(","))
-    return value
+def _coerce(section, key, value: str, py_type):
+    try:
+        if py_type is bool:
+            return configparser.ConfigParser.BOOLEAN_STATES[
+                value.strip().lower()]
+        if py_type is tuple:
+            return tuple(int(x) for x in value.split(","))
+        return py_type(value)
+    except (KeyError, ValueError):
+        raise UsageError(f"config key [{section}] {key} = {value!r} is not "
+                         f"a valid {py_type.__name__}") from None
 
 
-_TYPES_BY_NAME = {"int": int, "float": float, "bool": bool, "tuple": tuple,
-                  "str": str}
-
-
-def _field_type(f):
-    if isinstance(f.type, type):
-        return f.type
-    typ = _TYPES_BY_NAME.get(str(f.type))
-    if typ is not None:
-        return typ
-    default = f.default if f.default is not dataclasses.MISSING else None
-    return type(default) if default is not None else None
+_TYPES_BY_NAME = {"int": int, "float": float, "bool": bool, "tuple": tuple}
 
 
 def _section_values(parser_obj, section, cls):
@@ -99,12 +79,12 @@ def _section_values(parser_obj, section, cls):
     for key, raw in parser_obj.items(section):
         if key not in fields:
             raise UsageError(f"unknown config key [{section}] {key}")
-        typ = _field_type(fields[key])
+        typ = _TYPES_BY_NAME.get(fields[key].type)
         if typ is None:
             raise UsageError(
                 f"config key [{section}] {key} belongs in its own section"
             )
-        out[key] = _coerce(raw, typ)
+        out[key] = _coerce(section, key, raw, typ)
     return out
 
 
@@ -126,7 +106,7 @@ def _extra_section(cp, section, schema):
         for key, raw in cp.items(section):
             if key not in schema:
                 raise UsageError(f"unknown config key [{section}] {key}")
-            out[key] = _coerce(raw, schema[key])
+            out[key] = _coerce(section, key, raw, schema[key])
     return out
 
 
@@ -264,13 +244,20 @@ def cmd_eval(args):
     if not args.out:
         raise UsageError("eval requires --out for the report directory")
     eval_kw = _extra_section(cp, "eval", _EVAL_KEYS)
-    corpus, inv, lexicon = read_manifest(args.data)
-
+    decode = eval_kw.get("decode", "ctc_greedy")
+    if decode not in DECODE_MODES:
+        raise UsageError(f"config key [eval] decode = {decode!r} is not one "
+                         f"of {', '.join(DECODE_MODES)}")
     names = args.activate or \
         [a.strip() for a in eval_kw.get("activations", "").split(";") if a] or \
         [a.name for a in ALL_ACTIVATIONS]
-    activations = [ActivationConfig.from_name(n) for n in names]
+    try:
+        activations = [ActivationConfig.from_name(n) for n in names]
+    except ValueError as e:
+        raise UsageError(f"config key [eval] activations = "
+                         f"{eval_kw['activations']!r}: {e}") from None
 
+    corpus, inv, lexicon = read_manifest(args.data)
     model = Model.load(args.checkpoint)
 
     out = Path(args.out)
@@ -279,7 +266,7 @@ def cmd_eval(args):
                                      "activations": ";".join(names)}})
 
     results = evaluate(model, corpus, activations, lexicon=lexicon,
-                       decode=eval_kw.get("decode", "ctc_greedy"),
+                       decode=decode,
                        beam_width=eval_kw.get("beam_width", 8))
     records = [r for res in results for r in res["records"]]
     summaries = [res["summary"] for res in results]
@@ -311,17 +298,13 @@ def cmd_g2p(args):
         raise UsageError("g2p needs TEXT or --file")
 
     if args.stats:
-        counts = np.zeros(inv.num_visemes)
-        for line in text_lines:
-            labels = text_to_labels(line.strip(), lexicon, inv)
-            for v in labels.visemes:
-                counts[v] += 1
-        total = counts.sum()
+        labels = (text_to_labels(line.strip(), lexicon, inv)
+                  for line in text_lines)
+        freqs = viseme_frequencies(labels, inv)
         print("Viseme\tFrequency\tIPA")
         for vid in range(inv.num_visemes):
             syms = ",".join(inv.phonemes[i] for i in inv.phonemes_of_viseme(vid))
-            freq = "N/A" if vid == 0 else \
-                f"{100.0 * counts[vid] / total:.2f}%" if total else "0.00%"
+            freq = "N/A" if vid == 0 else f"{100.0 * freqs[vid]:.2f}%"
             print(f"{vid}\t{freq}\t{syms}")
         return 0
 

@@ -25,7 +25,6 @@ class Hypothesis:
     tokens: tuple
     score: float
     branch_frames: dict = field(default_factory=dict)
-    activation: object = None
 
 
 def log_probs(logits):

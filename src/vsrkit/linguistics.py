@@ -116,9 +116,6 @@ class Lexicon:
                 f"character {character!r} not in lexicon"
             ) from None
 
-    def entry(self, character: str) -> LexiconEntry:
-        return self.entries[self.char_index(character)]
-
 
 @dataclass(frozen=True)
 class LabelTriple:

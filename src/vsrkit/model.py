@@ -21,7 +21,7 @@ the optimizer moments) that ``Model.load`` ignores.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "ForwardOutputs",
     "Model",
     "CheckpointError",
+    "DECODE_MODES",
     "BLANK_ID",
     "SOS_ID",
     "EOS_ID",
@@ -50,6 +51,9 @@ BLANK_ID = 0
 SOS_ID = 1
 EOS_ID = 2
 CHAR_OFFSET = 3
+
+# the ``decode`` values ``Model.forward_infer`` accepts
+DECODE_MODES = ("ctc_greedy", "ctc_beam", "attention")
 
 _LN_EPS = 1e-5
 
@@ -413,18 +417,18 @@ class Model:
         return self._head(self._norm(x, "char_decoder/out_norm"),
                           "heads/char_attn")
 
-    def forward_train(self, features, lengths, decoder_inputs, rng,
-                      use_branches=True) -> ForwardOutputs:
-        """Full training-mode forward pass with sampled branch-drop masks."""
+    def forward_train(self, features, lengths, decoder_inputs,
+                      rng) -> ForwardOutputs:
+        """Full training-mode forward pass. A model with branches runs both
+        and fuses them under branch-drop masks sampled from ``rng``; a model
+        built without them fuses the trunk features alone."""
         if not isinstance(features, Tensor):
             features = Tensor(features)
         B, T, _ = features.data.shape
         valid = np.arange(T)[None, :] < np.asarray(lengths)[:, None]
         out = ForwardOutputs()
         out.F = self.trunk_forward(features, valid)
-        if use_branches:
-            if not self.with_branches:
-                raise CheckpointError("model was built without branches")
+        if self.with_branches:
             out.P, out.phoneme_logits = self.branch_forward(out.F, "phoneme", valid)
             out.V, out.viseme_logits = self.branch_forward(out.F, "viseme", valid)
             out.drop_masks = self.sample_drop_masks(rng, B)
@@ -478,7 +482,7 @@ class Model:
         else:
             raise ValueError(f"unknown decode mode {decode!r}")
         return Hypothesis(tokens=tuple(tokens), score=score,
-                          branch_frames=branch_frames, activation=act)
+                          branch_frames=branch_frames)
 
     def _decode_step(self, F_mem):
         def step(prefix):
@@ -504,7 +508,9 @@ class Model:
     @classmethod
     def load(cls, path):
         """Read a model or training-state checkpoint: check the version,
-        then take only ``__config__`` and the ``param::`` arrays."""
+        then take only ``__config__`` and the ``param::`` arrays, which must
+        have the names and shapes ``__init__`` builds for that config with
+        the same branch presence."""
         with np.load(path, allow_pickle=False) as z:
             version = str(z["__version__"]) if "__version__" in z else None
             if version != CHECKPOINT_VERSION:
@@ -514,4 +520,17 @@ class Model:
             cfg = ModelConfig.from_json(str(z["__config__"]))
             params = {k.removeprefix("param::"): Tensor(z[k]) for k in z.files
                       if k.startswith("param::")}
-        return cls(cfg, params=params)
+        model = cls(cfg, params=params)
+        expected = model._init_params(0, model.with_branches)
+        for name, p in expected.items():
+            if name not in params:
+                raise CheckpointError(f"{path} lacks parameter {name}")
+            if params[name].data.shape != p.data.shape:
+                raise CheckpointError(
+                    f"parameter {name} in {path} has shape "
+                    f"{params[name].data.shape}, expected {p.data.shape}")
+        for name in params:
+            if name not in expected:
+                raise CheckpointError(
+                    f"{path} holds unexpected parameter {name}")
+        return model

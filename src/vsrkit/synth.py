@@ -46,7 +46,6 @@ MANIFEST_VERSION = "vsrkit-manifest v1"
 _CODEBOOK_STREAM = 101
 _LEXICON_STREAM = 202
 _CORPUS_STREAM = 303
-_SPEAKER_STREAM = 404
 
 
 class ManifestError(RuntimeError):
@@ -62,12 +61,8 @@ class SynthConfig:
     frames_per_phoneme: tuple = (3, 7)
     feature_dim: int = 16
     noise_std: float = 0.5
-    viseme_prior: bool = True
-    time_mask_prob: float = 0.3
-    time_mask_max_width: int = 3
     viseme_scale: float = 1.0
     phoneme_scale: float = 0.35
-    speaker_perturb_std: float = 0.0
     # a held-out corpus shares the codebook of its training corpus by
     # pinning this while varying `seed`
     codebook_seed: int = None
@@ -187,19 +182,16 @@ def phoneme_codebook(cfg: SynthConfig, inv: LinguisticInventory) -> np.ndarray:
     anchors = rng.normal(size=(inv.num_visemes, cfg.feature_dim))
     details = rng.normal(size=(inv.num_phonemes, cfg.feature_dim))
     p2v = np.asarray(inv.phoneme_to_viseme)
-    book = cfg.viseme_scale * anchors[p2v] + cfg.phoneme_scale * details
-    if cfg.speaker_perturb_std > 0:
-        pr = np.random.default_rng([cfg.seed, _SPEAKER_STREAM])
-        book = book + cfg.speaker_perturb_std * pr.normal(size=book.shape)
-    return book
+    return cfg.viseme_scale * anchors[p2v] + cfg.phoneme_scale * details
 
 
 def generate_corpus(cfg: SynthConfig, inv: LinguisticInventory,
                     lexicon: Lexicon) -> list:
     """Sample a deterministic corpus of utterances.
 
-    Characters are drawn from the first ``char_vocab_size`` lexicon entries,
-    weighted to match the viseme prior when ``viseme_prior`` is set.
+    Characters are drawn from the first ``char_vocab_size`` lexicon entries
+    with the ``char_sampling_weights`` that match the inventory's viseme
+    prior. Each utterance also keeps its ground-truth frame labels.
     """
     if len(lexicon) < cfg.char_vocab_size:
         raise ValueError(
@@ -207,10 +199,7 @@ def generate_corpus(cfg: SynthConfig, inv: LinguisticInventory,
         )
     rng = np.random.default_rng([cfg.seed, _CORPUS_STREAM])
     book = phoneme_codebook(cfg, inv)
-    if cfg.viseme_prior:
-        weights = char_sampling_weights(lexicon, inv, cfg.char_vocab_size)
-    else:
-        weights = np.full(cfg.char_vocab_size, 1.0 / cfg.char_vocab_size)
+    weights = char_sampling_weights(lexicon, inv, cfg.char_vocab_size)
 
     utterances = []
     for u in range(cfg.num_utterances):
@@ -262,11 +251,12 @@ def filter_by_length(utterances, max_frames):
     return [u for u in utterances if u.num_frames() <= max_frames]
 
 
-def viseme_frequencies(utterances, inv: LinguisticInventory) -> np.ndarray:
-    """Empirical per-phoneme-token viseme distribution over a corpus."""
+def viseme_frequencies(labels, inv: LinguisticInventory) -> np.ndarray:
+    """Empirical per-phoneme-token viseme distribution over an iterable of
+    ``LabelTriple``s."""
     counts = np.zeros(inv.num_visemes)
-    for u in utterances:
-        for v in u.labels.visemes:
+    for triple in labels:
+        for v in triple.visemes:
             counts[v] += 1
     total = counts.sum()
     return counts / total if total > 0 else counts

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import backward
+from .autodiff import backward, grad_of
 from .linguistics import LinguisticInventory
 from .losses import (
     LossConfig,
@@ -58,7 +58,6 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
     disable_align: bool = False
     disable_branches: bool = False
-    align_on_frame_labels: bool = False
     time_mask_prob: float = 0.3
     time_mask_max_width: int = 3
 
@@ -183,8 +182,7 @@ def _batch_losses(state: TrainState, utts, inv, augment_rng=None,
         cfg.time_mask_max_width,
     )
     dec_in, target = _decoder_batch(utts, model.cfg.max_decode_len)
-    out = model.forward_train(feats, lengths, dec_in, state.rng,
-                              use_branches=not cfg.disable_branches)
+    out = model.forward_train(feats, lengths, dec_in, state.rng)
 
     char_ctc = ctc_loss(out.char_ctc_logits,
                         [_char_tokens(u) for u in utts], lengths)
@@ -192,22 +190,14 @@ def _batch_losses(state: TrainState, utts, inv, augment_rng=None,
                                   [len(u.labels.chars) + 1 for u in utts])
 
     phoneme_ctc = viseme_ctc = align = None
-    if not cfg.disable_branches:
+    if model.with_branches:
         phoneme_ctc = ctc_loss(out.phoneme_logits,
                                [u.labels.phonemes for u in utts], lengths)
         viseme_ctc = ctc_loss(out.viseme_logits,
                               [u.labels.visemes for u in utts], lengths)
         if not cfg.disable_align:
-            B, T = len(utts), feats.shape[1]
-            if cfg.align_on_frame_labels:
-                vis_cls = np.zeros((B, T), dtype=np.int64)
-                pho_cls = np.zeros((B, T), dtype=np.int64)
-                for b, u in enumerate(utts):
-                    vis_cls[b, :lengths[b]] = u.frame_visemes
-                    pho_cls[b, :lengths[b]] = u.frame_phonemes
-            else:
-                vis_cls = out.viseme_logits.data.argmax(axis=-1)
-                pho_cls = out.phoneme_logits.data.argmax(axis=-1)
+            vis_cls = out.viseme_logits.data.argmax(axis=-1)
+            pho_cls = out.phoneme_logits.data.argmax(axis=-1)
             align = align_loss(out.V, out.P, vis_cls, pho_cls, inv,
                                cfg.loss, lengths=lengths)
 
@@ -240,8 +230,7 @@ def _adamw_step(state: TrainState, lr):
     grads = {}
     sq = 0.0
     for name, p in state.model.params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        grads[name] = g
+        g = grads[name] = grad_of(p)
         sq += float((g * g).sum())
     norm = np.sqrt(sq)
     scale = cfg.clip_norm / norm if norm > cfg.clip_norm else 1.0
@@ -284,6 +273,11 @@ def train(cfg: TrainConfig, corpus, inv: LinguisticInventory,
         # parameters, moments, rng and position come from the checkpoint;
         # the schedule being continued is the caller's
         state = TrainState.load(resume)
+        saved = not state.model.with_branches
+        if saved != cfg.disable_branches:
+            raise TrainingError(
+                f"{resume} was trained with disable_branches={saved}; cannot "
+                f"resume it with disable_branches={cfg.disable_branches}")
         state.cfg = cfg
     else:
         state = TrainState.new(cfg, model_cfg)

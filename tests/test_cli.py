@@ -251,3 +251,40 @@ def test_effective_config_reproduces_the_run(tmp_path, cfg_file):
         (data2 / "index.tsv").read_bytes()
     assert (data / "features.bin").read_bytes() == \
         (data2 / "features.bin").read_bytes()
+
+def test_unparsable_config_value_exits_one_naming_the_key(tmp_path, cfg_file,
+                                                          capsys):
+    data = tmp_path / "data"
+    run("--config", cfg_file, "--out", str(data), "--quiet", "gen")
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[train]\nbatch_size = abc\n", encoding="utf-8")
+    assert run("--config", str(bad), "--out", str(tmp_path / "run"), "--quiet",
+               "train", "--data", str(data)) == 1
+    err = capsys.readouterr().err
+    assert "[train] batch_size = 'abc'" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key, value", [("decode", "bogus"),
+                                        ("activations", "f+x")])
+def test_bad_eval_setting_exits_one_before_reading_anything(tmp_path, capsys,
+                                                            key, value):
+    cfg = tmp_path / "eval.ini"
+    cfg.write_text(f"[eval]\n{key} = {value}\n", encoding="utf-8")
+    # neither input exists: the settings are checked before either is read
+    out = tmp_path / "report"
+    assert run("--config", str(cfg), "--out", str(out), "--quiet", "eval",
+               "--checkpoint", str(tmp_path / "none.npz"),
+               "--data", str(tmp_path / "none")) == 1
+    err = capsys.readouterr().err
+    assert f"[eval] {key} = {value!r}" in err
+    assert not out.exists()
+
+
+def test_gen_rejects_a_removed_synth_key(tmp_path, capsys):
+    # training reads the time mask from [train]; [synth] never had a use for it
+    cfg = tmp_path / "gen.ini"
+    cfg.write_text("[synth]\ntime_mask_prob = 0.9\n", encoding="utf-8")
+    assert run("--config", str(cfg), "--out", str(tmp_path / "data"),
+               "--quiet", "gen") == 1
+    assert "[synth] time_mask_prob" in capsys.readouterr().err

@@ -348,6 +348,34 @@ def test_checkpoint_version_check(tmp_path, model):
             Model.load(path)
 
 
+def _reshape_in_proj(params):
+    params["trunk/in_proj_w"] = Tensor(np.zeros((CFG.input_dim, 8)))
+
+
+def _drop_viseme_ffn(params):
+    del params["viseme/layer0_ffn_w1"]
+
+
+def _add_extra(params):
+    params["trunk/extra_w"] = Tensor(np.zeros(3))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_reshape_in_proj,
+     "parameter trunk/in_proj_w in {path} has shape (5, 8), expected (5, 16)"),
+    (_drop_viseme_ffn, "{path} lacks parameter viseme/layer0_ffn_w1"),
+    (_add_extra, "{path} holds unexpected parameter trunk/extra_w"),
+], ids=["mis-shaped", "missing", "unexpected"])
+def test_checkpoint_load_checks_parameter_names_and_shapes(tmp_path, model,
+                                                           edit, message):
+    edit(model.params)
+    path = tmp_path / "model.npz"
+    model.save(path)
+    with pytest.raises(CheckpointError,
+                       match=re.escape(message.format(path=path))):
+        Model.load(path)
+
+
 def test_branchless_checkpoint_keeps_branch_absence(tmp_path):
     m = Model(CFG, seed=1, with_branches=False)
     path = tmp_path / "nb.npz"

@@ -62,12 +62,12 @@ def test_noiseless_features_are_exact_codebook_rows():
         assert np.array_equal(nearest, u.frame_phonemes)
 
 
-def test_viseme_prior_convergence():
+def test_viseme_frequencies_converge_to_inventory_prior():
     lex = make_lexicon(INV, 80, seed=6)
     cfg = SynthConfig(seed=6, num_utterances=1500, char_vocab_size=80,
                       sentence_len=(2, 5))
     corpus = generate_corpus(cfg, INV, lex)
-    freq = viseme_frequencies(corpus, INV)
+    freq = viseme_frequencies([u.labels for u in corpus], INV)
     prior = np.asarray(INV.viseme_frequency)
     assert np.abs(freq - prior).max() < 0.01
 

@@ -173,6 +173,18 @@ def test_checkpoint_resume_matches_uninterrupted(tmp_path):
         assert ra["total"] == rb["total"], (ra["step"], ra, rb)
 
 
+@pytest.mark.parametrize("saved", [False, True])
+def test_resume_rejects_a_different_branch_setting(tmp_path, saved):
+    corpus, _, mcfg, tcfg = tiny_setup(epochs=(1, 0), disable_branches=saved)
+    ck = tmp_path / "ck.npz"
+    train(tcfg, corpus, INV, mcfg).save(ck)
+    other = TrainConfig(**{**tcfg.__dict__, "disable_branches": not saved})
+    with pytest.raises(TrainingError, match=re.escape(
+            f"{ck} was trained with disable_branches={saved}; cannot resume "
+            f"it with disable_branches={not saved}")):
+        train(other, corpus, INV, mcfg, resume=ck)
+
+
 def test_state_roundtrip(tmp_path):
     corpus, _, mcfg, tcfg = tiny_setup(epochs=(1, 0))
     state = train(tcfg, corpus, INV, mcfg)
