@@ -32,18 +32,16 @@ _CHAR_VOCAB = 40
 _TEST_SEED_OFFSET = 90_000
 
 
-def benchmark_synth_config(seed, num_utterances=_TRAIN_UTTERANCES):
+def benchmark_synth_config(seed):
     return SynthConfig(
         seed=seed,
         codebook_seed=seed,
-        num_utterances=num_utterances,
+        num_utterances=_TRAIN_UTTERANCES,
         char_vocab_size=_CHAR_VOCAB,
         sentence_len=(1, 4),
         frames_per_phoneme=(3, 7),
         feature_dim=16,
         noise_std=0.6,
-        viseme_scale=1.0,
-        phoneme_scale=0.35,
     )
 
 
@@ -78,8 +76,6 @@ def benchmark_train_config(seed, variant="full"):
         loss=LossConfig(),
         disable_align=variant != "full",
         disable_branches=variant == "no_branches",
-        time_mask_prob=0.3,
-        time_mask_max_width=3,
     )
 
 

@@ -41,7 +41,7 @@ _CONFIG_SECTIONS = {
 
 _EVAL_KEYS = {"decode": str, "beam_width": int, "activations": str}
 
-_GEN_KEYS = {"lexicon": str, "homophone_pairs": int}
+_GEN_KEYS = {"lexicon": str}
 
 
 class UsageError(Exception):
@@ -70,22 +70,33 @@ def _coerce(section, key, value: str, py_type):
 _TYPES_BY_NAME = {"int": int, "float": float, "bool": bool, "tuple": tuple}
 
 
-def _section_values(parser_obj, section, cls):
-    """Typed values of one INI section validated against a config class."""
-    fields = {f.name: f for f in dataclasses.fields(cls)}
+def _section_values(cp, section, schema):
+    """Typed values of one INI section. ``schema`` maps each key to its
+    type, or is a config class whose fields give the keys and types."""
+    if dataclasses.is_dataclass(schema):
+        schema = {f.name: _TYPES_BY_NAME.get(f.type)
+                  for f in dataclasses.fields(schema)}
     out = {}
-    if not parser_obj.has_section(section):
+    if not cp.has_section(section):
         return out
-    for key, raw in parser_obj.items(section):
-        if key not in fields:
+    for key, raw in cp.items(section):
+        if key not in schema:
             raise UsageError(f"unknown config key [{section}] {key}")
-        typ = _TYPES_BY_NAME.get(fields[key].type)
-        if typ is None:
+        if schema[key] is None:
             raise UsageError(
                 f"config key [{section}] {key} belongs in its own section"
             )
-        out[key] = _coerce(section, key, raw, typ)
+        out[key] = _coerce(section, key, raw, schema[key])
     return out
+
+
+def _config(section, cls, **values):
+    """``cls(**values)``; a value the class rejects is a usage error that
+    names the section."""
+    try:
+        return cls(**values)
+    except ValueError as e:
+        raise UsageError(f"config section [{section}]: {e}") from None
 
 
 def _load_config(path):
@@ -98,16 +109,6 @@ def _load_config(path):
             if section not in (*_CONFIG_SECTIONS, "eval", "gen"):
                 raise UsageError(f"unknown config section [{section}]")
     return cp
-
-
-def _extra_section(cp, section, schema):
-    out = {}
-    if cp.has_section(section):
-        for key, raw in cp.items(section):
-            if key not in schema:
-                raise UsageError(f"unknown config key [{section}] {key}")
-            out[key] = _coerce(section, key, raw, schema[key])
-    return out
 
 
 def _effective_ini(sections: dict) -> str:
@@ -158,10 +159,10 @@ def _dc_dict(obj):
 def cmd_gen(args):
     cp = _load_config(args.config)
     synth_kw = _section_values(cp, "synth", SynthConfig)
-    gen_kw = _extra_section(cp, "gen", _GEN_KEYS)
+    gen_kw = _section_values(cp, "gen", _GEN_KEYS)
     if args.seed is not None:
         synth_kw["seed"] = args.seed
-    scfg = SynthConfig(**synth_kw)
+    scfg = _config("synth", SynthConfig, **synth_kw)
     if not args.out:
         raise UsageError("gen requires --out for the manifest directory")
 
@@ -172,7 +173,6 @@ def cmd_gen(args):
             inv, scfg.char_vocab_size,
             seed=scfg.codebook_seed if scfg.codebook_seed is not None
             else scfg.seed,
-            num_homophone_pairs=gen_kw.get("homophone_pairs", 3),
         )
     elif source == "bundled":
         lexicon = default_lexicon(inv)
@@ -186,15 +186,16 @@ def cmd_gen(args):
     return 0
 
 
-def _model_config_from_data(cp, corpus, lexicon):
+def _model_config_from_data(cp, corpus, inv, lexicon):
     kw = _section_values(cp, "model", ModelConfig)
     max_T = max(u.num_frames() for u in corpus)
     max_L = max(len(u.labels.chars) for u in corpus)
     kw.setdefault("char_vocab", len(lexicon) + CHAR_OFFSET)
+    kw.setdefault("phoneme_vocab", inv.num_phonemes)
     kw.setdefault("input_dim", corpus[0].features.shape[1])
     kw.setdefault("max_frames", max_T + 8)
     kw.setdefault("max_decode_len", max_L + 2)
-    return ModelConfig(**kw)
+    return _config("model", ModelConfig, **kw)
 
 
 def cmd_train(args):
@@ -215,8 +216,9 @@ def cmd_train(args):
         train_kw["disable_align"] = True
     if args.disable_branches:
         train_kw["disable_branches"] = True
-    tcfg = TrainConfig(loss=LossConfig(**loss_kw), **train_kw)
-    mcfg = _model_config_from_data(cp, corpus, lexicon)
+    tcfg = _config("train", TrainConfig,
+                   loss=_config("loss", LossConfig, **loss_kw), **train_kw)
+    mcfg = _model_config_from_data(cp, corpus, inv, lexicon)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -243,7 +245,7 @@ def cmd_eval(args):
         raise UsageError("eval requires --checkpoint and --data")
     if not args.out:
         raise UsageError("eval requires --out for the report directory")
-    eval_kw = _extra_section(cp, "eval", _EVAL_KEYS)
+    eval_kw = _section_values(cp, "eval", _EVAL_KEYS)
     decode = eval_kw.get("decode", "ctc_greedy")
     if decode not in DECODE_MODES:
         raise UsageError(f"config key [eval] decode = {decode!r} is not one "

@@ -41,6 +41,9 @@ __all__ = [
 
 NEG_INF = -np.inf
 
+# an utterance with no active row adds 0 to the alignment loss, not 0 / 0
+_ALIGN_EPSILON = 1e-8
+
 
 class CtcError(ValueError):
     pass
@@ -54,9 +57,11 @@ class CtcNoValidPathError(CtcError):
 class LossConfig:
     """Hyperparameters of the combined objective.
 
-    Defaults for alpha, tau, lambda1, lambda2 and epsilon are project
-    choices (exposed in config files); window_w = 5 matches the average
-    viseme duration the synthetic durations are built around.
+    These are the paper's objective: the hybrid weight alpha, the
+    temperature tau, the loss weights lambda1 and lambda2, and the window
+    w. Their defaults are project choices (exposed in config files);
+    window_w = 5 matches the average viseme duration the synthetic
+    durations are built around.
     """
 
     alpha: float = 0.7
@@ -64,7 +69,6 @@ class LossConfig:
     lambda1: float = 1.0
     lambda2: float = 0.3
     window_w: int = 5
-    epsilon: float = 1e-8
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
@@ -75,8 +79,6 @@ class LossConfig:
             raise ValueError("lambda1 and lambda2 must be nonnegative")
         if self.window_w < 1 or self.window_w % 2 == 0:
             raise ValueError(f"window_w must be odd and >= 1, got {self.window_w}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
 @dataclass
@@ -317,8 +319,9 @@ def align_loss(V, P, viseme_classes, phoneme_classes,
     over rows that have positives and then over the batch. Gradients reach
     V and P only; the classes are hard labels. The gradient is closed-form:
     (q - p) on the rows with positives, scaled by 1 / (tau * B *
-    (n_active + epsilon)), taken through the cosine similarity. Padded
-    frames get exactly zero gradient.
+    (n_active + 1e-8)), taken through the cosine similarity; the 1e-8
+    keeps an utterance with no active row at 0. Padded frames get exactly
+    zero gradient.
     """
     if not isinstance(V, Tensor):
         V = Tensor(V)
@@ -366,10 +369,10 @@ def align_loss(V, P, viseme_classes, phoneme_classes,
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(p > 0, p * np.log(p), 0.0)
     kl = (plogp - p * log_q).sum(axis=(1, 2))
-    per_utt = kl * (1.0 / (n_active + cfg.epsilon))
+    per_utt = kl * (1.0 / (n_active + _ALIGN_EPSILON))
 
     def grad_fn(g):
-        scale = g / (cfg.tau * B * (n_active + cfg.epsilon))
+        scale = g / (cfg.tau * B * (n_active + _ALIGN_EPSILON))
         gz = (np.exp(log_q) * active[..., None] - p) * scale[:, None, None]
         return (v_grad(gz @ p_hat),
                 p_grad(gz.swapaxes(-1, -2) @ v_hat))

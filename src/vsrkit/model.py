@@ -13,7 +13,7 @@ the depthwise conv unpack, inside the block. Padded rows of their outputs
 are exactly zero. With ``valid=None`` nothing is packed.
 
 There is one checkpoint file layout, written by ``Model.save`` and read by
-``Model.load``: a ``.npz`` with ``__version__`` ("vsrkit-checkpoint v2"),
+``Model.load``: a ``.npz`` with ``__version__`` ("vsrkit-checkpoint v3"),
 ``__config__`` (the model config JSON) and ``param::<name>`` arrays. A
 training state is the same file with extra sections (``__train__`` and
 the optimizer moments) that ``Model.load`` ignores.
@@ -21,7 +21,7 @@ the optimizer moments) that ``Model.load`` ignores.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .decoding import Hypothesis, attention_greedy_decode, ctc_beam_decode, \
     ctc_greedy_decode, log_probs
+from .linguistics import NUM_VISEMES
 
 __all__ = [
     "ModelConfig",
@@ -44,7 +45,7 @@ __all__ = [
     "CHAR_OFFSET",
 ]
 
-CHECKPOINT_VERSION = "vsrkit-checkpoint v2"
+CHECKPOINT_VERSION = "vsrkit-checkpoint v3"
 
 # character token layout shared by both char heads
 BLANK_ID = 0
@@ -56,6 +57,8 @@ CHAR_OFFSET = 3
 DECODE_MODES = ("ctc_greedy", "ctc_beam", "attention")
 
 _LN_EPS = 1e-5
+_CONV_KERNEL = 3  # depthwise conv width in the character encoder
+_FFN_MULT = 4  # feed-forward hidden width = mult * model_dim
 
 
 class CheckpointError(RuntimeError):
@@ -66,7 +69,6 @@ class CheckpointError(RuntimeError):
 class ModelConfig:
     char_vocab: int
     phoneme_vocab: int = 38
-    viseme_vocab: int = 16
     input_dim: int = 16
     model_dim: int = 64
     trunk_layers: int = 2
@@ -77,31 +79,31 @@ class ModelConfig:
     p_drop: float = 0.1
     max_decode_len: int = 16
     max_frames: int = 256
-    conv_kernel: int = 3
-    ffn_mult: int = 4
     head_hidden_mult: int = 4  # head hidden width = mult * vocab size
 
     def __post_init__(self):
-        counts = (self.char_vocab, self.phoneme_vocab, self.viseme_vocab,
-                  self.input_dim, self.model_dim, self.trunk_layers,
-                  self.branch_layers, self.char_encoder_layers,
-                  self.char_decoder_layers, self.attention_heads,
-                  self.max_decode_len, self.max_frames)
+        counts = (self.char_vocab, self.phoneme_vocab, self.input_dim,
+                  self.model_dim, self.trunk_layers, self.branch_layers,
+                  self.char_encoder_layers, self.char_decoder_layers,
+                  self.attention_heads, self.max_decode_len, self.max_frames)
         if any(c < 1 for c in counts):
             raise ValueError("all sizes and layer counts must be positive")
         if not 0.0 <= self.p_drop < 1.0:
             raise ValueError(f"p_drop must be in [0, 1), got {self.p_drop}")
         if self.model_dim % self.attention_heads:
             raise ValueError("model_dim must be divisible by attention_heads")
-        if self.conv_kernel % 2 == 0:
-            raise ValueError("conv_kernel must be odd")
 
     def to_json(self):
         return json.dumps(self.__dict__, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, s):
-        return cls(**json.loads(s))
+
+def check_config_keys(cls, values, error, source):
+    """Raise ``error`` naming ``source`` and the first key at fault unless
+    the saved config ``values`` has exactly the fields of ``cls``."""
+    bad = sorted(set(values) ^ {f.name for f in fields(cls)})
+    if bad:
+        kind = "unknown" if bad[0] in values else "missing"
+        raise error(f"{source}: {kind} {cls.__name__} key {bad[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -194,9 +196,9 @@ class Model:
 
         def ffn(prefix):
             norm(f"{prefix}_norm")
-            w(f"{prefix}_w1", cfg.model_dim, cfg.ffn_mult * cfg.model_dim)
-            b(f"{prefix}_b1", cfg.ffn_mult * cfg.model_dim)
-            w(f"{prefix}_w2", cfg.ffn_mult * cfg.model_dim, cfg.model_dim)
+            w(f"{prefix}_w1", cfg.model_dim, _FFN_MULT * cfg.model_dim)
+            b(f"{prefix}_b1", _FFN_MULT * cfg.model_dim)
+            w(f"{prefix}_w2", _FFN_MULT * cfg.model_dim, cfg.model_dim)
             b(f"{prefix}_b2", cfg.model_dim)
 
         def attn(prefix):
@@ -227,7 +229,7 @@ class Model:
                     attn(f"{branch}/layer{i}_attn")
                     ffn(f"{branch}/layer{i}_ffn")
             head("heads/phoneme", cfg.phoneme_vocab)
-            head("heads/viseme", cfg.viseme_vocab)
+            head("heads/viseme", NUM_VISEMES)
 
         norm("fusion/norm")
 
@@ -236,8 +238,8 @@ class Model:
             attn(f"char_encoder/layer{i}_attn")
             norm(f"char_encoder/layer{i}_conv_norm")
             params[f"char_encoder/layer{i}_conv_w"] = Tensor(
-                rng.normal(scale=1.0 / np.sqrt(cfg.conv_kernel),
-                           size=(cfg.conv_kernel, cfg.model_dim)))
+                rng.normal(scale=1.0 / np.sqrt(_CONV_KERNEL),
+                           size=(_CONV_KERNEL, cfg.model_dim)))
             b(f"char_encoder/layer{i}_conv_b", cfg.model_dim)
             ffn(f"char_encoder/layer{i}_ffn2")
         norm("char_encoder/out_norm")
@@ -517,10 +519,11 @@ class Model:
                 raise CheckpointError(
                     f"unsupported checkpoint version {version!r} in {path}; "
                     f"expected {CHECKPOINT_VERSION!r}")
-            cfg = ModelConfig.from_json(str(z["__config__"]))
+            values = json.loads(str(z["__config__"]))
             params = {k.removeprefix("param::"): Tensor(z[k]) for k in z.files
                       if k.startswith("param::")}
-        model = cls(cfg, params=params)
+        check_config_keys(ModelConfig, values, CheckpointError, path)
+        model = cls(ModelConfig(**values), params=params)
         expected = model._init_params(0, model.with_branches)
         for name, p in expected.items():
             if name not in params:

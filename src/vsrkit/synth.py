@@ -4,8 +4,9 @@ frame features, plus manifest persistence.
 Frame features are a fixed random per-phoneme codebook row repeated for a
 sampled duration with isotropic noise. The codebook is structured so that
 viseme identity is a strong signal and within-viseme phoneme detail a weak
-one, mirroring what a visual channel exposes. Ground-truth frame labels
-exist only because the data is synthetic; training never consumes them.
+one, mirroring what a visual channel exposes. Each utterance keeps its
+ground-truth alignment as frames per phoneme; it exists only because the
+data is synthetic, and training never consumes it.
 """
 from __future__ import annotations
 
@@ -47,6 +48,13 @@ _CODEBOOK_STREAM = 101
 _LEXICON_STREAM = 202
 _CORPUS_STREAM = 303
 
+# codebook weights of the shared viseme anchor and the per-phoneme detail;
+# phonemes per synthetic character, and how many characters are homophones
+_VISEME_SCALE = 1.0
+_PHONEME_SCALE = 0.35
+_PRONUNCIATION_LENGTHS = (1, 3)
+_HOMOPHONE_PAIRS = 3
+
 
 class ManifestError(RuntimeError):
     pass
@@ -61,8 +69,6 @@ class SynthConfig:
     frames_per_phoneme: tuple = (3, 7)
     feature_dim: int = 16
     noise_std: float = 0.5
-    viseme_scale: float = 1.0
-    phoneme_scale: float = 0.35
     # a held-out corpus shares the codebook of its training corpus by
     # pinning this while varying `seed`
     codebook_seed: int = None
@@ -79,11 +85,17 @@ class SynthConfig:
 
 @dataclass
 class Utterance:
+    """Features, labels and the ground-truth frame count of each phoneme."""
+
     id: str
     features: np.ndarray  # T x C
     labels: LabelTriple
-    frame_phonemes: np.ndarray  # T, ground-truth alignment
-    frame_visemes: np.ndarray  # T
+    durations: tuple  # frames per phoneme, summing to T
+
+    @property
+    def frame_phonemes(self):
+        """The phoneme of every frame (T)."""
+        return np.repeat(self.labels.phonemes, self.durations)
 
     def num_frames(self):
         return self.features.shape[0]
@@ -93,29 +105,28 @@ class Utterance:
             self.id == other.id
             and np.array_equal(self.features, other.features)
             and self.labels == other.labels
-            and np.array_equal(self.frame_phonemes, other.frame_phonemes)
-            and np.array_equal(self.frame_visemes, other.frame_visemes)
+            and self.durations == other.durations
         )
 
 
-def make_lexicon(inv: LinguisticInventory, num_chars: int, seed: int,
-                 length_range=(1, 3), num_homophone_pairs: int = 3) -> Lexicon:
+def make_lexicon(inv: LinguisticInventory, num_chars: int, seed: int) -> Lexicon:
     """Build an artificial lexicon whose pooled phoneme composition matches
     the inventory's viseme priors by quota.
 
-    Characters are synthetic single code points. The last
-    ``num_homophone_pairs`` characters alias the pronunciations of the first
-    ones, reproducing homophone ambiguity; aliased pronunciations count
+    Characters are synthetic single code points with one to three phonemes
+    each. The last three characters alias the pronunciations of the first
+    three, reproducing homophone ambiguity; aliased pronunciations count
     double in the quota so uniform character sampling still matches the
     prior.
     """
-    if num_homophone_pairs * 2 > num_chars:
+    if _HOMOPHONE_PAIRS * 2 > num_chars:
         raise ValueError("too many homophone pairs for the vocabulary size")
     rng = np.random.default_rng([seed, _LEXICON_STREAM])
-    n_base = num_chars - num_homophone_pairs
-    lengths = rng.integers(length_range[0], length_range[1] + 1, size=n_base)
+    n_base = num_chars - _HOMOPHONE_PAIRS
+    lo, hi = _PRONUNCIATION_LENGTHS
+    lengths = rng.integers(lo, hi + 1, size=n_base)
     mult = np.ones(n_base, dtype=np.int64)
-    mult[:num_homophone_pairs] = 2
+    mult[:_HOMOPHONE_PAIRS] = 2
 
     prior = np.asarray(inv.viseme_frequency)
     total_slots = int((lengths * mult).sum())
@@ -147,7 +158,7 @@ def make_lexicon(inv: LinguisticInventory, num_chars: int, seed: int,
     entries = [
         LexiconEntry(chars[c], pronunciations[c]) for c in range(n_base)
     ]
-    for h in range(num_homophone_pairs):
+    for h in range(_HOMOPHONE_PAIRS):
         entries.append(LexiconEntry(chars[n_base + h], pronunciations[h]))
     return Lexicon(entries)
 
@@ -182,7 +193,7 @@ def phoneme_codebook(cfg: SynthConfig, inv: LinguisticInventory) -> np.ndarray:
     anchors = rng.normal(size=(inv.num_visemes, cfg.feature_dim))
     details = rng.normal(size=(inv.num_phonemes, cfg.feature_dim))
     p2v = np.asarray(inv.phoneme_to_viseme)
-    return cfg.viseme_scale * anchors[p2v] + cfg.phoneme_scale * details
+    return _VISEME_SCALE * anchors[p2v] + _PHONEME_SCALE * details
 
 
 def generate_corpus(cfg: SynthConfig, inv: LinguisticInventory,
@@ -191,7 +202,7 @@ def generate_corpus(cfg: SynthConfig, inv: LinguisticInventory,
 
     Characters are drawn from the first ``char_vocab_size`` lexicon entries
     with the ``char_sampling_weights`` that match the inventory's viseme
-    prior. Each utterance also keeps its ground-truth frame labels.
+    prior. Each utterance also keeps its ground-truth durations.
     """
     if len(lexicon) < cfg.char_vocab_size:
         raise ValueError(
@@ -209,13 +220,10 @@ def generate_corpus(cfg: SynthConfig, inv: LinguisticInventory,
         for c in char_idxs:
             phonemes.extend(lexicon.entries[int(c)].phonemes)
         phonemes = np.asarray(phonemes, dtype=np.int64)
-        visemes = np.asarray(inv.map_phonemes(phonemes), dtype=np.int64)
         durations = rng.integers(cfg.frames_per_phoneme[0],
                                  cfg.frames_per_phoneme[1] + 1,
                                  size=len(phonemes))
-        frame_ph = np.repeat(phonemes, durations)
-        frame_vis = np.repeat(visemes, durations)
-        feats = book[frame_ph]
+        feats = book[np.repeat(phonemes, durations)]
         if cfg.noise_std > 0:
             feats = feats + cfg.noise_std * rng.normal(size=feats.shape)
         utterances.append(Utterance(
@@ -224,10 +232,9 @@ def generate_corpus(cfg: SynthConfig, inv: LinguisticInventory,
             labels=LabelTriple(
                 chars=tuple(int(c) for c in char_idxs),
                 phonemes=tuple(int(p) for p in phonemes),
-                visemes=tuple(int(v) for v in visemes),
+                visemes=inv.map_phonemes(phonemes),
             ),
-            frame_phonemes=frame_ph,
-            frame_visemes=frame_vis,
+            durations=tuple(durations.tolist()),
         ))
     return utterances
 
@@ -276,7 +283,6 @@ def write_manifest(path, utterances, inv=None, lexicon=None):
         for u in utterances:
             feats = np.ascontiguousarray(u.features, dtype="<f8")
             T, C = feats.shape
-            durations = _run_lengths(u.frame_phonemes, u.labels.phonemes)
             lines.append("\t".join([
                 u.id,
                 str(T),
@@ -284,7 +290,7 @@ def write_manifest(path, utterances, inv=None, lexicon=None):
                 str(offset),
                 ",".join(map(str, u.labels.chars)),
                 ",".join(map(str, u.labels.phonemes)),
-                ",".join(map(str, durations)),
+                ",".join(map(str, u.durations)),
             ]))
             blob.write(feats.tobytes())
             offset += T * C * 8
@@ -294,32 +300,6 @@ def write_manifest(path, utterances, inv=None, lexicon=None):
         save_inventory(path / "visemes.tsv", inv)
         if lexicon is not None:
             save_lexicon(path / "lexicon.tsv", lexicon, inv)
-
-
-def _group_runs(seq):
-    runs = []
-    for x in seq:
-        if runs and runs[-1][0] == x:
-            runs[-1][1] += 1
-        else:
-            runs.append([x, 1])
-    return runs
-
-
-def _run_lengths(frame_labels, token_labels):
-    """Recover per-token durations from a run-length-expanded frame
-    sequence. A frame run spanning several adjacent equal tokens has an
-    ambiguous split; any positive split reproduces the frames exactly."""
-    frame_runs = _group_runs(np.asarray(frame_labels).tolist())
-    token_runs = _group_runs(list(token_labels))
-    if len(frame_runs) != len(token_runs) or any(
-            f[0] != t[0] or f[1] < t[1] for f, t in zip(frame_runs, token_runs)):
-        raise ManifestError("frame labels are not a run-length expansion of tokens")
-    durations = []
-    for (_, n_frames), (_, n_tokens) in zip(frame_runs, token_runs):
-        durations.extend([1] * (n_tokens - 1))
-        durations.append(n_frames - n_tokens + 1)
-    return durations
 
 
 def read_manifest(path):
@@ -366,23 +346,19 @@ def read_manifest(path):
             chars = _parse_ints(chars_s)
             phonemes = _parse_ints(ph_s)
             durations = _parse_ints(dur_s)
-            if len(durations) != len(phonemes) or sum(durations) != T:
+            if len(durations) != len(phonemes) or sum(durations) != T \
+                    or min(durations, default=0) < 0:
                 raise ManifestError(f"inconsistent durations for record {uid}")
-            if inv is not None:
-                visemes = inv.map_phonemes(phonemes)
-            else:
+            if inv is None:
                 raise ManifestError(
                     "manifest lacks visemes.tsv; cannot rebuild viseme labels"
                 )
-            frame_ph = np.repeat(np.asarray(phonemes, dtype=np.int64), durations)
-            frame_vis = np.repeat(np.asarray(visemes, dtype=np.int64), durations)
             utterances.append(Utterance(
                 id=uid,
                 features=feats,
                 labels=LabelTriple(chars=chars, phonemes=phonemes,
-                                   visemes=tuple(visemes)),
-                frame_phonemes=frame_ph,
-                frame_visemes=frame_vis,
+                                   visemes=inv.map_phonemes(phonemes)),
+                durations=durations,
             ))
     finally:
         blob.close()

@@ -21,7 +21,7 @@ from .losses import (
 )
 from .metrics import cer, report_record
 from .model import CHAR_OFFSET, EOS_ID, SOS_ID, ActivationConfig, Model, \
-    ModelConfig
+    ModelConfig, check_config_keys
 from .synth import filter_by_length, time_mask
 
 __all__ = [
@@ -35,6 +35,15 @@ __all__ = [
 ]
 
 _TRAIN_STREAM = 55_001
+
+# AdamW moments, decoupled weight decay and the global gradient clip; the
+# phase-2 time mask's chance per utterance and its widest span in frames
+_BETA1 = 0.9
+_BETA2 = 0.98
+_WEIGHT_DECAY = 0.01
+_CLIP_NORM = 5.0
+_TIME_MASK_PROB = 0.3
+_TIME_MASK_MAX_WIDTH = 3
 
 
 class TrainingError(RuntimeError):
@@ -50,16 +59,10 @@ class TrainConfig:
     lr_phase1: float = 1e-3
     lr_phase2: float = 1e-4
     warmup_steps: int = 8
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.98
-    clip_norm: float = 5.0
     seed: int = 0
     loss: LossConfig = field(default_factory=LossConfig)
     disable_align: bool = False
     disable_branches: bool = False
-    time_mask_prob: float = 0.3
-    time_mask_max_width: int = 3
 
     def __post_init__(self):
         if self.batch_size < 1 or self.phase1_max_frames < 1:
@@ -128,8 +131,10 @@ class TrainState:
             meta = json.loads(str(z["__train__"]))
             m = {k[3:]: z[k] for k in z.files if k.startswith("m::")}
             v = {k[3:]: z[k] for k in z.files if k.startswith("v::")}
-        loss_cfg = LossConfig(**meta["train_cfg"].pop("loss"))
-        cfg = TrainConfig(loss=loss_cfg, **meta["train_cfg"])
+        values = meta["train_cfg"]
+        check_config_keys(TrainConfig, values, TrainingError, path)
+        check_config_keys(LossConfig, values["loss"], TrainingError, path)
+        cfg = TrainConfig(**{**values, "loss": LossConfig(**values["loss"])})
         rng = np.random.default_rng(0)
         rng.bit_generator.state = meta["rng_state"]
         return cls(model=model, cfg=cfg, step=meta["step"],
@@ -141,12 +146,12 @@ def _char_tokens(utt):
     return [c + CHAR_OFFSET for c in utt.labels.chars]
 
 
-def _pad_batch(utts, augment_rng=None, mask_prob=0.0, mask_width=0):
+def _pad_batch(utts, augment_rng=None):
     feats = []
     for u in utts:
         f = u.features
-        if augment_rng is not None and mask_prob > 0 and mask_width < f.shape[0]:
-            f = time_mask(f, augment_rng, mask_prob, mask_width)
+        if augment_rng is not None and _TIME_MASK_MAX_WIDTH < f.shape[0]:
+            f = time_mask(f, augment_rng, _TIME_MASK_PROB, _TIME_MASK_MAX_WIDTH)
         feats.append(f)
     lengths = [f.shape[0] for f in feats]
     T = max(lengths)
@@ -175,12 +180,7 @@ def _batch_losses(state: TrainState, utts, inv, augment_rng=None,
                   augment=False):
     cfg = state.cfg
     model = state.model
-    feats, lengths = _pad_batch(
-        utts,
-        augment_rng if augment else None,
-        cfg.time_mask_prob,
-        cfg.time_mask_max_width,
-    )
+    feats, lengths = _pad_batch(utts, augment_rng if augment else None)
     dec_in, target = _decoder_batch(utts, model.cfg.max_decode_len)
     out = model.forward_train(feats, lengths, dec_in, state.rng)
 
@@ -224,20 +224,19 @@ def _verify_combination(bundle, cfg: LossConfig, step):
 
 
 def _adamw_step(state: TrainState, lr):
-    """Clip the gradient to ``clip_norm`` and take one AdamW step; returns
-    the global gradient norm and the clip scale applied to it."""
-    cfg = state.cfg
+    """Clip the gradient to ``_CLIP_NORM`` and take one AdamW step;
+    returns the global gradient norm and the clip scale applied to it."""
     grads = {}
     sq = 0.0
     for name, p in state.model.params.items():
         g = grads[name] = grad_of(p)
         sq += float((g * g).sum())
     norm = np.sqrt(sq)
-    scale = cfg.clip_norm / norm if norm > cfg.clip_norm else 1.0
+    scale = _CLIP_NORM / norm if norm > _CLIP_NORM else 1.0
 
     t = state.step + 1
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
+    bc1 = 1.0 - _BETA1 ** t
+    bc2 = 1.0 - _BETA2 ** t
     for name, p in state.model.params.items():
         g = grads[name] * scale
         m = state.opt_m.get(name)
@@ -245,13 +244,13 @@ def _adamw_step(state: TrainState, lr):
         if m is None:
             m = np.zeros_like(p.data)
             v = np.zeros_like(p.data)
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+        m = _BETA1 * m + (1.0 - _BETA1) * g
+        v = _BETA2 * v + (1.0 - _BETA2) * g * g
         state.opt_m[name] = m
         state.opt_v[name] = v
         update = (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
         if p.data.ndim >= 2:  # decoupled decay on weight matrices only
-            update = update + cfg.weight_decay * p.data
+            update = update + _WEIGHT_DECAY * p.data
         p.data = p.data - lr * update
         p.grad = None
     return float(norm), float(scale)
@@ -281,6 +280,11 @@ def train(cfg: TrainConfig, corpus, inv: LinguisticInventory,
         state.cfg = cfg
     else:
         state = TrainState.new(cfg, model_cfg)
+    vocab = state.model.cfg.phoneme_vocab
+    if state.model.with_branches and vocab != inv.num_phonemes:
+        raise TrainingError(
+            f"model config phoneme_vocab = {vocab}, but the inventory has "
+            f"{inv.num_phonemes} phonemes")
 
     phase1 = filter_by_length(corpus, cfg.phase1_max_frames)
     phases = [

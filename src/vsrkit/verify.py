@@ -118,7 +118,7 @@ def align_loss_dense(V, P, viseme_classes, phoneme_classes, phoneme_to_viseme,
                 q = math.exp(sims[j] / cfg.tau) / z
                 kl += p_val * math.log(p_val / q)
             kl_sum += kl
-        total += kl_sum / (n_active + cfg.epsilon)
+        total += kl_sum / (n_active + 1e-8)
     return total / B
 
 
@@ -221,8 +221,8 @@ def cer_suite(pairs=1000, seed=99):
 
 
 def _tiny_model(rng):
-    cfg = ModelConfig(char_vocab=9, phoneme_vocab=7, viseme_vocab=5,
-                      input_dim=4, model_dim=8, trunk_layers=1,
+    cfg = ModelConfig(char_vocab=9, phoneme_vocab=7, input_dim=4,
+                      model_dim=8, trunk_layers=1,
                       branch_layers=1, char_encoder_layers=1,
                       char_decoder_layers=1, attention_heads=2,
                       p_drop=0.0, max_decode_len=6, max_frames=16,

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from vsrkit.cli import main
+from vsrkit.linguistics import Lexicon, LexiconEntry, default_inventory, \
+    load_inventory, save_inventory
+from vsrkit.synth import SynthConfig, generate_corpus, make_lexicon, \
+    write_manifest
 
 
 CFG_TEXT = """
@@ -282,9 +286,96 @@ def test_bad_eval_setting_exits_one_before_reading_anything(tmp_path, capsys,
 
 
 def test_gen_rejects_a_removed_synth_key(tmp_path, capsys):
-    # training reads the time mask from [train]; [synth] never had a use for it
+    # the time mask was never a [synth] setting; the homophone count is
+    # fixed in the lexicon generator
+    for section, key in (("synth", "time_mask_prob"),
+                         ("gen", "homophone_pairs")):
+        cfg = tmp_path / "gen.ini"
+        cfg.write_text(f"[{section}]\n{key} = 3\n", encoding="utf-8")
+        assert run("--config", str(cfg), "--out", str(tmp_path / "data"),
+                   "--quiet", "gen") == 1
+        assert f"[{section}] {key}" in capsys.readouterr().err
+
+
+def _manifest(tmp_path, cfg_file):
+    data = tmp_path / "data"
+    assert run("--config", cfg_file, "--out", str(data), "--quiet", "gen") == 0
+    return data
+
+
+def test_train_rejects_a_removed_key(tmp_path, cfg_file, capsys):
+    # fixed in the model and the optimizer, no longer settings
+    data = _manifest(tmp_path, cfg_file)
+    for section, key in (("model", "conv_kernel"), ("train", "beta2")):
+        cfg = tmp_path / "train.ini"
+        cfg.write_text(f"[{section}]\n{key} = 3\n", encoding="utf-8")
+        assert run("--config", str(cfg), "--out", str(tmp_path / "run"),
+                   "--quiet", "train", "--data", str(data)) == 1
+        assert f"[{section}] {key}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("section, setting", [
+    ("model", "p_drop = 1.5"),
+    ("loss", "tau = 0"),
+    ("train", "batch_size = 0"),
+])
+def test_train_setting_that_fails_validation_exits_one(tmp_path, cfg_file,
+                                                      capsys, section,
+                                                      setting):
+    data = _manifest(tmp_path, cfg_file)
+    cfg = tmp_path / "train.ini"
+    cfg.write_text(f"[{section}]\n{setting}\n", encoding="utf-8")
+    out = tmp_path / "run"
+    assert run("--config", str(cfg), "--out", str(out), "--quiet", "train",
+               "--data", str(data)) == 1
+    assert f"[{section}]" in capsys.readouterr().err
+    assert not (out / "effective_config.ini").exists()
+
+
+def test_gen_setting_that_fails_validation_exits_one(tmp_path, capsys):
     cfg = tmp_path / "gen.ini"
-    cfg.write_text("[synth]\ntime_mask_prob = 0.9\n", encoding="utf-8")
-    assert run("--config", str(cfg), "--out", str(tmp_path / "data"),
-               "--quiet", "gen") == 1
-    assert "[synth] time_mask_prob" in capsys.readouterr().err
+    cfg.write_text("[synth]\nnoise_std = -1\n", encoding="utf-8")
+    out = tmp_path / "data"
+    assert run("--config", str(cfg), "--out", str(out), "--quiet", "gen") == 1
+    assert "[synth]" in capsys.readouterr().err
+    assert not (out / "effective_config.ini").exists()
+
+
+@pytest.mark.parametrize("vocab", [20, 60])
+def test_train_names_a_phoneme_vocab_the_inventory_does_not_have(
+        tmp_path, cfg_file, capsys, vocab):
+    data = _manifest(tmp_path, cfg_file)
+    cfg = tmp_path / "train.ini"
+    cfg.write_text(f"{CFG_TEXT}phoneme_vocab = {vocab}\n", encoding="utf-8")
+    out = tmp_path / "run"
+    assert run("--config", str(cfg), "--out", str(out), "--quiet", "train",
+               "--data", str(data)) == 2
+    err = capsys.readouterr().err
+    assert f"phoneme_vocab = {vocab}" in err and "38 phonemes" in err
+    assert not (out / "metrics.jsonl").exists()
+
+
+def test_train_takes_phoneme_vocab_from_the_manifest_inventory(tmp_path,
+                                                              cfg_file):
+    # one more phoneme than the bundled inventory, in viseme 15's row
+    extra = tmp_path / "visemes.tsv"
+    save_inventory(extra, default_inventory())
+    rows = extra.read_text(encoding="utf-8")
+    extra.write_text(rows.rstrip("\n") + ",uʷ\n", encoding="utf-8")
+    inv = load_inventory(extra)
+    new = inv.phoneme_index("uʷ")
+    assert inv.num_phonemes == 39 and inv.viseme_of(new) == 15
+    lex = make_lexicon(inv, 14, seed=3)
+    # every character of the lexicon ends in the new phoneme
+    lex = Lexicon([LexiconEntry(e.character, (*e.phonemes, new))
+                   for e in lex.entries])
+    scfg = SynthConfig(seed=3, num_utterances=10, char_vocab_size=14,
+                       sentence_len=(1, 2), feature_dim=8)
+    data = tmp_path / "data"
+    write_manifest(data, generate_corpus(scfg, inv, lex), inv, lex)
+    out = tmp_path / "run"
+    assert run("--config", cfg_file, "--out", str(out), "--quiet", "train",
+               "--data", str(data)) == 0
+    assert "phoneme_vocab = 39" in \
+        (out / "effective_config.ini").read_text(encoding="utf-8")

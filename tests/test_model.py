@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from vsrkit import autodiff as ad
 from vsrkit.autodiff import Tensor, backward, grad_of
+from vsrkit.linguistics import NUM_VISEMES
 from vsrkit.model import (
     ALL_ACTIVATIONS,
     ActivationConfig,
@@ -18,8 +20,7 @@ from vsrkit.model import (
 
 from scalarize import weighted_sum
 
-CFG = ModelConfig(char_vocab=12, phoneme_vocab=10, viseme_vocab=6,
-                  input_dim=5, model_dim=16, trunk_layers=1, branch_layers=1,
+CFG = ModelConfig(char_vocab=12, phoneme_vocab=10, input_dim=5, model_dim=16, trunk_layers=1, branch_layers=1,
                   char_encoder_layers=1, char_decoder_layers=1,
                   attention_heads=2, p_drop=0.2, max_decode_len=6,
                   max_frames=24, head_hidden_mult=2)
@@ -64,7 +65,7 @@ def test_forward_shapes(model):
     assert out.F.shape == (B, T, CFG.model_dim)
     assert out.P.shape == out.V.shape == (B, T, CFG.model_dim)
     assert out.phoneme_logits.shape == (B, T, CFG.phoneme_vocab)
-    assert out.viseme_logits.shape == (B, T, CFG.viseme_vocab)
+    assert out.viseme_logits.shape == (B, T, NUM_VISEMES)
     assert out.char_ctc_logits.shape == (B, T, CFG.char_vocab)
     assert out.char_attn_logits.shape == (B, dec_in.shape[1], CFG.char_vocab)
 
@@ -341,11 +342,31 @@ def test_checkpoint_roundtrip(tmp_path, model):
 
 def test_checkpoint_version_check(tmp_path, model):
     path = tmp_path / "model.npz"
-    for version in ("bogus v9", "vsrkit-checkpoint v1", None):
+    for version in ("bogus v9", "vsrkit-checkpoint v1",
+                    "vsrkit-checkpoint v2", None):
         header = {} if version is None else {"__version__": np.array(version)}
         np.savez(path, __config__=np.array(model.cfg.to_json()), **header)
         with pytest.raises(CheckpointError, match=re.escape(f"{version!r} in {path}")):
             Model.load(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"bogus": 1}, "unknown ModelConfig key 'bogus'"),
+    ({"viseme_vocab": 16}, "unknown ModelConfig key 'viseme_vocab'"),
+    ({"p_drop": None}, "missing ModelConfig key 'p_drop'"),
+], ids=["unknown", "removed", "missing"])
+def test_checkpoint_load_names_a_config_key_at_fault(tmp_path, model, edit,
+                                                     message):
+    values = {**json.loads(model.cfg.to_json()), **edit}
+    values = {k: v for k, v in values.items() if v is not None}
+    path = tmp_path / "model.npz"
+    model.save(path)
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    np.savez(path, **{**arrays, "__config__": np.array(json.dumps(values))})
+    with pytest.raises(CheckpointError,
+                       match=re.escape(f"{path}: {message}")):
+        Model.load(path)
 
 
 def _reshape_in_proj(params):

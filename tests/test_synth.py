@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from vsrkit.linguistics import default_inventory
+from vsrkit.linguistics import LabelTriple, default_inventory
 from vsrkit.synth import (
     ManifestError,
     SynthConfig,
+    Utterance,
     filter_by_length,
     generate_corpus,
     make_lexicon,
@@ -36,7 +37,9 @@ def test_label_consistency(small_corpus):
     p2v = np.asarray(INV.phoneme_to_viseme)
     for u in corpus:
         assert u.labels.visemes == INV.map_phonemes(u.labels.phonemes)
-        assert np.array_equal(p2v[u.frame_phonemes], u.frame_visemes)
+        assert len(u.durations) == len(u.labels.phonemes)
+        assert np.array_equal(p2v[u.frame_phonemes],
+                              np.repeat(u.labels.visemes, u.durations))
         assert u.num_frames() == len(u.frame_phonemes)
 
 
@@ -95,7 +98,7 @@ def test_noise_increases_nearest_codebook_error():
 
 
 def test_homophones_share_pronunciations():
-    lex = make_lexicon(INV, 20, seed=1, num_homophone_pairs=3)
+    lex = make_lexicon(INV, 20, seed=1)
     pron = [e.phonemes for e in lex.entries]
     assert pron[17:20] == pron[0:3]
     assert len({e.character for e in lex.entries}) == 20
@@ -142,6 +145,20 @@ def test_manifest_roundtrip(tmp_path, small_corpus):
         [e.character for e in lex.entries]
 
 
+def test_manifest_roundtrip_keeps_the_split_of_equal_phonemes(tmp_path):
+    # two adjacent /ɑ/ make one run of 6 frames; the 2 + 4 split survives
+    a, t = INV.phoneme_index("ɑ"), INV.phoneme_index("t")
+    phonemes = (a, a, t)
+    u = Utterance(id="utt00000", features=np.arange(27.0).reshape(9, 3),
+                  labels=LabelTriple(chars=(0,), phonemes=phonemes,
+                                     visemes=INV.map_phonemes(phonemes)),
+                  durations=(2, 4, 3))
+    write_manifest(tmp_path / "m", [u], INV)
+    back, _, _ = read_manifest(tmp_path / "m")
+    assert back[0].durations == (2, 4, 3)
+    assert back == [u]
+
+
 def test_manifest_empty_corpus(tmp_path):
     write_manifest(tmp_path / "m", [], INV, None)
     back, _, _ = read_manifest(tmp_path / "m")
@@ -169,6 +186,23 @@ def test_manifest_rejects_corrupted_length(tmp_path, small_corpus):
     lines[1] = "\t".join(fields)
     index.write_text("\n".join(lines), encoding="utf-8")
     with pytest.raises(ManifestError):
+        read_manifest(tmp_path / "m")
+
+
+def test_manifest_rejects_a_negative_duration(tmp_path, small_corpus):
+    _, lex, corpus = small_corpus
+    write_manifest(tmp_path / "m", corpus[:1], INV, lex)
+    index = tmp_path / "m" / "index.tsv"
+    lines = index.read_text(encoding="utf-8").splitlines()
+    fields = lines[1].split("\t")
+    durations = [int(d) for d in fields[6].split(",")]
+    assert len(durations) > 1
+    # same total, so only the sign check can catch it
+    durations[0], durations[-1] = -1, durations[-1] + durations[0] + 1
+    fields[6] = ",".join(map(str, durations))
+    lines[1] = "\t".join(fields)
+    index.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(ManifestError, match="inconsistent durations"):
         read_manifest(tmp_path / "m")
 
 

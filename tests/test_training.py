@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from vsrkit import training
 from vsrkit.linguistics import default_inventory
 from vsrkit.losses import LossConfig
 from vsrkit.model import CHAR_OFFSET, ActivationConfig, Model, ModelConfig
@@ -221,6 +222,25 @@ def test_state_load_of_a_model_file_names_the_path(tmp_path):
         TrainState.load(path)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda c: c.update(clip_norm=5.0), "unknown TrainConfig key 'clip_norm'"),
+    (lambda c: c.pop("seed"), "missing TrainConfig key 'seed'"),
+    (lambda c: c["loss"].update(epsilon=1e-8),
+     "unknown LossConfig key 'epsilon'"),
+], ids=["unknown", "missing", "unknown-loss"])
+def test_state_load_names_a_config_key_at_fault(tmp_path, edit, message):
+    _, _, mcfg, tcfg = tiny_setup()
+    path = tmp_path / "state.npz"
+    TrainState.new(tcfg, mcfg).save(path)
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    meta = json.loads(str(arrays["__train__"]))
+    edit(meta["train_cfg"])
+    np.savez(path, **{**arrays, "__train__": np.array(json.dumps(meta))})
+    with pytest.raises(TrainingError, match=re.escape(f"{path}: {message}")):
+        TrainState.load(path)
+
+
 # ----------------------------------------------------------------------
 # evaluation
 
@@ -275,12 +295,12 @@ def test_evaluate_accepts_activation_names():
     assert res[0]["summary"]["activation"] == "f+p"
 
 
-def test_logged_grad_norm_and_clip_scale(tmp_path):
+def test_logged_grad_norm_and_clip_scale(tmp_path, monkeypatch):
     corpus, _, mcfg, tcfg = tiny_setup(epochs=(1, 0))
     for clip_norm in (1e-3, 1e3):  # every step clipped, then none
-        cfg = TrainConfig(**{**tcfg.__dict__, "clip_norm": clip_norm})
+        monkeypatch.setattr(training, "_CLIP_NORM", clip_norm)
         seen = []
-        train(cfg, corpus, INV, mcfg, log_fn=seen.append)
+        train(tcfg, corpus, INV, mcfg, log_fn=seen.append)
         for rec in seen:
             norm, scale = rec["grad_norm"], rec["clip_scale"]
             assert np.isfinite(norm) and np.isfinite(scale)
