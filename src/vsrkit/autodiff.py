@@ -9,8 +9,9 @@ The ops are the ones the model and the losses use. ``add``, ``mul`` and
 transformer blocks run on four fused nodes with closed-form gradients:
 ``linear``, ``layer_norm``, multi-head ``attention`` and ``depthwise_conv``.
 ``pack`` and ``unpack`` move between a padded ``(B, T, C)`` array and its
-``(N, C)`` rows under a boolean ``(B, T)`` mask. ``custom_op`` registers a
-value computed in numpy with a hand-written gradient; each loss is one.
+``(N, C)`` rows under a boolean ``(B, T)`` mask. A value computed in numpy
+with a hand-written gradient is a ``Tensor`` built directly from its data,
+parents and gradient function; each loss is one.
 A node adopts the first gradient it receives and sums later ones into a new
 array, so gradient arrays may be shared and are read-only.
 """
@@ -33,7 +34,6 @@ __all__ = [
     "layer_norm",
     "attention",
     "depthwise_conv",
-    "custom_op",
     "backward",
     "trace",
     "central_difference",
@@ -274,11 +274,6 @@ def depthwise_conv(x, w):
             [(g * xp[:, i:i + T]).sum(axis=(0, 1)) for i in range(k)])
 
     return Tensor(out, (x, w), grad_fn, op="depthwise_conv")
-
-
-def custom_op(out_data, parents, grad_fn, op):
-    """Register an externally computed value with a hand-written gradient."""
-    return Tensor(out_data, parents, grad_fn, op=op)
 
 
 class Tape:

@@ -5,11 +5,11 @@ total multitask loss.
 All losses return scalar autodiff Tensors so gradients reach the model
 through one reverse pass. CTC, the attention cross-entropy and the
 alignment loss each take a padded batch with per-utterance lengths and are
-one taped node per batch (``autodiff.custom_op``): the value is computed
-in numpy, vectorised over utterances, and the gradient has a closed form
-(for CTC, from the forward-backward recursion) rather than coming from
-taping every intermediate. Padded frames and rows get exactly zero
-gradient.
+one taped node per batch, a ``Tensor`` built from its value, its inputs
+and its gradient function: the value is computed in numpy, vectorised over
+utterances, and the gradient has a closed form (for CTC, from the
+forward-backward recursion) rather than coming from taping every
+intermediate. Padded frames and rows get exactly zero gradient.
 """
 from __future__ import annotations
 
@@ -34,7 +34,6 @@ __all__ = [
     "CtcNoValidPathError",
     "ctc_loss",
     "attention_ce_loss",
-    "hybrid_loss",
     "align_loss",
     "total_loss",
 ]
@@ -224,7 +223,7 @@ def ctc_loss(logits, targets, lengths=None) -> Tensor:
     grad = np.where(frame_valid, np.exp(lp) - occ, 0.0).reshape(
         logits.data.shape)  # d(-log p_b)/d logits
 
-    return ad.custom_op(
+    return Tensor(
         np.float64(-log_p.mean()),
         (logits,),
         lambda g: ((g * (1.0 / B)) * grad,),
@@ -275,19 +274,12 @@ def attention_ce_loss(logits, targets, lengths=None) -> Tensor:
     weight = valid * (1.0 / (B * lengths))[:, None]  # d loss / d row loss
     grad = ((np.exp(lp) - (targets[..., None] == np.arange(K)))
             * weight[..., None]).reshape(logits.data.shape)
-    return ad.custom_op(
+    return Tensor(
         np.float64(-(picked * weight).sum()),
         (logits,),
         lambda g: (g * grad,),
         op="attention_ce_loss",
     )
-
-
-def hybrid_loss(attn, ctc, alpha):
-    """Convex combination alpha * attn + (1 - alpha) * ctc."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    return ad.add(ad.mul(attn, alpha), ad.mul(ctc, 1.0 - alpha))
 
 
 def _unit_rows(x):
@@ -377,8 +369,8 @@ def align_loss(V, P, viseme_classes, phoneme_classes,
         return (v_grad(gz @ p_hat),
                 p_grad(gz.swapaxes(-1, -2) @ v_hat))
 
-    return ad.custom_op(np.float64(per_utt.sum() * (1.0 / B)), (V, P),
-                        grad_fn, op="align_loss")
+    return Tensor(np.float64(per_utt.sum() * (1.0 / B)), (V, P), grad_fn,
+                  op="align_loss")
 
 
 def total_loss(char_ctc, char_attn, cfg: LossConfig,
@@ -388,7 +380,8 @@ def total_loss(char_ctc, char_attn, cfg: LossConfig,
     total = hybrid(char) + lambda1 * align + lambda2 * (phoneme + viseme),
     with absent components contributing nothing.
     """
-    hybrid = hybrid_loss(char_attn, char_ctc, cfg.alpha)
+    hybrid = ad.add(ad.mul(char_attn, cfg.alpha),
+                    ad.mul(char_ctc, 1.0 - cfg.alpha))
     total = hybrid
     if align is not None:
         total = ad.add(total, ad.mul(align, cfg.lambda1))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
-__all__ = ["CerReport", "cer", "write_eval_report", "read_eval_report"]
+__all__ = ["CerReport", "cer", "write_eval_report"]
 
 
 @dataclass(frozen=True)
@@ -77,18 +77,6 @@ def write_eval_report(path, records, summary):
             fh.write("\n")
         fh.write(json.dumps({"kind": "summary", **summary}, ensure_ascii=False))
         fh.write("\n")
-
-
-def read_eval_report(path):
-    records, summary = [], None
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            if rec.pop("kind") == "summary":
-                summary = rec
-            else:
-                records.append(rec)
-    return records, summary
 
 
 def report_record(utt_id, activation, reference, hypothesis, report: CerReport,

@@ -258,22 +258,16 @@ class Model:
         head("heads/char_attn", cfg.char_vocab)
         return params
 
-    def parameter_count(self, groups=None):
-        total = 0
-        for name, p in self.params.items():
-            if groups is None or any(name.startswith(g) for g in groups):
-                total += p.data.size
-        return total
-
     def count_active_params(self, act: ActivationConfig) -> int:
         """Parameters on the executed path for one activation setting."""
-        groups = ["trunk/", "fusion/", "char_encoder/", "char_decoder/",
-                  "heads/char_ctc", "heads/char_attn"]
+        groups = ("trunk/", "fusion/", "char_encoder/", "char_decoder/",
+                  "heads/char_ctc", "heads/char_attn")
         if act.use_phoneme:
-            groups += ["phoneme/", "heads/phoneme"]
+            groups += ("phoneme/", "heads/phoneme")
         if act.use_viseme:
-            groups += ["viseme/", "heads/viseme"]
-        return self.parameter_count(groups)
+            groups += ("viseme/", "heads/viseme")
+        return sum(p.data.size for name, p in self.params.items()
+                   if name.startswith(groups))
 
     # ------------------------------------------------------------------
     # building blocks

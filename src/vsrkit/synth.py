@@ -32,7 +32,6 @@ __all__ = [
     "Utterance",
     "ManifestError",
     "make_lexicon",
-    "char_sampling_weights",
     "phoneme_codebook",
     "generate_corpus",
     "time_mask",
@@ -74,11 +73,14 @@ class SynthConfig:
     codebook_seed: int = None
 
     def __post_init__(self):
-        if self.sentence_len[0] < 1 or self.sentence_len[0] > self.sentence_len[1]:
-            raise ValueError(f"bad sentence_len range {self.sentence_len}")
-        if (self.frames_per_phoneme[0] < 1
-                or self.frames_per_phoneme[0] > self.frames_per_phoneme[1]):
-            raise ValueError(f"bad frames_per_phoneme range {self.frames_per_phoneme}")
+        for name in ("sentence_len", "frames_per_phoneme"):
+            bounds = getattr(self, name)
+            if not (isinstance(bounds, tuple) and len(bounds) == 2 and all(
+                    isinstance(v, (int, np.integer)) for v in bounds)):
+                raise ValueError(
+                    f"{name} must be two integers lo,hi, got {bounds!r}")
+            if bounds[0] < 1 or bounds[0] > bounds[1]:
+                raise ValueError(f"bad {name} range {bounds}")
         if self.noise_std < 0:
             raise ValueError("noise_std must be nonnegative")
 
@@ -163,8 +165,8 @@ def make_lexicon(inv: LinguisticInventory, num_chars: int, seed: int) -> Lexicon
     return Lexicon(entries)
 
 
-def char_sampling_weights(lexicon: Lexicon, inv: LinguisticInventory,
-                          vocab_size: int) -> np.ndarray:
+def _char_sampling_weights(lexicon: Lexicon, inv: LinguisticInventory,
+                           vocab_size: int) -> np.ndarray:
     """Character weights whose induced long-run viseme frequency matches the
     inventory prior as closely as the lexicon allows (nonnegative least
     squares on the composition deficit)."""
@@ -201,8 +203,8 @@ def generate_corpus(cfg: SynthConfig, inv: LinguisticInventory,
     """Sample a deterministic corpus of utterances.
 
     Characters are drawn from the first ``char_vocab_size`` lexicon entries
-    with the ``char_sampling_weights`` that match the inventory's viseme
-    prior. Each utterance also keeps its ground-truth durations.
+    with weights that match the inventory's viseme prior. Each utterance
+    also keeps its ground-truth durations.
     """
     if len(lexicon) < cfg.char_vocab_size:
         raise ValueError(
@@ -210,7 +212,7 @@ def generate_corpus(cfg: SynthConfig, inv: LinguisticInventory,
         )
     rng = np.random.default_rng([cfg.seed, _CORPUS_STREAM])
     book = phoneme_codebook(cfg, inv)
-    weights = char_sampling_weights(lexicon, inv, cfg.char_vocab_size)
+    weights = _char_sampling_weights(lexicon, inv, cfg.char_vocab_size)
 
     utterances = []
     for u in range(cfg.num_utterances):

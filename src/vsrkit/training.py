@@ -20,8 +20,8 @@ from .losses import (
     total_loss,
 )
 from .metrics import cer, report_record
-from .model import CHAR_OFFSET, EOS_ID, SOS_ID, ActivationConfig, Model, \
-    ModelConfig, check_config_keys
+from .model import CHAR_OFFSET, EOS_ID, SOS_ID, Model, ModelConfig, \
+    check_config_keys
 from .synth import filter_by_length, time_mask
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "lr_schedule",
     "train",
     "evaluate",
-    "read_metrics_log",
 ]
 
 _TRAIN_STREAM = 55_001
@@ -346,14 +345,12 @@ def evaluate(model: Model, corpus, activations, lexicon=None,
              decode="ctc_greedy", beam_width=8):
     """Per-activation decoding of a corpus.
 
-    Returns one result per activation config: utterance records, a summary
-    (corpus and median CER, active parameter count), and the wall-clock
-    seconds the pass took.
+    ``activations`` are ``ActivationConfig`` objects. Returns one result
+    per activation config: utterance records, a summary (corpus and median
+    CER, active parameter count), and the wall-clock seconds the pass took.
     """
     results = []
     for act in activations:
-        if isinstance(act, str):
-            act = ActivationConfig.from_name(act)
         t0 = time.perf_counter()
         records = []
         cers = []
@@ -401,8 +398,3 @@ def _readable(token_ids, lexicon):
         else:
             out.append(f"<{t}>")
     return out
-
-
-def read_metrics_log(path):
-    with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]

@@ -1,13 +1,18 @@
+import configparser
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vsrkit.cli import main
+from vsrkit.cli import _CONFIG_SECTIONS, _TYPES_BY_NAME, _effective_ini, \
+    _section_values, main
 from vsrkit.linguistics import Lexicon, LexiconEntry, default_inventory, \
     load_inventory, save_inventory
 from vsrkit.synth import SynthConfig, generate_corpus, make_lexicon, \
-    write_manifest
+    read_manifest, write_manifest
 
 
 CFG_TEXT = """
@@ -342,6 +347,19 @@ def test_gen_setting_that_fails_validation_exits_one(tmp_path, capsys):
     assert not (out / "effective_config.ini").exists()
 
 
+@pytest.mark.parametrize("key, value", [("sentence_len", "3"),
+                                        ("frames_per_phoneme", "2,3,4")])
+def test_gen_range_setting_needs_exactly_two_values(tmp_path, capsys, key,
+                                                   value):
+    cfg = tmp_path / "gen.ini"
+    cfg.write_text(f"[synth]\n{key} = {value}\n", encoding="utf-8")
+    out = tmp_path / "data"
+    assert run("--config", str(cfg), "--out", str(out), "--quiet", "gen") == 1
+    err = capsys.readouterr().err
+    assert "[synth]" in err and key in err
+    assert not (out / "effective_config.ini").exists()
+
+
 @pytest.mark.parametrize("vocab", [20, 60])
 def test_train_names_a_phoneme_vocab_the_inventory_does_not_have(
         tmp_path, cfg_file, capsys, vocab):
@@ -379,3 +397,58 @@ def test_train_takes_phoneme_vocab_from_the_manifest_inventory(tmp_path,
                "--data", str(data)) == 0
     assert "phoneme_vocab = 39" in \
         (out / "effective_config.ini").read_text(encoding="utf-8")
+
+
+_VALUES = {
+    int: st.integers(-10**9, 10**9),
+    float: st.floats(allow_nan=False),
+    bool: st.booleans(),
+    tuple: st.tuples(st.integers(1, 99), st.integers(1, 99)),
+}
+
+
+@pytest.mark.parametrize("section", sorted(_CONFIG_SECTIONS))
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_every_config_key_survives_the_effective_config(section, data):
+    types = {f.name: _TYPES_BY_NAME.get(f.type)
+             for f in dataclasses.fields(_CONFIG_SECTIONS[section])}
+    values = data.draw(st.fixed_dictionaries(
+        {key: _VALUES[t] for key, t in types.items() if t is not None}))
+    cp = configparser.ConfigParser()
+    cp.read_string(_effective_ini({section: values}))
+    assert _section_values(cp, section, _CONFIG_SECTIONS[section]) == values
+
+
+@st.composite
+def _synth_settings(draw):
+    sentence_lo = draw(st.integers(1, 3))
+    frames_lo = draw(st.integers(1, 4))
+    return {
+        "seed": draw(st.integers(0, 10**6)),
+        "num_utterances": draw(st.integers(0, 5)),
+        "char_vocab_size": draw(st.integers(8, 24)),
+        "sentence_len": f"{sentence_lo},{sentence_lo + draw(st.integers(0, 2))}",
+        "frames_per_phoneme":
+            f"{frames_lo},{frames_lo + draw(st.integers(0, 3))}",
+        "feature_dim": draw(st.integers(1, 6)),
+        "noise_std": draw(st.sampled_from([0.0, 0.25, 1.5])),
+    }
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(synth=_synth_settings(),
+       lexicon=st.sampled_from(["synthetic", "bundled"]))
+def test_manifest_from_gen_is_rewritten_byte_for_byte(tmp_path_factory,
+                                                       synth, lexicon):
+    root = tmp_path_factory.mktemp("manifest")
+    cfg = root / "gen.ini"
+    cfg.write_text("[synth]\n" + "".join(f"{k} = {v}\n" for k, v in
+                                         synth.items())
+                   + f"[gen]\nlexicon = {lexicon}\n", encoding="utf-8")
+    assert run("--config", str(cfg), "--out", str(root / "gen"), "--quiet",
+               "gen") == 0
+    write_manifest(root / "again", *read_manifest(root / "gen"))
+    for name in ("index.tsv", "features.bin", "visemes.tsv", "lexicon.tsv"):
+        assert (root / "again" / name).read_bytes() == \
+            (root / "gen" / name).read_bytes(), name

@@ -1,5 +1,7 @@
-"""Static gate: every module-level import in the package is used or
-re-exported. It needs only ``ast``, so it runs wherever the tests run."""
+"""Static gates on the code's names: every module-level import in the
+package is used or re-exported, every private or public module-level name
+has a reader, and every local a function assigns is read. They need only
+``ast``, so they run wherever the tests run."""
 import ast
 from pathlib import Path
 
@@ -7,6 +9,11 @@ import vsrkit
 
 MODULES = sorted(p for p in Path(vsrkit.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+# the benchmark harness outside its own tests: the one caller of the
+# package that is neither the package nor a test
+PERFBENCH = sorted(p for p in (ROOT / "perfbench").glob("*.py")
+                   if not p.name.startswith("test_"))
 
 
 def unused_imports(source):
@@ -38,9 +45,9 @@ def test_package_has_no_unused_imports():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
-def private_definitions(source):
-    """Module-level private names a module binds: ``_x`` functions,
-    classes and assignment targets (dunders excluded)."""
+def module_definitions(source):
+    """Module-level names a module binds: functions, classes and
+    assignment targets."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -50,7 +57,13 @@ def private_definitions(source):
         elif isinstance(node, ast.AnnAssign) and \
                 isinstance(node.target, ast.Name):
             names.append(node.target.id)
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return names
+
+
+def private_definitions(source):
+    """Module-level ``_x`` names a module binds (dunders excluded)."""
+    return [n for n in module_definitions(source)
+            if n.startswith("_") and not n.startswith("__")]
 
 
 def names_read(source):
@@ -90,3 +103,96 @@ def test_package_has_no_unread_private_names():
     sources = {p.name: p.read_text(encoding="utf-8")
                for p in [*MODULES, MODULES[0].parent / "__init__.py"]}
     assert unread_private_names(sources) == {}
+
+
+def unread_public_names(sources, readers=()):
+    """``{module: names}`` of the public module-level names in ``sources``
+    (a ``{module: source}`` map) that no module in ``sources`` and no
+    source in ``readers`` reads. A definition and an ``__all__`` entry
+    are not reads."""
+    read = set().union(*map(names_read, [*sources.values(), *readers]))
+    unread = {m: [n for n in module_definitions(s)
+                  if not n.startswith("_") and n not in read]
+              for m, s in sources.items()}
+    return {m: names for m, names in unread.items() if names}
+
+
+def test_unread_public_names_sees_reads_in_own_module_and_readers():
+    sources = {
+        "a": "__all__ = ['exported', 'helper']\n"
+             "def exported():\n    return helper()\n\n"
+             "def helper():\n    pass\n\n"
+             "class Read:\n    pass\n\n"
+             "LIMIT: int = 3\nDEAD = 1\n_private = 2\n",
+        "b": "from a import Read\n",
+    }
+    assert unread_public_names(sources) == {
+        "a": ["exported", "LIMIT", "DEAD"]}
+    assert unread_public_names(
+        sources, ["import a\na.exported(a.LIMIT)\n"]) == {"a": ["DEAD"]}
+
+
+def test_package_public_names_have_readers_outside_tests():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    readers = [p.read_text(encoding="utf-8")
+               for p in [MODULES[0].parent / "__init__.py", *PERFBENCH]]
+    assert unread_public_names(sources, readers) == {}
+
+
+def _own_nodes(function):
+    """Nodes of a function's body outside its nested functions and
+    classes, which bind names of their own."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unread_locals(source):
+    """``function.name`` for each name a function binds by a plain
+    ``name = ...`` that nothing in the function, nested functions
+    included, loads. ``_`` names and names declared ``global`` or
+    ``nonlocal`` are skipped."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        assigned, declared = [], set()
+        for node in _own_nodes(fn):
+            if isinstance(node, ast.Assign):
+                assigned += [t.id for t in node.targets
+                             if isinstance(t, ast.Name)]
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+        loaded = {n.id for n in ast.walk(fn)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [f"{fn.name}.{name}" for name in dict.fromkeys(assigned)
+                  if not name.startswith("_")
+                  and name not in loaded | declared]
+    return found
+
+
+def test_unread_locals_sees_nested_reads_and_declarations():
+    source = (
+        "count = 0\n\n"
+        "def f(x):\n"
+        "    dead = x\n    used = 2\n    _ignored = 3\n"
+        "    a, b = x\n    closed = 4\n"
+        "    global count\n    count = 1\n\n"
+        "    def inner():\n        inner_dead = closed\n"
+        "        return used\n\n"
+        "    class K:\n        attr = 5\n\n"
+        "    return inner, K\n"
+    )
+    assert unread_locals(source) == ["f.dead", "inner.inner_dead"]
+
+
+def test_no_function_leaves_a_local_unread():
+    paths = [*MODULES, *sorted((ROOT / "tests").glob("*.py")),
+             *sorted((ROOT / "perfbench").glob("*.py"))]
+    unread = {str(p.relative_to(ROOT)): unread_locals(
+        p.read_text(encoding="utf-8")) for p in paths}
+    assert {path: names for path, names in unread.items() if names} == {}

@@ -16,7 +16,6 @@ from vsrkit.losses import (
     align_loss,
     attention_ce_loss,
     ctc_loss,
-    hybrid_loss,
     total_loss,
 )
 from vsrkit.losses import _min_frames
@@ -331,14 +330,15 @@ def test_batched_attention_ce_gives_padded_rows_zero_gradient(batch):
 
 
 def test_hybrid_endpoints_and_midpoint():
-    assert float(hybrid_loss(Tensor(2.0), Tensor(4.0), 1.0).data) == 2.0
-    assert float(hybrid_loss(Tensor(2.0), Tensor(4.0), 0.0).data) == 4.0
-    assert float(hybrid_loss(Tensor(2.0), Tensor(4.0), 0.5).data) == 3.0
+    for alpha, want in ((1.0, 2.0), (0.0, 4.0), (0.5, 3.0)):
+        bundle = total_loss(Tensor(4.0), Tensor(2.0), LossConfig(alpha=alpha))
+        assert float(bundle.char_hybrid.data) == want
+        assert bundle.total is bundle.char_hybrid
 
 
 def test_hybrid_rejects_bad_alpha():
-    with pytest.raises(ValueError):
-        hybrid_loss(Tensor(1.0), Tensor(1.0), 1.5)
+    with pytest.raises(ValueError, match="alpha"):
+        LossConfig(alpha=1.5)
 
 
 @pytest.mark.parametrize("tau", [0.0, -0.5])

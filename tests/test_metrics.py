@@ -1,8 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from vsrkit.metrics import cer, read_eval_report, report_record, \
-    write_eval_report
+from vsrkit.metrics import cer, report_record, write_eval_report
 from vsrkit.verify import edit_distance_reference
 
 REFERENCE = "国务院督察组将督促整改"
@@ -86,7 +87,6 @@ def test_eval_report_roundtrip(tmp_path):
     summary = {"configs": [{"activation": "f", "corpus_cer": 0.0}]}
     path = tmp_path / "report.jsonl"
     write_eval_report(path, records, summary)
-    back_records, back_summary = read_eval_report(path)
-    assert back_records[0]["id"] == "utt0"
-    assert back_records[0]["cer"] == 0.0
-    assert back_summary == summary
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"kind": "utterance", **records[0]}, {"kind": "summary", **summary}]

@@ -47,9 +47,9 @@ def test_durations_within_range(small_corpus):
     cfg, _, corpus = small_corpus
     lo, hi = cfg.frames_per_phoneme
     for u in corpus:
-        runs = np.flatnonzero(np.diff(u.frame_phonemes) != 0)
-        assert len(u.labels.phonemes) * lo <= u.num_frames() \
-            <= len(u.labels.phonemes) * hi
+        assert len(u.durations) == len(u.labels.phonemes)
+        assert all(lo <= d <= hi for d in u.durations), u.durations
+        assert sum(u.durations) == u.num_frames()
 
 
 def test_noiseless_features_are_exact_codebook_rows():
@@ -216,10 +216,14 @@ def test_manifest_requires_lexicon_coverage():
 def test_codebook_seed_shares_features_across_corpora():
     lex = make_lexicon(INV, 20, seed=9)
     a = SynthConfig(seed=100, codebook_seed=9, num_utterances=2,
-                    char_vocab_size=20)
+                    char_vocab_size=20, noise_std=0.0)
     b = SynthConfig(seed=200, codebook_seed=9, num_utterances=2,
-                    char_vocab_size=20)
-    assert np.array_equal(phoneme_codebook(a, INV), phoneme_codebook(b, INV))
+                    char_vocab_size=20, noise_std=0.0)
+    book = phoneme_codebook(a, INV)
+    assert np.array_equal(book, phoneme_codebook(b, INV))
+    for cfg in (a, b):
+        for u in generate_corpus(cfg, INV, lex):
+            assert np.array_equal(u.features, book[u.frame_phonemes])
     c = SynthConfig(seed=200, codebook_seed=10, num_utterances=2,
                     char_vocab_size=20)
     assert not np.array_equal(phoneme_codebook(a, INV),

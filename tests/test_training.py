@@ -15,11 +15,14 @@ from vsrkit.training import (
     TrainingError,
     evaluate,
     lr_schedule,
-    read_metrics_log,
     train,
 )
 
 INV = default_inventory()
+
+
+def read_log(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
 
 
 def tiny_setup(seed=1, n=12, disable_align=False, disable_branches=False,
@@ -71,7 +74,7 @@ def test_training_logs_every_component_and_total(tmp_path):
     corpus, _, mcfg, tcfg = tiny_setup()
     log = tmp_path / "metrics.jsonl"
     state = train(tcfg, corpus, INV, mcfg, log_path=log)
-    records = read_metrics_log(log)
+    records = read_log(log)
     assert len(records) == state.step
     for rec in records:
         for key in ("step", "phase", "lr", "char_ctc", "char_attn",
@@ -85,7 +88,7 @@ def test_logged_total_recombines_exactly(tmp_path):
     log = tmp_path / "metrics.jsonl"
     train(tcfg, corpus, INV, mcfg, log_path=log)
     lc = tcfg.loss
-    for rec in read_metrics_log(log):
+    for rec in read_log(log):
         want = rec["char_hybrid"] + lc.lambda1 * rec["align"] + \
             lc.lambda2 * (rec["phoneme_ctc"] + rec["viseme_ctc"])
         assert abs(rec["total"] - want) <= 1e-12
@@ -97,7 +100,7 @@ def test_lambda_zero_total_equals_hybrid(tmp_path):
                           "loss": LossConfig(lambda1=0.0, lambda2=0.0)})
     log = tmp_path / "metrics.jsonl"
     train(tcfg, corpus, INV, mcfg, log_path=log)
-    rec = read_metrics_log(log)[0]
+    rec = read_log(log)[0]
     assert rec["total"] == rec["char_hybrid"]
 
 
@@ -105,7 +108,7 @@ def test_disable_branches_removes_branch_losses_from_log(tmp_path):
     corpus, _, mcfg, tcfg = tiny_setup(disable_branches=True)
     log = tmp_path / "metrics.jsonl"
     train(tcfg, corpus, INV, mcfg, log_path=log)
-    for rec in read_metrics_log(log):
+    for rec in read_log(log):
         assert "phoneme_ctc" not in rec
         assert "viseme_ctc" not in rec
         assert "align" not in rec
@@ -116,7 +119,7 @@ def test_disable_align_removes_only_align(tmp_path):
     corpus, _, mcfg, tcfg = tiny_setup(disable_align=True)
     log = tmp_path / "metrics.jsonl"
     train(tcfg, corpus, INV, mcfg, log_path=log)
-    for rec in read_metrics_log(log):
+    for rec in read_log(log):
         assert "align" not in rec
         assert "phoneme_ctc" in rec and "viseme_ctc" in rec
 
@@ -152,7 +155,7 @@ def test_checkpoint_resume_matches_uninterrupted(tmp_path):
     # uninterrupted run
     log_full = tmp_path / "full.jsonl"
     train(tcfg, corpus, INV, mcfg, log_path=log_full)
-    full = read_metrics_log(log_full)
+    full = read_log(log_full)
 
     # stop after phase 1 epoch 1, then resume
     tcfg_half = TrainConfig(**{**tcfg.__dict__, "epochs_phase1": 1,
@@ -167,7 +170,7 @@ def test_checkpoint_resume_matches_uninterrupted(tmp_path):
 
     log_b = tmp_path / "b.jsonl"
     train(tcfg, corpus, INV, mcfg, log_path=log_b, resume=ck)
-    resumed = read_metrics_log(log_a) + read_metrics_log(log_b)
+    resumed = read_log(log_a) + read_log(log_b)
 
     assert len(resumed) == len(full)
     for ra, rb in zip(full, resumed):
@@ -286,13 +289,6 @@ def test_evaluate_f_config_invariant_to_branch_weights():
     assert before["summary"] == after["summary"]
     assert [r["hypothesis"] for r in before["records"]] == \
         [r["hypothesis"] for r in after["records"]]
-
-
-def test_evaluate_accepts_activation_names():
-    corpus, lex, mcfg, tcfg = tiny_setup(epochs=(1, 0))
-    state = train(tcfg, corpus, INV, mcfg)
-    res = evaluate(state.model, corpus[:2], ["f+p"], lexicon=lex)
-    assert res[0]["summary"]["activation"] == "f+p"
 
 
 def test_logged_grad_norm_and_clip_scale(tmp_path, monkeypatch):
