@@ -11,7 +11,9 @@ transformer blocks run on four fused nodes with closed-form gradients:
 ``pack`` and ``unpack`` move between a padded ``(B, T, C)`` array and its
 ``(N, C)`` rows under a boolean ``(B, T)`` mask. A value computed in numpy
 with a hand-written gradient is a ``Tensor`` built directly from its data,
-parents and gradient function; each loss is one.
+parents and gradient function; each loss is one. ``as_tensor`` is the
+one coercion of an array or number to a leaf ``Tensor``: every op, loss and
+model entry point that accepts either goes through it.
 A node adopts the first gradient it receives and sums later ones into a new
 array, so gradient arrays may be shared and are read-only.
 """
@@ -23,6 +25,7 @@ from scipy.special import expit
 __all__ = [
     "Tensor",
     "Tape",
+    "as_tensor",
     "AutodiffError",
     "add",
     "mul",
@@ -88,7 +91,8 @@ class Tensor:
         return slice_(self, key)
 
 
-def _as_tensor(x):
+def as_tensor(x):
+    """``x`` itself if it is a Tensor, else a new leaf Tensor of it."""
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
@@ -106,7 +110,7 @@ def _unbroadcast(grad, shape):
 
 
 def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = as_tensor(a), as_tensor(b)
     return Tensor(
         a.data + b.data,
         (a, b),
@@ -116,7 +120,7 @@ def add(a, b):
 
 
 def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = as_tensor(a), as_tensor(b)
     return Tensor(
         a.data * b.data,
         (a, b),
@@ -131,7 +135,7 @@ def mul(a, b):
 def linear(x, w, b=None):
     """``x @ w (+ b)`` over the last axis of ``x`` as one 2-D GEMM on the
     flattened rows; the weight gradient is one 2-D GEMM too."""
-    parents = tuple(_as_tensor(t) for t in (x, w, b) if t is not None)
+    parents = tuple(as_tensor(t) for t in (x, w, b) if t is not None)
     x, w = parents[:2]
     x2 = x.data.reshape(-1, x.data.shape[-1])
     out = x2 @ w.data
@@ -148,7 +152,7 @@ def linear(x, w, b=None):
 
 
 def slice_(a, key):
-    a = _as_tensor(a)
+    a = as_tensor(a)
     fancy = any(isinstance(k, (list, np.ndarray))
                 for k in (key if isinstance(key, tuple) else (key,)))
 
@@ -185,7 +189,7 @@ def unpack(x, rows):
 
 def silu(a):
     """Smooth gated unit x * sigmoid(x) as one node."""
-    a = _as_tensor(a)
+    a = as_tensor(a)
     s = expit(a.data)
     return Tensor(
         a.data * s,
@@ -198,7 +202,7 @@ def silu(a):
 def layer_norm(x, scale, bias, eps):
     """Normalise the last axis to zero mean and unit variance, then apply
     ``scale`` and ``bias``."""
-    x, scale, bias = _as_tensor(x), _as_tensor(scale), _as_tensor(bias)
+    x, scale, bias = as_tensor(x), as_tensor(scale), as_tensor(bias)
     n = x.data.shape[-1]
     xc = x.data - x.data.sum(axis=-1, keepdims=True) * (1.0 / n)
     var = (xc * xc).sum(axis=-1, keepdims=True) * (1.0 / n)
@@ -222,7 +226,7 @@ def attention(q, k, v, heads, disallow=None):
     inputs, computed on ``(B, heads, T, dh)`` and merged back. Scores where
     the boolean ``disallow`` (broadcast to ``(B, Tq, Tk)``) is set become
     -1e30 before the softmax. Batch axes broadcast as in numpy."""
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
 
     def split(a):  # (..., T, heads * dh) -> (..., heads, T, dh)
         return a.reshape(*a.shape[:-1], heads, -1).swapaxes(-2, -3)
@@ -259,7 +263,7 @@ def attention(q, k, v, heads, disallow=None):
 def depthwise_conv(x, w):
     """Per-channel convolution along T of ``(B, T, C)`` input with a
     ``(k, C)`` kernel, k odd, zero-padded to keep T frames."""
-    x, w = _as_tensor(x), _as_tensor(w)
+    x, w = as_tensor(x), as_tensor(w)
     k, T, r = w.data.shape[0], x.data.shape[1], w.data.shape[0] // 2
     xp = np.pad(x.data, ((0, 0), (r, r), (0, 0)))
     out = xp[:, :T] * w.data[0]
@@ -371,7 +375,7 @@ def finite_difference_check(f, x, step=1e-4):
     from one reverse pass, the numeric one from ``central_difference``;
     relative errors use a floor of 1e-8.
     """
-    leaf = Tensor(np.array(x.data if isinstance(x, Tensor) else x, dtype=np.float64))
+    leaf = Tensor(np.array(as_tensor(x).data))
     backward(f(leaf))
     analytic = grad_of(leaf).ravel()
     base = leaf.data.copy()

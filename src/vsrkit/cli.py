@@ -250,6 +250,10 @@ def cmd_eval(args):
     if decode not in DECODE_MODES:
         raise UsageError(f"config key [eval] decode = {decode!r} is not one "
                          f"of {', '.join(DECODE_MODES)}")
+    beam_width = eval_kw.get("beam_width", 8)
+    if beam_width < 1:
+        raise UsageError(f"config key [eval] beam_width = {beam_width} is "
+                         f"not >= 1")
     names = args.activate or \
         [a.strip() for a in eval_kw.get("activations", "").split(";") if a] or \
         [a.name for a in ALL_ACTIVATIONS]
@@ -268,8 +272,7 @@ def cmd_eval(args):
                                      "activations": ";".join(names)}})
 
     results = evaluate(model, corpus, activations, lexicon=lexicon,
-                       decode=decode,
-                       beam_width=eval_kw.get("beam_width", 8))
+                       decode=decode, beam_width=beam_width)
     records = [r for res in results for r in res["records"]]
     summaries = [res["summary"] for res in results]
     write_eval_report(out / "report.jsonl", records,
@@ -362,7 +365,7 @@ def _build_parser():
                    help="checkpoint file (model or training state)")
     e.add_argument("--data", help="manifest directory")
     e.add_argument("--activate", action="append",
-                   choices=["f", "f+p", "f+v", "f+p+v"],
+                   choices=[a.name for a in ALL_ACTIVATIONS],
                    help="activation config (repeatable)")
 
     g = sub.add_parser("g2p", help="character to phoneme/viseme conversion")

@@ -49,7 +49,7 @@ def ctc_greedy_decode(logits):
     return out
 
 
-def ctc_beam_decode(logits, beam_width=8):
+def ctc_beam_decode(logits, beam_width):
     """Prefix beam search over blank/non-blank probabilities.
 
     Returns hypotheses sorted by score descending; equal scores are ordered

@@ -10,6 +10,9 @@ and its gradient function: the value is computed in numpy, vectorised over
 utterances, and the gradient has a closed form (for CTC, from the
 forward-backward recursion) rather than coming from taping every
 intermediate. Padded frames and rows get exactly zero gradient.
+``total_loss`` combines them into the objective and returns every present
+component by name, in the order a training record logs them, so the
+objective and its component names are written once.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, as_tensor
 from .decoding import log_probs
 from .linguistics import (
     BLANK,
@@ -29,7 +32,6 @@ from .linguistics import (
 
 __all__ = [
     "LossConfig",
-    "LossBundle",
     "CtcError",
     "CtcNoValidPathError",
     "ctc_loss",
@@ -80,29 +82,6 @@ class LossConfig:
             raise ValueError(f"window_w must be odd and >= 1, got {self.window_w}")
 
 
-@dataclass
-class LossBundle:
-    """All loss components of one forward pass (Tensors or plain floats)."""
-
-    char_ctc: object = None
-    char_attn: object = None
-    char_hybrid: object = None
-    phoneme_ctc: object = None
-    viseme_ctc: object = None
-    align: object = None
-    total: object = None
-
-    def floats(self) -> dict:
-        out = {}
-        for name in ("char_ctc", "char_attn", "char_hybrid", "phoneme_ctc",
-                     "viseme_ctc", "align", "total"):
-            v = getattr(self, name)
-            if v is None:
-                continue
-            out[name] = float(v.data) if isinstance(v, Tensor) else float(v)
-        return out
-
-
 def _logaddexp3(a, b, c):
     """Elementwise log(exp(a) + exp(b) + exp(c)); all -inf stays -inf."""
     m = np.maximum(np.maximum(a, b), c)
@@ -137,8 +116,7 @@ def ctc_loss(logits, targets, lengths=None) -> Tensor:
     occupancy posteriors and is exactly zero on padded frames.
     ``CtcNoValidPathError`` names the first infeasible batch element.
     """
-    if not isinstance(logits, Tensor):
-        logits = Tensor(logits)
+    logits = as_tensor(logits)
     x = logits.data
     if x.ndim == 2:
         x, targets = x[None], [targets]
@@ -241,8 +219,7 @@ def attention_ce_loss(logits, targets, lengths=None) -> Tensor:
     is exactly zero. An L x K ``logits`` with one length-L target is the
     B = 1 case.
     """
-    if not isinstance(logits, Tensor):
-        logits = Tensor(logits)
+    logits = as_tensor(logits)
     x = logits.data
     targets = np.asarray(targets, dtype=np.int64)
     if x.ndim == 2:
@@ -315,10 +292,7 @@ def align_loss(V, P, viseme_classes, phoneme_classes,
     keeps an utterance with no active row at 0. Padded frames get exactly
     zero gradient.
     """
-    if not isinstance(V, Tensor):
-        V = Tensor(V)
-    if not isinstance(P, Tensor):
-        P = Tensor(P)
+    V, P = as_tensor(V), as_tensor(P)
     if V.data.shape != P.data.shape or V.data.ndim != 3 or \
             V.data.shape[1] < 1:
         raise ValueError(
@@ -374,27 +348,25 @@ def align_loss(V, P, viseme_classes, phoneme_classes,
 
 
 def total_loss(char_ctc, char_attn, cfg: LossConfig,
-               phoneme_ctc=None, viseme_ctc=None, align=None) -> LossBundle:
+               phoneme_ctc=None, viseme_ctc=None, align=None) -> dict:
     """Combine components into the full multitask objective.
 
     total = hybrid(char) + lambda1 * align + lambda2 * (phoneme + viseme),
-    with absent components contributing nothing.
+    with absent components contributing nothing. Returns the present
+    components as Tensors, keyed and ordered as a training record logs
+    them: char_ctc, char_attn, char_hybrid, phoneme_ctc, viseme_ctc,
+    align, total.
     """
+    if (phoneme_ctc is None) != (viseme_ctc is None):
+        raise ValueError("phoneme and viseme losses must come together")
     hybrid = ad.add(ad.mul(char_attn, cfg.alpha),
                     ad.mul(char_ctc, 1.0 - cfg.alpha))
     total = hybrid
     if align is not None:
         total = ad.add(total, ad.mul(align, cfg.lambda1))
-    if phoneme_ctc is not None or viseme_ctc is not None:
-        if phoneme_ctc is None or viseme_ctc is None:
-            raise ValueError("phoneme and viseme losses must come together")
+    if phoneme_ctc is not None:
         total = ad.add(total, ad.mul(ad.add(phoneme_ctc, viseme_ctc), cfg.lambda2))
-    return LossBundle(
-        char_ctc=char_ctc,
-        char_attn=char_attn,
-        char_hybrid=hybrid,
-        phoneme_ctc=phoneme_ctc,
-        viseme_ctc=viseme_ctc,
-        align=align,
-        total=total,
-    )
+    parts = {"char_ctc": char_ctc, "char_attn": char_attn,
+             "char_hybrid": hybrid, "phoneme_ctc": phoneme_ctc,
+             "viseme_ctc": viseme_ctc, "align": align, "total": total}
+    return {name: t for name, t in parts.items() if t is not None}

@@ -16,7 +16,10 @@ There is one checkpoint file layout, written by ``Model.save`` and read by
 ``Model.load``: a ``.npz`` with ``__version__`` ("vsrkit-checkpoint v3"),
 ``__config__`` (the model config JSON) and ``param::<name>`` arrays. A
 training state is the same file with extra sections (``__train__`` and
-the optimizer moments) that ``Model.load`` ignores.
+the optimizer moments) that ``Model.load`` ignores. ``Model.load`` builds
+the model of the saved config, checks every saved name and shape against
+its parameters and then assigns the saved arrays, so the building blocks
+read ``params`` by name with nothing to fall back on.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, as_tensor
 from .decoding import Hypothesis, attention_greedy_decode, ctc_beam_decode, \
     ctc_greedy_decode, log_probs
 from .linguistics import NUM_VISEMES
@@ -139,8 +142,6 @@ class ForwardOutputs:
     F: Tensor = None
     P: Tensor = None
     V: Tensor = None
-    fused: Tensor = None
-    F_mem: Tensor = None
     phoneme_logits: Tensor = None
     viseme_logits: Tensor = None
     char_ctc_logits: Tensor = None
@@ -165,14 +166,10 @@ def droppath_sum(F, P, V, mask_p, mask_v, p_drop, training):
 
 
 class Model:
-    def __init__(self, cfg: ModelConfig, seed=0, params=None,
-                 with_branches=True):
+    def __init__(self, cfg: ModelConfig, seed=0, with_branches=True):
         self.cfg = cfg
         self.with_branches = with_branches
-        self.params = params if params is not None else \
-            self._init_params(seed, with_branches)
-        if params is not None:
-            self.with_branches = any(k.startswith("phoneme/") for k in params)
+        self.params = self._init_params(seed, with_branches)
 
     # ------------------------------------------------------------------
     # parameters
@@ -272,20 +269,14 @@ class Model:
     # ------------------------------------------------------------------
     # building blocks
 
-    def _p(self, name):
-        try:
-            return self.params[name]
-        except KeyError:
-            raise CheckpointError(f"parameter group missing: {name}") from None
-
     def _norm(self, x, prefix):
-        return ad.layer_norm(x, self._p(f"{prefix}_scale"),
-                             self._p(f"{prefix}_bias"), _LN_EPS)
+        return ad.layer_norm(x, self.params[f"{prefix}_scale"],
+                             self.params[f"{prefix}_bias"], _LN_EPS)
 
     def _linear(self, x, prefix, suffix, bias=True):
         """``x @ {prefix}_w{suffix} + {prefix}_b{suffix}`` as one node."""
-        return ad.linear(x, self._p(f"{prefix}_w{suffix}"),
-                         self._p(f"{prefix}_b{suffix}") if bias else None)
+        return ad.linear(x, self.params[f"{prefix}_w{suffix}"],
+                         self.params[f"{prefix}_b{suffix}"] if bias else None)
 
     def _ffn(self, x, prefix):
         h = ad.silu(self._linear(self._norm(x, f"{prefix}_norm"), prefix, 1))
@@ -316,8 +307,8 @@ class Model:
     def _depthwise_conv(self, x, prefix, valid):
         # unpacking zero-fills the padding the kernel reads across the edge
         h = ad.unpack(self._norm(x, f"{prefix}_norm"), valid)
-        h = ad.pack(ad.depthwise_conv(h, self._p(f"{prefix}_w")), valid)
-        return ad.add(x, ad.silu(ad.add(h, self._p(f"{prefix}_b"))))
+        h = ad.pack(ad.depthwise_conv(h, self.params[f"{prefix}_w"]), valid)
+        return ad.add(x, ad.silu(ad.add(h, self.params[f"{prefix}_b"])))
 
     # ------------------------------------------------------------------
     # forward passes
@@ -326,8 +317,7 @@ class Model:
         """Shared feature trunk: projection + positions + per-frame
         feed-forward stack with one self-attention layer."""
         cfg = self.cfg
-        if not isinstance(features, Tensor):
-            features = Tensor(features)
+        features = as_tensor(features)
         if features.data.ndim != 3 or features.data.shape[-1] != cfg.input_dim:
             raise ValueError(
                 f"features must be B x T x {cfg.input_dim}, "
@@ -337,7 +327,7 @@ class Model:
         if T > cfg.max_frames:
             raise ValueError(f"sequence of {T} frames exceeds max_frames")
         x = ad.add(self._linear(features, "trunk/in_proj", ""),
-                   self._p("trunk/pos")[:T])
+                   self.params["trunk/pos"][:T])
         x = ad.pack(x, valid)
         for i in range(cfg.trunk_layers):
             x = self._ffn(x, f"trunk/ffn{i}")
@@ -402,8 +392,8 @@ class Model:
         _, L = tokens.shape
         if L > cfg.max_decode_len + 1:
             raise ValueError("decoder input longer than max_decode_len")
-        x = ad.add(self._p("char_decoder/embed")[tokens],
-                   self._p("char_decoder/pos")[:L])
+        x = ad.add(self.params["char_decoder/embed"][tokens],
+                   self.params["char_decoder/pos"][:L])
         for i in range(cfg.char_decoder_layers):
             x = self._attention(x, None, f"char_decoder/layer{i}_self",
                                 causal=True)
@@ -418,8 +408,7 @@ class Model:
         """Full training-mode forward pass. A model with branches runs both
         and fuses them under branch-drop masks sampled from ``rng``; a model
         built without them fuses the trunk features alone."""
-        if not isinstance(features, Tensor):
-            features = Tensor(features)
+        features = as_tensor(features)
         B, T, _ = features.data.shape
         valid = np.arange(T)[None, :] < np.asarray(lengths)[:, None]
         out = ForwardOutputs()
@@ -428,12 +417,12 @@ class Model:
             out.P, out.phoneme_logits = self.branch_forward(out.F, "phoneme", valid)
             out.V, out.viseme_logits = self.branch_forward(out.F, "viseme", valid)
             out.drop_masks = self.sample_drop_masks(rng, B)
-            out.fused = self.fuse(out.F, out.P, out.V, out.drop_masks,
-                                  training=True)
+            fused = self.fuse(out.F, out.P, out.V, out.drop_masks,
+                              training=True)
         else:
-            out.fused = self.fuse(out.F, None, None)
-        out.F_mem, out.char_ctc_logits, out.char_attn_logits = \
-            self.char_forward(out.fused, valid, decoder_inputs)
+            fused = self.fuse(out.F, None, None)
+        _, out.char_ctc_logits, out.char_attn_logits = \
+            self.char_forward(fused, valid, decoder_inputs)
         return out
 
     def forward_infer(self, features, act: ActivationConfig,
@@ -443,8 +432,7 @@ class Model:
         Only the branches enabled by ``act`` execute; their framewise argmax
         classes ride along on the hypothesis for interpretability.
         """
-        if not isinstance(features, Tensor):
-            features = Tensor(features)
+        features = as_tensor(features)
         if features.data.ndim == 2:
             features = Tensor(features.data[None])
         if (act.use_phoneme or act.use_viseme) and not self.with_branches:
@@ -503,10 +491,9 @@ class Model:
 
     @classmethod
     def load(cls, path):
-        """Read a model or training-state checkpoint: check the version,
-        then take only ``__config__`` and the ``param::`` arrays, which must
-        have the names and shapes ``__init__`` builds for that config with
-        the same branch presence."""
+        """Read a model or training-state checkpoint: check the version, then
+        give the model of ``__config__`` (with branches iff ``phoneme/``
+        arrays exist) its ``param::`` arrays, matched by name and shape."""
         with np.load(path, allow_pickle=False) as z:
             version = str(z["__version__"]) if "__version__" in z else None
             if version != CHECKPOINT_VERSION:
@@ -514,20 +501,21 @@ class Model:
                     f"unsupported checkpoint version {version!r} in {path}; "
                     f"expected {CHECKPOINT_VERSION!r}")
             values = json.loads(str(z["__config__"]))
-            params = {k.removeprefix("param::"): Tensor(z[k]) for k in z.files
+            loaded = {k.removeprefix("param::"): z[k] for k in z.files
                       if k.startswith("param::")}
         check_config_keys(ModelConfig, values, CheckpointError, path)
-        model = cls(ModelConfig(**values), params=params)
-        expected = model._init_params(0, model.with_branches)
-        for name, p in expected.items():
-            if name not in params:
+        model = cls(ModelConfig(**values), with_branches=any(
+            k.startswith("phoneme/") for k in loaded))
+        for name, p in model.params.items():
+            if name not in loaded:
                 raise CheckpointError(f"{path} lacks parameter {name}")
-            if params[name].data.shape != p.data.shape:
+            if loaded[name].shape != p.data.shape:
                 raise CheckpointError(
                     f"parameter {name} in {path} has shape "
-                    f"{params[name].data.shape}, expected {p.data.shape}")
-        for name in params:
-            if name not in expected:
+                    f"{loaded[name].shape}, expected {p.data.shape}")
+        for name in loaded:
+            if name not in model.params:
                 raise CheckpointError(
                     f"{path} holds unexpected parameter {name}")
+            model.params[name] = Tensor(loaded[name])
         return model

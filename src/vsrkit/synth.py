@@ -83,6 +83,12 @@ class SynthConfig:
                 raise ValueError(f"bad {name} range {bounds}")
         if self.noise_std < 0:
             raise ValueError("noise_std must be nonnegative")
+        for name, least in (("num_utterances", 1), ("feature_dim", 1),
+                            ("char_vocab_size", 2 * _HOMOPHONE_PAIRS),
+                            ("seed", 0), ("codebook_seed", 0)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass

@@ -316,7 +316,7 @@ def gradient_suite(instances=50, loss_tol=1e-4, model_tol=1e-3, seed=777,
         vis_tgt = rng.integers(1, 5, size=1)
 
         def full(t):
-            bundle = total_loss(
+            return total_loss(
                 ctc_loss(t[:, :Kc], target),
                 attention_ce_loss(Tensor(attn), target),
                 cfg,
@@ -324,8 +324,7 @@ def gradient_suite(instances=50, loss_tol=1e-4, model_tol=1e-3, seed=777,
                 viseme_ctc=ctc_loss(Tensor(vis_logits), vis_tgt),
                 align=align_loss(t[None, :, :C], Tensor(P_feat), vis, pho,
                                  inv, cfg),
-            )
-            return bundle.total
+            )["total"]
 
         x = rng.normal(size=(T, max(Kc, C)))
         worst = max(worst, finite_difference_check(full, Tensor(x)))
@@ -366,7 +365,7 @@ def gradient_suite(instances=50, loss_tol=1e-4, model_tol=1e-3, seed=777,
             al = align_loss(out.V, out.P, vis_cls, pho_cls,
                             inv, cfg, lengths=lengths)
             return total_loss(char_ctc, char_attn, cfg, phoneme_ctc=ph,
-                              viseme_ctc=vi, align=al).total
+                              viseme_ctc=vi, align=al)["total"]
 
         ad.backward(model_loss())
         for pi in picks:

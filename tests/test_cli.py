@@ -274,10 +274,14 @@ def test_unparsable_config_value_exits_one_naming_the_key(tmp_path, cfg_file,
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("key, value", [("decode", "bogus"),
-                                        ("activations", "f+x")])
+@pytest.mark.parametrize("key, value, shown", [
+    ("decode", "bogus", "'bogus'"),
+    ("activations", "f+x", "'f+x'"),
+    ("beam_width", "0", "0"),
+    ("beam_width", "-4", "-4"),
+], ids=["decode-bogus", "activations-f+x", "beam_width-0", "beam_width--4"])
 def test_bad_eval_setting_exits_one_before_reading_anything(tmp_path, capsys,
-                                                            key, value):
+                                                            key, value, shown):
     cfg = tmp_path / "eval.ini"
     cfg.write_text(f"[eval]\n{key} = {value}\n", encoding="utf-8")
     # neither input exists: the settings are checked before either is read
@@ -286,7 +290,7 @@ def test_bad_eval_setting_exits_one_before_reading_anything(tmp_path, capsys,
                "--checkpoint", str(tmp_path / "none.npz"),
                "--data", str(tmp_path / "none")) == 1
     err = capsys.readouterr().err
-    assert f"[eval] {key} = {value!r}" in err
+    assert f"[eval] {key} = {shown}" in err
     assert not out.exists()
 
 
@@ -345,6 +349,33 @@ def test_gen_setting_that_fails_validation_exits_one(tmp_path, capsys):
     assert run("--config", str(cfg), "--out", str(out), "--quiet", "gen") == 1
     assert "[synth]" in capsys.readouterr().err
     assert not (out / "effective_config.ini").exists()
+
+
+@pytest.mark.parametrize("command, section, setting", [
+    ("gen", "synth", "feature_dim = 0"),
+    ("gen", "synth", "num_utterances = -1"),
+    ("gen", "synth", "num_utterances = 0"),
+    ("gen", "synth", "seed = -1"),
+    ("gen", "synth", "codebook_seed = -3"),
+    ("gen", "synth", "char_vocab_size = 2"),
+    ("train", "train", "seed = -1"),
+    ("train", "train", "epochs_phase1 = -1"),
+    ("train", "train", "epochs_phase2 = -1"),
+    ("train", "train", "warmup_steps = -2"),
+])
+def test_out_of_range_setting_exits_one_naming_its_key(tmp_path, cfg_file,
+                                                       capsys, command,
+                                                       section, setting):
+    data = _manifest(tmp_path, cfg_file) if command == "train" else None
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[{section}]\n{setting}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    extra = ["--data", str(data)] if data else []
+    assert run("--config", str(cfg), "--out", str(out), "--quiet", command,
+               *extra) == 1
+    err = capsys.readouterr().err
+    assert f"[{section}]" in err and setting.split(" = ")[0] in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value", [("sentence_len", "3"),
@@ -426,7 +457,7 @@ def _synth_settings(draw):
     frames_lo = draw(st.integers(1, 4))
     return {
         "seed": draw(st.integers(0, 10**6)),
-        "num_utterances": draw(st.integers(0, 5)),
+        "num_utterances": draw(st.integers(1, 5)),
         "char_vocab_size": draw(st.integers(8, 24)),
         "sentence_len": f"{sentence_lo},{sentence_lo + draw(st.integers(0, 2))}",
         "frames_per_phoneme":

@@ -1,7 +1,7 @@
 """Static gates on the code's names: every module-level import in the
 package is used or re-exported, every private or public module-level name
-has a reader, and every local a function assigns is read. They need only
-``ast``, so they run wherever the tests run."""
+and every dataclass field has a reader, and every local a function assigns
+is read. They need only ``ast``, so they run wherever the tests run."""
 import ast
 from pathlib import Path
 
@@ -137,6 +137,63 @@ def test_package_public_names_have_readers_outside_tests():
     readers = [p.read_text(encoding="utf-8")
                for p in [MODULES[0].parent / "__init__.py", *PERFBENCH]]
     assert unread_public_names(sources, readers) == {}
+
+
+def dataclass_fields(source):
+    """``Class.field`` for each annotated field of a ``@dataclass`` class,
+    with or without arguments to the decorator."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d
+                      for d in node.decorator_list]
+        if any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+               for d in decorators):
+            found += [f"{node.name}.{item.target.id}" for item in node.body
+                      if isinstance(item, ast.AnnAssign)
+                      and isinstance(item.target, ast.Name)]
+    return found
+
+
+def attributes_loaded(source):
+    """Attribute names a module reads as ``x.name`` (not assignments)."""
+    return {n.attr for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def unread_dataclass_fields(sources, readers=()):
+    """``{module: fields}`` of the dataclass fields in ``sources`` (a
+    ``{module: source}`` map) that no module in ``sources`` and no source
+    in ``readers`` reads as an attribute."""
+    read = set().union(*map(attributes_loaded, [*sources.values(), *readers]))
+    unread = {m: [f for f in dataclass_fields(s)
+                  if f.split(".")[1] not in read]
+              for m, s in sources.items()}
+    return {m: names for m, names in unread.items() if names}
+
+
+def test_unread_dataclass_fields_sees_attribute_loads_only():
+    sources = {
+        "a": "import dataclasses\nfrom dataclasses import dataclass\n\n"
+             "@dataclass(frozen=True)\nclass Cfg:\n    used: int = 0\n"
+             "    stored: int = 0\n    by_name: int = 0\n\n"
+             "@dataclasses.dataclass\nclass Out:\n    x: int = 0\n"
+             "    y: int = 0\n\n"
+             "class Plain:\n    z: int = 0\n\n"
+             "def f(c, o):\n    o.stored = c.used\n"
+             "    return getattr(c, 'by_name'), o.y.real\n",
+    }
+    assert unread_dataclass_fields(sources) == {
+        "a": ["Cfg.stored", "Cfg.by_name", "Out.x"]}
+    assert unread_dataclass_fields(sources, ["print(out.x)\n"]) == {
+        "a": ["Cfg.stored", "Cfg.by_name"]}
+
+
+def test_package_dataclass_fields_have_readers_outside_tests():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    readers = [p.read_text(encoding="utf-8") for p in PERFBENCH]
+    assert unread_dataclass_fields(sources, readers) == {}
 
 
 def _own_nodes(function):

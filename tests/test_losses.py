@@ -331,9 +331,11 @@ def test_batched_attention_ce_gives_padded_rows_zero_gradient(batch):
 
 def test_hybrid_endpoints_and_midpoint():
     for alpha, want in ((1.0, 2.0), (0.0, 4.0), (0.5, 3.0)):
-        bundle = total_loss(Tensor(4.0), Tensor(2.0), LossConfig(alpha=alpha))
-        assert float(bundle.char_hybrid.data) == want
-        assert bundle.total is bundle.char_hybrid
+        parts = total_loss(Tensor(4.0), Tensor(2.0), LossConfig(alpha=alpha))
+        assert float(parts["char_hybrid"].data) == want
+        assert parts["total"] is parts["char_hybrid"]
+        assert list(parts) == ["char_ctc", "char_attn", "char_hybrid",
+                               "total"]
 
 
 def test_hybrid_rejects_bad_alpha():
@@ -349,16 +351,18 @@ def test_loss_config_rejects_non_positive_tau(tau):
 
 def test_total_loss_lambda_zero_reduces_to_hybrid():
     cfg = LossConfig(alpha=0.5, lambda1=0.0, lambda2=0.0)
-    bundle = total_loss(Tensor(4.0), Tensor(2.0), cfg,
-                        phoneme_ctc=Tensor(9.0), viseme_ctc=Tensor(9.0),
-                        align=Tensor(9.0))
-    assert float(bundle.total.data) == float(bundle.char_hybrid.data) == 3.0
+    parts = total_loss(Tensor(4.0), Tensor(2.0), cfg,
+                       phoneme_ctc=Tensor(9.0), viseme_ctc=Tensor(9.0),
+                       align=Tensor(9.0))
+    assert float(parts["total"].data) == float(parts["char_hybrid"].data) == 3.0
+    assert list(parts) == ["char_ctc", "char_attn", "char_hybrid",
+                           "phoneme_ctc", "viseme_ctc", "align", "total"]
 
 
 def test_total_loss_arithmetic():
     cfg = LossConfig(alpha=1.0, lambda1=1.0, lambda2=0.0)
-    bundle = total_loss(Tensor(0.0), Tensor(1.0), cfg, align=Tensor(0.5))
-    assert float(bundle.total.data) == pytest.approx(1.5, abs=0)
+    parts = total_loss(Tensor(0.0), Tensor(1.0), cfg, align=Tensor(0.5))
+    assert float(parts["total"].data) == pytest.approx(1.5, abs=0)
 
 
 def test_total_loss_matches_hand_recombination():
@@ -368,11 +372,11 @@ def test_total_loss_matches_hand_recombination():
                          lambda1=float(rng.uniform(0, 2)),
                          lambda2=float(rng.uniform(0, 2)))
         c, a, p, v, al = rng.uniform(0, 3, size=5)
-        bundle = total_loss(Tensor(c), Tensor(a), cfg, phoneme_ctc=Tensor(p),
-                            viseme_ctc=Tensor(v), align=Tensor(al))
+        parts = total_loss(Tensor(c), Tensor(a), cfg, phoneme_ctc=Tensor(p),
+                           viseme_ctc=Tensor(v), align=Tensor(al))
         hybrid = cfg.alpha * a + (1 - cfg.alpha) * c
         want = hybrid + cfg.lambda1 * al + cfg.lambda2 * (p + v)
-        assert float(bundle.total.data) == pytest.approx(want, abs=1e-12)
+        assert float(parts["total"].data) == pytest.approx(want, abs=1e-12)
 
 
 def test_total_loss_affine_in_components():
@@ -381,7 +385,7 @@ def test_total_loss_affine_in_components():
     def total(c, a, p, v, al):
         return float(total_loss(Tensor(c), Tensor(a), cfg,
                                 phoneme_ctc=Tensor(p), viseme_ctc=Tensor(v),
-                                align=Tensor(al)).total.data)
+                                align=Tensor(al))["total"].data)
 
     base = total(0, 0, 0, 0, 0)
     assert base == 0.0

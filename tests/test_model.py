@@ -235,9 +235,13 @@ def test_padded_rows_of_block_outputs_are_zero(model):
     feats, _, dec_in = batch(rng, T=7)
     lengths = [4, 7]
     out = model.forward_train(feats, lengths, dec_in, np.random.default_rng(0))
-    for name in ("F", "P", "V", "F_mem", "phoneme_logits", "viseme_logits",
-                 "char_ctc_logits"):
-        rows = getattr(out, name).data[0]
+    valid = np.arange(7)[None, :] < np.asarray(lengths)[:, None]
+    F_mem, _, _ = model.char_forward(
+        model.fuse(out.F, out.P, out.V, out.drop_masks, training=True), valid)
+    blocks = {name: getattr(out, name) for name in (
+        "F", "P", "V", "phoneme_logits", "viseme_logits", "char_ctc_logits")}
+    for name, block in {**blocks, "F_mem": F_mem}.items():
+        rows = block.data[0]
         assert not rows[4:].any() and rows[:4].any(), name
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from vsrkit import training
+from vsrkit.autodiff import Tensor
 from vsrkit.linguistics import default_inventory
 from vsrkit.losses import LossConfig
 from vsrkit.model import CHAR_OFFSET, ActivationConfig, Model, ModelConfig
@@ -92,6 +93,19 @@ def test_logged_total_recombines_exactly(tmp_path):
         want = rec["char_hybrid"] + lc.lambda1 * rec["align"] + \
             lc.lambda2 * (rec["phoneme_ctc"] + rec["viseme_ctc"])
         assert abs(rec["total"] - want) <= 1e-12
+
+
+def test_non_finite_loss_component_stops_training_before_logging(
+        tmp_path, monkeypatch):
+    corpus, _, mcfg, tcfg = tiny_setup()
+    monkeypatch.setattr(training, "attention_ce_loss",
+                        lambda *args, **kw: Tensor(np.inf))
+    log = tmp_path / "metrics.jsonl"
+    records = []
+    with pytest.raises(TrainingError, match=re.escape(
+            "non-finite loss component 'char_attn' at step 0")):
+        train(tcfg, corpus, INV, mcfg, log_path=log, log_fn=records.append)
+    assert records == [] and read_log(log) == []
 
 
 def test_lambda_zero_total_equals_hybrid(tmp_path):
