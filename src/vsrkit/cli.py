@@ -11,6 +11,7 @@ import argparse
 import configparser
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -61,10 +62,13 @@ def _coerce(section, key, value: str, py_type):
                 value.strip().lower()]
         if py_type is tuple:
             return tuple(int(x) for x in value.split(","))
+        if py_type is float and not math.isfinite(float(value)):
+            raise ValueError
         return py_type(value)
     except (KeyError, ValueError):
+        kind = "finite float" if py_type is float else py_type.__name__
         raise UsageError(f"config key [{section}] {key} = {value!r} is not "
-                         f"a valid {py_type.__name__}") from None
+                         f"a valid {kind}") from None
 
 
 _TYPES_BY_NAME = {"int": int, "float": float, "bool": bool, "tuple": tuple}
@@ -205,8 +209,6 @@ def cmd_train(args):
     if not args.out:
         raise UsageError("train requires --out for the run directory")
     corpus, inv, lexicon = read_manifest(args.data)
-    if lexicon is None:
-        raise UsageError(f"manifest {args.data} has no lexicon")
 
     train_kw = _section_values(cp, "train", TrainConfig)
     loss_kw = _section_values(cp, "loss", LossConfig)
@@ -228,12 +230,15 @@ def cmd_train(args):
         "model": _dc_dict(mcfg),
     })
     log_path = out / "metrics.jsonl"
-    if log_path.exists() and not args.resume:
-        log_path.unlink()
-    state = train(tcfg, corpus, inv, mcfg,
-                  log_path=log_path,
-                  checkpoint_dir=out / "checkpoints",
-                  resume=args.resume)
+    if not args.resume:
+        log_path.unlink(missing_ok=True)
+
+    def log_fn(record):
+        with open(log_path, "a", encoding="utf-8") as log:
+            log.write(json.dumps(record) + "\n")
+
+    state = train(tcfg, corpus, inv, mcfg, checkpoint_dir=out / "checkpoints",
+                  resume=args.resume, log_fn=log_fn)
     state.save(out / "final.npz")
     _echo(args, f"trained {state.step} steps; state in {out / 'final.npz'}")
     return 0

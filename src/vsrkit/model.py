@@ -15,11 +15,12 @@ are exactly zero. With ``valid=None`` nothing is packed.
 There is one checkpoint file layout, written by ``Model.save`` and read by
 ``Model.load``: a ``.npz`` with ``__version__`` ("vsrkit-checkpoint v3"),
 ``__config__`` (the model config JSON) and ``param::<name>`` arrays. A
-training state is the same file with extra sections (``__train__`` and
-the optimizer moments) that ``Model.load`` ignores. ``Model.load`` builds
-the model of the saved config, checks every saved name and shape against
-its parameters and then assigns the saved arrays, so the building blocks
-read ``params`` by name with nothing to fall back on.
+training state is the same file with extra sections that ``Model.load``
+ignores: ``__train__`` (the step and the rng state) and the optimizer
+moments. ``Model.load`` builds the model of the saved config, checks every
+saved name and shape against its parameters and then assigns the saved
+arrays, so the building blocks read ``params`` by name with nothing to
+fall back on.
 """
 from __future__ import annotations
 
@@ -100,15 +101,6 @@ class ModelConfig:
         return json.dumps(self.__dict__, sort_keys=True)
 
 
-def check_config_keys(cls, values, error, source):
-    """Raise ``error`` naming ``source`` and the first key at fault unless
-    the saved config ``values`` has exactly the fields of ``cls``."""
-    bad = sorted(set(values) ^ {f.name for f in fields(cls)})
-    if bad:
-        kind = "unknown" if bad[0] in values else "missing"
-        raise error(f"{source}: {kind} {cls.__name__} key {bad[0]!r}")
-
-
 @dataclass(frozen=True)
 class ActivationConfig:
     """Which intermediate-representation branches run at inference."""
@@ -149,19 +141,16 @@ class ForwardOutputs:
     drop_masks: tuple = None
 
 
-def droppath_sum(F, P, V, mask_p, mask_v, p_drop, training):
-    """Pre-activation fused sum.
-
-    Training: each surviving branch is rescaled by 1/(1-p_drop) so the sum
-    is unbiased; inference: supplied masks are 0/1 activation switches with
-    no rescale.
-    """
+def droppath_sum(F, P, V, mask_p, mask_v, p_drop):
+    """Pre-activation fused sum of ``F`` and the branches present. A branch
+    with a drop mask is masked and rescaled by 1/(1-p_drop), so the sum is
+    unbiased; a branch whose mask is None is added as it is."""
     out = F
-    scale = 1.0 / (1.0 - p_drop) if training else 1.0
-    if P is not None:
-        out = ad.add(out, ad.mul(P, mask_p * scale))
-    if V is not None:
-        out = ad.add(out, ad.mul(V, mask_v * scale))
+    scale = 1.0 / (1.0 - p_drop)
+    for branch, mask in ((P, mask_p), (V, mask_v)):
+        if branch is not None:
+            out = ad.add(out, branch if mask is None
+                         else ad.mul(branch, mask * scale))
     return out
 
 
@@ -349,14 +338,12 @@ class Model:
     def _head(self, x, prefix):
         return self._linear(ad.silu(self._linear(x, prefix, 1)), prefix, 2)
 
-    def fuse(self, F, P, V, drop_masks=None, training=False):
+    def fuse(self, F, P, V, drop_masks=None):
         """Stochastic branch-drop fusion: nonlinearity over the sum of the
-        trunk features and the (masked, rescaled) branch features."""
-        mask_p = mask_v = 1.0
-        if drop_masks is not None:
-            mask_p, mask_v = drop_masks
-        return ad.silu(droppath_sum(F, P, V, mask_p, mask_v,
-                                    self.cfg.p_drop, training))
+        trunk features and the branch features, masked and rescaled when
+        ``drop_masks`` are given."""
+        mask_p, mask_v = drop_masks or (None, None)
+        return ad.silu(droppath_sum(F, P, V, mask_p, mask_v, self.cfg.p_drop))
 
     def sample_drop_masks(self, rng, batch_size):
         keep = 1.0 - self.cfg.p_drop
@@ -417,16 +404,15 @@ class Model:
             out.P, out.phoneme_logits = self.branch_forward(out.F, "phoneme", valid)
             out.V, out.viseme_logits = self.branch_forward(out.F, "viseme", valid)
             out.drop_masks = self.sample_drop_masks(rng, B)
-            fused = self.fuse(out.F, out.P, out.V, out.drop_masks,
-                              training=True)
+            fused = self.fuse(out.F, out.P, out.V, out.drop_masks)
         else:
             fused = self.fuse(out.F, None, None)
         _, out.char_ctc_logits, out.char_attn_logits = \
             self.char_forward(fused, valid, decoder_inputs)
         return out
 
-    def forward_infer(self, features, act: ActivationConfig,
-                      decode="ctc_greedy", beam_width=8) -> Hypothesis:
+    def forward_infer(self, features, act: ActivationConfig, decode,
+                      beam_width) -> Hypothesis:
         """Inference with on-demand branch activation.
 
         Only the branches enabled by ``act`` execute; their framewise argmax
@@ -503,7 +489,11 @@ class Model:
             values = json.loads(str(z["__config__"]))
             loaded = {k.removeprefix("param::"): z[k] for k in z.files
                       if k.startswith("param::")}
-        check_config_keys(ModelConfig, values, CheckpointError, path)
+        bad = sorted(set(values) ^ {f.name for f in fields(ModelConfig)})
+        if bad:
+            kind = "unknown" if bad[0] in values else "missing"
+            raise CheckpointError(
+                f"{path}: {kind} ModelConfig key {bad[0]!r}")
         model = cls(ModelConfig(**values), with_branches=any(
             k.startswith("phoneme/") for k in loaded))
         for name, p in model.params.items():

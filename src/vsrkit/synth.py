@@ -277,11 +277,10 @@ def viseme_frequencies(labels, inv: LinguisticInventory) -> np.ndarray:
     return counts / total if total > 0 else counts
 
 
-def write_manifest(path, utterances, inv=None, lexicon=None):
-    """Persist a corpus: index.tsv + packed little-endian feature blob.
-
-    When the inventory and lexicon objects are given they are serialized
-    alongside so the directory is self-contained.
+def write_manifest(path, utterances, inv, lexicon):
+    """Persist a corpus: index.tsv, a packed little-endian feature blob,
+    and the inventory (visemes.tsv) and lexicon (lexicon.tsv) it is
+    labelled with, so the directory is self-contained.
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
@@ -304,15 +303,13 @@ def write_manifest(path, utterances, inv=None, lexicon=None):
             offset += T * C * 8
     with open(path / "index.tsv", "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    if inv is not None:
-        save_inventory(path / "visemes.tsv", inv)
-        if lexicon is not None:
-            save_lexicon(path / "lexicon.tsv", lexicon, inv)
+    save_inventory(path / "visemes.tsv", inv)
+    save_lexicon(path / "lexicon.tsv", lexicon, inv)
 
 
 def read_manifest(path):
     """Load a corpus written by ``write_manifest``; returns (utterances,
-    inventory, lexicon), the latter two None when not bundled."""
+    inventory, lexicon)."""
     path = Path(path)
     index = path / "index.tsv"
     if not index.exists():
@@ -324,11 +321,11 @@ def read_manifest(path):
             f"unsupported manifest version header: {lines[0] if lines else '<empty>'!r}"
         )
 
-    inv = lexicon = None
-    if (path / "visemes.tsv").exists():
-        inv = load_inventory(path / "visemes.tsv")
-        if (path / "lexicon.tsv").exists():
-            lexicon = load_lexicon(path / "lexicon.tsv", inv)
+    for name in ("visemes.tsv", "lexicon.tsv"):
+        if not (path / name).exists():
+            raise ManifestError(f"no {name} under {path}")
+    inv = load_inventory(path / "visemes.tsv")
+    lexicon = load_lexicon(path / "lexicon.tsv", inv)
 
     blob_size = (path / "features.bin").stat().st_size
     blob = open(path / "features.bin", "rb")
@@ -357,10 +354,6 @@ def read_manifest(path):
             if len(durations) != len(phonemes) or sum(durations) != T \
                     or min(durations, default=0) < 0:
                 raise ManifestError(f"inconsistent durations for record {uid}")
-            if inv is None:
-                raise ManifestError(
-                    "manifest lacks visemes.tsv; cannot rebuild viseme labels"
-                )
             utterances.append(Utterance(
                 id=uid,
                 features=feats,

@@ -1,11 +1,14 @@
 """Deterministic training loop: two-phase length curriculum, decoupled
 weight-decay adaptive-moment optimizer, cosine schedule with warmup,
-ablation switches, and per-activation evaluation with timing."""
+ablation switches, and per-activation evaluation with timing. A training
+state is the weights, the optimizer moments, the rng and the step count;
+the step count alone places a resumed state in the caller's schedule."""
 from __future__ import annotations
 
 import json
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +23,7 @@ from .losses import (
     total_loss,
 )
 from .metrics import cer, report_record
-from .model import CHAR_OFFSET, EOS_ID, SOS_ID, Model, ModelConfig, \
-    check_config_keys
+from .model import CHAR_OFFSET, EOS_ID, SOS_ID, Model, ModelConfig
 from .synth import filter_by_length, time_mask
 
 __all__ = [
@@ -90,11 +92,11 @@ def lr_schedule(step, total_steps, peak, warmup):
 
 @dataclass
 class TrainState:
+    """Weights, step count, AdamW moments and rng; the schedule is the
+    caller's ``TrainConfig``, and ``step`` is the position in it."""
+
     model: Model
-    cfg: TrainConfig
     step: int = 0
-    phase_idx: int = 0
-    epoch_idx: int = 0
     opt_m: dict = field(default_factory=dict)
     opt_v: dict = field(default_factory=dict)
     rng: np.random.Generator = None
@@ -104,28 +106,23 @@ class TrainState:
         model = Model(model_cfg, seed=cfg.seed,
                       with_branches=not cfg.disable_branches)
         rng = np.random.default_rng([cfg.seed, _TRAIN_STREAM])
-        return cls(model=model, cfg=cfg, rng=rng)
+        return cls(model=model, rng=rng)
 
     def save(self, path):
         """Write the model checkpoint (see ``Model.save``) plus this state's
-        own sections: ``__train__`` (JSON of the step, phase, epoch, rng
-        state and train config) and the ``m::<name>`` and ``v::<name>``
-        moment arrays. ``Model.load`` reads the same file as a model."""
-        train_meta = {
-            "step": self.step,
-            "phase_idx": self.phase_idx,
-            "epoch_idx": self.epoch_idx,
-            "rng_state": self.rng.bit_generator.state,
-            "train_cfg": {**self.cfg.__dict__, "loss": self.cfg.loss.__dict__},
-        }
+        own sections: ``__train__`` (JSON of the step and the rng state)
+        and the ``m::<name>`` and ``v::<name>`` moment arrays.
+        ``Model.load`` reads the same file as a model."""
+        train_meta = {"step": self.step,
+                      "rng_state": self.rng.bit_generator.state}
         self.model.save(path, __train__=np.array(json.dumps(train_meta)),
                         **{f"m::{k}": v for k, v in self.opt_m.items()},
                         **{f"v::{k}": v for k, v in self.opt_v.items()})
 
     @classmethod
     def load(cls, path):
-        """Model from ``Model.load``; step, rng, train config and moments
-        from the ``__train__``, ``m::`` and ``v::`` sections."""
+        """Model from ``Model.load``; step, rng and moments from the
+        ``__train__``, ``m::`` and ``v::`` sections."""
         model = Model.load(path)
         with np.load(path, allow_pickle=False) as z:
             if "__train__" not in z.files:
@@ -134,15 +131,9 @@ class TrainState:
             meta = json.loads(str(z["__train__"]))
             m = {k[3:]: z[k] for k in z.files if k.startswith("m::")}
             v = {k[3:]: z[k] for k in z.files if k.startswith("v::")}
-        values = meta["train_cfg"]
-        check_config_keys(TrainConfig, values, TrainingError, path)
-        check_config_keys(LossConfig, values["loss"], TrainingError, path)
-        cfg = TrainConfig(**{**values, "loss": LossConfig(**values["loss"])})
         rng = np.random.default_rng(0)
         rng.bit_generator.state = meta["rng_state"]
-        return cls(model=model, cfg=cfg, step=meta["step"],
-                   phase_idx=meta["phase_idx"], epoch_idx=meta["epoch_idx"],
-                   opt_m=m, opt_v=v, rng=rng)
+        return cls(model=model, step=meta["step"], opt_m=m, opt_v=v, rng=rng)
 
 
 def _char_tokens(utt):
@@ -179,10 +170,10 @@ def _decoder_batch(utts, max_decode_len):
     return dec_in, target
 
 
-def _batch_losses(state: TrainState, utts, inv, augment_rng=None):
+def _batch_losses(cfg: TrainConfig, state: TrainState, utts, inv,
+                  augment_rng=None):
     """One batch's loss components as ``total_loss`` returns them; an
     ``augment_rng`` time-masks the features, None leaves them intact."""
-    cfg = state.cfg
     model = state.model
     feats, lengths = _pad_batch(utts, augment_rng)
     dec_in, target = _decoder_batch(utts, model.cfg.max_decode_len)
@@ -244,19 +235,22 @@ def _adamw_step(state: TrainState, lr):
 
 
 def train(cfg: TrainConfig, corpus, inv: LinguisticInventory,
-          model_cfg: ModelConfig, log_path=None, checkpoint_dir=None,
-          resume=None, log_fn=None):
+          model_cfg: ModelConfig, checkpoint_dir=None, resume=None,
+          log_fn=None):
     """Run the two-phase curriculum and return the final TrainState.
 
     Phase 1 sees only utterances of at most ``phase1_max_frames`` frames;
-    phase 2 sees the full corpus with time-mask augmentation. Every step
-    stops on a non-finite loss component, then logs all loss components,
-    the global gradient norm and the clip scale applied to it.
+    phase 2 sees the full corpus with time-mask augmentation. The schedule
+    is one list of epochs, phase 1's then phase 2's; a state resumed from
+    ``resume`` skips the leading epochs whose steps add up to its step
+    count. Every step stops on a non-finite loss component, then hands
+    ``log_fn`` a record of all loss components, the global gradient norm
+    and the clip scale applied to it.
     """
     if not corpus:
         raise TrainingError("corpus is empty")
     if resume is not None:
-        # parameters, moments, rng and position come from the checkpoint;
+        # parameters, moments, rng and step come from the checkpoint;
         # the schedule being continued is the caller's
         state = TrainState.load(resume)
         saved = not state.model.with_branches
@@ -264,7 +258,6 @@ def train(cfg: TrainConfig, corpus, inv: LinguisticInventory,
             raise TrainingError(
                 f"{resume} was trained with disable_branches={saved}; cannot "
                 f"resume it with disable_branches={cfg.disable_branches}")
-        state.cfg = cfg
     else:
         state = TrainState.new(cfg, model_cfg)
     vocab = state.model.cfg.phoneme_vocab
@@ -273,68 +266,58 @@ def train(cfg: TrainConfig, corpus, inv: LinguisticInventory,
             f"model config phoneme_vocab = {vocab}, but the inventory has "
             f"{inv.num_phonemes} phonemes")
 
-    phase1 = filter_by_length(corpus, cfg.phase1_max_frames)
-    phases = [
-        (phase1, cfg.lr_phase1, cfg.epochs_phase1, False),
+    phases = (
+        (filter_by_length(corpus, cfg.phase1_max_frames), cfg.lr_phase1,
+         cfg.epochs_phase1, False),
         (list(corpus), cfg.lr_phase2, cfg.epochs_phase2, True),
-    ]
+    )
+    # (phase, epoch in phase, data, peak lr, epochs in phase, augment)
+    schedule = [(phase, epoch, *p)
+                for phase, p in enumerate(phases, 1) if p[0]
+                for epoch in range(p[2])]
+    steps_per_epoch = [(len(e[2]) + cfg.batch_size - 1) // cfg.batch_size
+                       for e in schedule]
+    ends = [0, *accumulate(steps_per_epoch)]
+    if state.step not in ends:
+        raise TrainingError(
+            f"{resume}: step {state.step} does not end an epoch of this "
+            f"schedule")
+    start = ends.index(state.step)
 
-    log_file = open(log_path, "a", encoding="utf-8") if log_path else None
-    try:
-        for phase_idx, (data, peak, epochs, augment) in enumerate(phases):
-            if phase_idx < state.phase_idx or not data or not epochs:
-                if phase_idx >= state.phase_idx:
-                    state.phase_idx = phase_idx + 1
-                    state.epoch_idx = 0
-                continue
-            steps_per_epoch = (len(data) + cfg.batch_size - 1) // cfg.batch_size
-            total_steps = steps_per_epoch * epochs
-            start_epoch = state.epoch_idx if phase_idx == state.phase_idx else 0
-            for epoch in range(start_epoch, epochs):
-                order = state.rng.permutation(len(data))
-                for lo in range(0, len(data), cfg.batch_size):
-                    utts = [data[i] for i in order[lo:lo + cfg.batch_size]]
-                    step_in_phase = epoch * steps_per_epoch + lo // cfg.batch_size
-                    lr = lr_schedule(step_in_phase, total_steps, peak,
-                                     cfg.warmup_steps)
-                    losses = _batch_losses(
-                        state, utts, inv,
-                        augment_rng=state.rng if augment else None)
-                    values = {k: float(t.data) for k, t in losses.items()}
-                    for name, v in values.items():
-                        if not np.isfinite(v):
-                            raise TrainingError(f"non-finite loss component "
-                                                f"{name!r} at step {state.step}")
-                    backward(losses["total"])
-                    grad_norm, clip_scale = _adamw_step(state, lr)
-                    record = {
-                        "step": state.step,
-                        "phase": phase_idx + 1,
-                        "lr": lr,
-                        **values,
-                        "grad_norm": grad_norm,
-                        "clip_scale": clip_scale,
-                    }
-                    if log_file:
-                        log_file.write(json.dumps(record) + "\n")
-                    if log_fn:
-                        log_fn(record)
-                    state.step += 1
-                state.epoch_idx = epoch + 1
-                if checkpoint_dir:
-                    ckdir = Path(checkpoint_dir)
-                    ckdir.mkdir(parents=True, exist_ok=True)
-                    state.save(ckdir / f"epoch_p{phase_idx + 1}e{epoch + 1}.npz")
-            state.phase_idx = phase_idx + 1
-            state.epoch_idx = 0
-    finally:
-        if log_file:
-            log_file.close()
+    for (phase, epoch, data, peak, epochs, augment), per_epoch in zip(
+            schedule[start:], steps_per_epoch[start:]):
+        order = state.rng.permutation(len(data))
+        for lo in range(0, len(data), cfg.batch_size):
+            utts = [data[i] for i in order[lo:lo + cfg.batch_size]]
+            lr = lr_schedule(epoch * per_epoch + lo // cfg.batch_size,
+                             per_epoch * epochs, peak, cfg.warmup_steps)
+            losses = _batch_losses(cfg, state, utts, inv,
+                                   augment_rng=state.rng if augment else None)
+            values = {k: float(t.data) for k, t in losses.items()}
+            for name, v in values.items():
+                if not np.isfinite(v):
+                    raise TrainingError(f"non-finite loss component "
+                                        f"{name!r} at step {state.step}")
+            backward(losses["total"])
+            grad_norm, clip_scale = _adamw_step(state, lr)
+            if log_fn:
+                log_fn({
+                    "step": state.step,
+                    "phase": phase,
+                    "lr": lr,
+                    **values,
+                    "grad_norm": grad_norm,
+                    "clip_scale": clip_scale,
+                })
+            state.step += 1
+        if checkpoint_dir:
+            ckdir = Path(checkpoint_dir)
+            ckdir.mkdir(parents=True, exist_ok=True)
+            state.save(ckdir / f"epoch_p{phase}e{epoch + 1}.npz")
     return state
 
 
-def evaluate(model: Model, corpus, activations, lexicon=None,
-             decode="ctc_greedy", beam_width=8):
+def evaluate(model: Model, corpus, activations, lexicon, decode, beam_width):
     """Per-activation decoding of a corpus.
 
     ``activations`` are ``ActivationConfig`` objects. Returns one result
@@ -384,8 +367,7 @@ def evaluate(model: Model, corpus, activations, lexicon=None,
 def _readable(token_ids, lexicon):
     out = []
     for t in token_ids:
-        if lexicon is not None and t >= CHAR_OFFSET and \
-                t - CHAR_OFFSET < len(lexicon):
+        if CHAR_OFFSET <= t < CHAR_OFFSET + len(lexicon):
             out.append(lexicon.entries[t - CHAR_OFFSET].character)
         else:
             out.append(f"<{t}>")

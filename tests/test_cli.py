@@ -1,14 +1,18 @@
 import configparser
+import contextlib
 import dataclasses
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vsrkit.cli import _CONFIG_SECTIONS, _TYPES_BY_NAME, _effective_ini, \
-    _section_values, main
+from vsrkit.cli import _CONFIG_SECTIONS, _EVAL_KEYS, _TYPES_BY_NAME, \
+    _effective_ini, _section_values, main
 from vsrkit.linguistics import Lexicon, LexiconEntry, default_inventory, \
     load_inventory, save_inventory
 from vsrkit.synth import SynthConfig, generate_corpus, make_lexicon, \
@@ -119,6 +123,28 @@ def test_train_resume_flag(tmp_path, cfg_file):
                "--data", str(data), "--resume", str(ck)) == 0
 
 
+def test_resumed_metrics_continue_the_uninterrupted_file(tmp_path, cfg_file):
+    data = _manifest(tmp_path, cfg_file)
+    short = tmp_path / "short.ini"
+    short.write_text(CFG_TEXT.replace("epochs_phase2 = 1", "epochs_phase2 = 0"),
+                     encoding="utf-8")
+    full, first, rest = (tmp_path / name for name in ("full", "first", "rest"))
+    assert run("--config", cfg_file, "--out", str(full), "--quiet", "train",
+               "--data", str(data)) == 0
+    assert run("--config", str(short), "--out", str(first), "--quiet",
+               "train", "--data", str(data)) == 0
+    ck = first / "checkpoints" / "epoch_p1e1.npz"
+    assert run("--config", cfg_file, "--out", str(rest), "--quiet", "train",
+               "--data", str(data), "--resume", str(ck)) == 0
+    whole = (full / "metrics.jsonl").read_bytes()
+    assert (first / "metrics.jsonl").read_bytes() + \
+        (rest / "metrics.jsonl").read_bytes() == whole
+    # without --resume the run starts the file afresh
+    assert run("--config", cfg_file, "--out", str(rest), "--quiet", "train",
+               "--data", str(data)) == 0
+    assert (rest / "metrics.jsonl").read_bytes() == whole
+
+
 def test_eval_reports_and_timings(tmp_path, cfg_file):
     data = tmp_path / "data"
     run("--config", cfg_file, "--out", str(data), "--quiet", "gen")
@@ -175,14 +201,14 @@ def _edited_state(tmp_path, cfg_file, edit):
     return data, ck
 
 
-def _add_unknown_train_cfg_key(arrays):
+def _add_unknown_train_key(arrays):
     meta = json.loads(str(arrays["__train__"]))
-    meta["train_cfg"]["no_such_field"] = 1
+    meta["no_such_field"] = 1
     arrays["__train__"] = np.array(json.dumps(meta))
 
 
 def test_eval_reads_only_the_model_of_a_training_state(tmp_path, cfg_file):
-    data, ck = _edited_state(tmp_path, cfg_file, _add_unknown_train_cfg_key)
+    data, ck = _edited_state(tmp_path, cfg_file, _add_unknown_train_key)
     assert run("--out", str(tmp_path / "eval"), "--quiet", "eval",
                "--checkpoint", str(ck), "--data", str(data),
                "--activate", "f") == 0
@@ -432,7 +458,7 @@ def test_train_takes_phoneme_vocab_from_the_manifest_inventory(tmp_path,
 
 _VALUES = {
     int: st.integers(-10**9, 10**9),
-    float: st.floats(allow_nan=False),
+    float: st.floats(allow_nan=False, allow_infinity=False),
     bool: st.booleans(),
     tuple: st.tuples(st.integers(1, 99), st.integers(1, 99)),
 }
@@ -483,3 +509,63 @@ def test_manifest_from_gen_is_rewritten_byte_for_byte(tmp_path_factory,
     for name in ("index.tsv", "features.bin", "visemes.tsv", "lexicon.tsv"):
         assert (root / "again" / name).read_bytes() == \
             (root / "gen" / name).read_bytes(), name
+
+
+_WORDS = st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=6)
+
+# values a key of each type rejects: a wrong type, a wrong arity for the
+# two-integer ranges, and a non-finite float
+_WRONG_VALUES = {
+    int: _WORDS | st.floats(allow_nan=False, allow_infinity=False).filter(
+        lambda x: not x.is_integer()).map(repr),
+    float: _WORDS | st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity"]),
+    bool: _WORDS.filter(
+        lambda w: w not in configparser.ConfigParser.BOOLEAN_STATES),
+    tuple: st.lists(st.integers(1, 99), min_size=1, max_size=4).filter(
+        lambda xs: len(xs) != 2).map(lambda xs: ",".join(map(str, xs)))
+    | st.tuples(_WORDS, _WORDS).map(",".join),
+}
+
+_TYPED_KEYS = [
+    (section, f.name, _TYPES_BY_NAME[f.type])
+    for section, cls in sorted(_CONFIG_SECTIONS.items())
+    for f in dataclasses.fields(cls) if f.type in _TYPES_BY_NAME
+] + [("eval", key, t) for key, t in _EVAL_KEYS.items() if t is not str]
+
+_COMMAND = {"synth": "gen", "eval": "eval"}  # the others are train's
+
+
+@pytest.fixture(scope="module")
+def module_manifest(tmp_path_factory):
+    root = tmp_path_factory.mktemp("wrong_values")
+    cfg = root / "cfg.ini"
+    cfg.write_text(CFG_TEXT, encoding="utf-8")
+    assert run("--config", str(cfg), "--out", str(root / "data"), "--quiet",
+               "gen") == 0
+    return root / "data"
+
+
+@pytest.mark.parametrize("section, key, py_type", _TYPED_KEYS,
+                         ids=[f"{s}-{k}" for s, k, _ in _TYPED_KEYS])
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_a_wrong_value_for_any_key_exits_one_naming_it(module_manifest,
+                                                       section, key, py_type,
+                                                       data):
+    value = data.draw(_WRONG_VALUES[py_type])
+    command = _COMMAND.get(section, "train")
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stderr(err):
+        cfg, out = Path(tmp) / "wrong.ini", Path(tmp) / "out"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+        inputs = {"gen": [],
+                  "eval": ["--checkpoint", str(Path(tmp) / "none.npz"),
+                           "--data", str(module_manifest)],
+                  "train": ["--data", str(module_manifest)]}[command]
+        code = run("--config", str(cfg), "--out", str(out), "--quiet",
+                   command, *inputs)
+        wrote = out.exists()
+    assert code == 1, err.getvalue()
+    assert f"[{section}]" in err.getvalue() and key in err.getvalue()
+    assert not wrote

@@ -110,7 +110,7 @@ def test_fuse_zero_masks_silences_branches(model):
     P = Tensor(rng.normal(size=(2, 4, CFG.model_dim)))
     V = Tensor(rng.normal(size=(2, 4, CFG.model_dim)))
     zero = np.zeros((2, 1, 1))
-    fused = model.fuse(F, P, V, (zero, zero), training=True)
+    fused = model.fuse(F, P, V, (zero, zero))
     only_f = model.fuse(F, None, None)
     assert np.allclose(fused.data, only_f.data)
 
@@ -123,7 +123,7 @@ def test_fuse_no_drop_is_plain_sum(model):
     P = Tensor(rng.normal(size=(1, 3, cfg0.model_dim)))
     V = Tensor(rng.normal(size=(1, 3, cfg0.model_dim)))
     ones = np.ones((1, 1, 1))
-    fused = m.fuse(F, P, V, (ones, ones), training=True)
+    fused = m.fuse(F, P, V, (ones, ones))
     want = ad.silu(Tensor(F.data + P.data + V.data))
     assert np.allclose(fused.data, want.data)
 
@@ -140,7 +140,7 @@ def test_droppath_sum_is_unbiased_monte_carlo():
     for _ in range(n):
         mp = (rng.random((1, 1, 1)) < keep).astype(float)
         mv = (rng.random((1, 1, 1)) < keep).astype(float)
-        acc += droppath_sum(F, P, V, mp, mv, p_drop, training=True).data
+        acc += droppath_sum(F, P, V, mp, mv, p_drop).data
     mean = acc / n
     want = F.data + P.data + V.data
     # three standard errors of the Monte Carlo estimate per coordinate
@@ -237,7 +237,7 @@ def test_padded_rows_of_block_outputs_are_zero(model):
     out = model.forward_train(feats, lengths, dec_in, np.random.default_rng(0))
     valid = np.arange(7)[None, :] < np.asarray(lengths)[:, None]
     F_mem, _, _ = model.char_forward(
-        model.fuse(out.F, out.P, out.V, out.drop_masks, training=True), valid)
+        model.fuse(out.F, out.P, out.V, out.drop_masks), valid)
     blocks = {name: getattr(out, name) for name in (
         "F", "P", "V", "phoneme_logits", "viseme_logits", "char_ctc_logits")}
     for name, block in {**blocks, "F_mem": F_mem}.items():
@@ -261,12 +261,14 @@ def test_unpadded_forward_records_no_layout_nodes(model):
 def test_infer_f_only_ignores_branch_parameters(model):
     rng = np.random.default_rng(9)
     feats = rng.normal(size=(5, CFG.input_dim))
-    base = model.forward_infer(feats, ActivationConfig(False, False))
+    base = model.forward_infer(feats, ActivationConfig(False, False),
+                               "ctc_greedy", 8)
     for k, p in model.params.items():
         if k.startswith(("phoneme/", "viseme/", "heads/phoneme",
                          "heads/viseme")):
             p.data = p.data + rng.normal(size=p.data.shape)
-    again = model.forward_infer(feats, ActivationConfig(False, False))
+    again = model.forward_infer(feats, ActivationConfig(False, False),
+                                "ctc_greedy", 8)
     assert base.tokens == again.tokens
     assert base.score == again.score
 
@@ -278,17 +280,18 @@ def test_infer_full_matches_training_path_with_unit_masks(model):
     P, _ = model.branch_forward(F, "phoneme")
     V, _ = model.branch_forward(F, "viseme")
     ones = np.ones((1, 1, 1))
-    # inference fusion: unit masks, no rescale
+    # inference fusion: no masks, the plain sum
     infer_fused = model.fuse(F, P, V)
     train_like = model.fuse(F, P, V, (ones * (1 - CFG.p_drop), ones *
-                                      (1 - CFG.p_drop)), training=True)
+                                      (1 - CFG.p_drop)))
     assert np.allclose(infer_fused.data, train_like.data)
 
 
 def test_infer_emits_branch_frames_per_activation(model):
     rng = np.random.default_rng(11)
     feats = rng.normal(size=(5, CFG.input_dim))
-    hyps = [model.forward_infer(feats, act) for act in ALL_ACTIVATIONS]
+    hyps = [model.forward_infer(feats, act, "ctc_greedy", 8)
+            for act in ALL_ACTIVATIONS]
     assert len(hyps) == 4
     assert set(hyps[0].branch_frames) == set()
     assert set(hyps[1].branch_frames) == {"phoneme"}
@@ -300,9 +303,10 @@ def test_infer_emits_branch_frames_per_activation(model):
 def test_branchless_model_rejects_branch_activation():
     m = Model(CFG, seed=0, with_branches=False)
     feats = np.zeros((4, CFG.input_dim))
-    m.forward_infer(feats, ActivationConfig(False, False))
+    m.forward_infer(feats, ActivationConfig(False, False), "ctc_greedy", 8)
     with pytest.raises(CheckpointError):
-        m.forward_infer(feats, ActivationConfig(True, False))
+        m.forward_infer(feats, ActivationConfig(True, False), "ctc_greedy",
+                        8)
 
 
 # ----------------------------------------------------------------------
@@ -414,4 +418,4 @@ def test_branchless_checkpoint_keeps_branch_absence(tmp_path):
     assert not again.with_branches
     with pytest.raises(CheckpointError):
         again.forward_infer(np.zeros((3, CFG.input_dim)),
-                            ActivationConfig(True, True))
+                            ActivationConfig(True, True), "ctc_greedy", 8)

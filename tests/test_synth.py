@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -153,16 +155,30 @@ def test_manifest_roundtrip_keeps_the_split_of_equal_phonemes(tmp_path):
                   labels=LabelTriple(chars=(0,), phonemes=phonemes,
                                      visemes=INV.map_phonemes(phonemes)),
                   durations=(2, 4, 3))
-    write_manifest(tmp_path / "m", [u], INV)
+    write_manifest(tmp_path / "m", [u], INV, make_lexicon(INV, 10, seed=0))
     back, _, _ = read_manifest(tmp_path / "m")
     assert back[0].durations == (2, 4, 3)
     assert back == [u]
 
 
 def test_manifest_empty_corpus(tmp_path):
-    write_manifest(tmp_path / "m", [], INV, None)
-    back, _, _ = read_manifest(tmp_path / "m")
-    assert back == []
+    lex = make_lexicon(INV, 10, seed=0)
+    write_manifest(tmp_path / "m", [], INV, lex)
+    back, inv, lex2 = read_manifest(tmp_path / "m")
+    assert back == [] and inv.phonemes == INV.phonemes
+    assert lex2.entries == lex.entries
+
+
+@pytest.mark.parametrize("missing", ["visemes.tsv", "lexicon.tsv"])
+@pytest.mark.parametrize("size", [0, 2])
+def test_manifest_names_a_missing_inventory_or_lexicon(tmp_path, small_corpus,
+                                                       missing, size):
+    _, lex, corpus = small_corpus
+    write_manifest(tmp_path / "m", corpus[:size], INV, lex)
+    (tmp_path / "m" / missing).unlink()
+    with pytest.raises(ManifestError, match=re.escape(
+            f"no {missing} under {tmp_path / 'm'}")):
+        read_manifest(tmp_path / "m")
 
 
 def test_manifest_rejects_bad_version(tmp_path, small_corpus):
