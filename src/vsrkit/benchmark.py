@@ -73,8 +73,7 @@ def benchmark_train_config(seed, variant="full"):
         lr_phase2=1e-4,
         warmup_steps=8,
         seed=seed,
-        loss=LossConfig(),
-        disable_align=variant != "full",
+        loss=LossConfig() if variant == "full" else LossConfig(lambda1=0.0),
         disable_branches=variant == "no_branches",
     )
 

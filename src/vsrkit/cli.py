@@ -2,7 +2,9 @@
 
 Configuration is an INI-style file with [synth], [model], [loss], [train]
 and [eval] sections; command-line flags override file values and the
-effective configuration is echoed so any run can be reproduced from it.
+effective configuration is echoed so any run can be reproduced from it;
+values are literal (no ``%`` interpolation). ``eval`` echoes one line per
+activation; ``training.evaluate`` writes its report.
 Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .linguistics import (
     text_to_labels,
 )
 from .losses import LossConfig
-from .metrics import write_eval_report
 from .model import ALL_ACTIVATIONS, CHAR_OFFSET, DECODE_MODES, \
     ActivationConfig, Model, ModelConfig
 from .synth import SynthConfig, generate_corpus, make_lexicon, read_manifest, \
@@ -104,7 +105,7 @@ def _config(section, cls, **values):
 
 
 def _load_config(path):
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     if path:
         if not Path(path).exists():
             raise UsageError(f"config file not found: {path}")
@@ -138,10 +139,9 @@ def _echo(args, text):
 
 def _write_effective(args, sections):
     text = _effective_ini(sections)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "effective_config.ini").write_text(text, encoding="utf-8")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "effective_config.ini").write_text(text, encoding="utf-8")
     _echo(args, text)
     return text
 
@@ -215,7 +215,7 @@ def cmd_train(args):
     if args.seed is not None:
         train_kw["seed"] = args.seed
     if args.disable_align:
-        train_kw["disable_align"] = True
+        loss_kw["lambda1"] = 0.0
     if args.disable_branches:
         train_kw["disable_branches"] = True
     tcfg = _config("train", TrainConfig,
@@ -223,7 +223,6 @@ def cmd_train(args):
     mcfg = _model_config_from_data(cp, corpus, inv, lexicon)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_effective(args, {
         "train": _dc_dict(tcfg),
         "loss": _dc_dict(tcfg.loss),
@@ -271,26 +270,15 @@ def cmd_eval(args):
     corpus, inv, lexicon = read_manifest(args.data)
     model = Model.load(args.checkpoint)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_effective(args, {"eval": {**eval_kw,
                                      "activations": ";".join(names)}})
-
-    results = evaluate(model, corpus, activations, lexicon=lexicon,
-                       decode=decode, beam_width=beam_width)
-    records = [r for res in results for r in res["records"]]
-    summaries = [res["summary"] for res in results]
-    write_eval_report(out / "report.jsonl", records,
-                      {"configs": summaries})
-    timings = {res["summary"]["activation"]: res["wall_clock_s"]
-               for res in results}
-    (out / "timings.json").write_text(json.dumps(timings, indent=2),
-                                      encoding="utf-8")
+    summaries, seconds = evaluate(model, corpus, activations, lexicon, decode,
+                                  beam_width, args.out)
     for s in summaries:
         _echo(args, f"{s['activation']:>6}: corpus CER {s['corpus_cer']:.4f} "
                     f"median {s['median_cer']:.4f} "
                     f"params {s['active_params']} "
-                    f"wall {timings[s['activation']]:.3f}s")
+                    f"wall {seconds[s['activation']]:.3f}s")
     return 0
 
 

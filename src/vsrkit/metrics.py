@@ -1,11 +1,11 @@
 """Character error rate with explicit substitution/deletion/insertion
-counts, plus the line-delimited evaluation report format."""
+counts. The eval report built from these counts is written by
+``training.evaluate``."""
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
-__all__ = ["CerReport", "cer", "write_eval_report"]
+__all__ = ["CerReport", "cer"]
 
 
 @dataclass(frozen=True)
@@ -67,27 +67,3 @@ def cer(reference, hypothesis) -> CerReport:
         ref_len=n,
         cer=(subs + dels + inss) / n,
     )
-
-
-def write_eval_report(path, records, summary):
-    """One JSON record per utterance followed by a summary record."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps({"kind": "utterance", **rec}, ensure_ascii=False))
-            fh.write("\n")
-        fh.write(json.dumps({"kind": "summary", **summary}, ensure_ascii=False))
-        fh.write("\n")
-
-
-def report_record(utt_id, activation, reference, hypothesis, report: CerReport,
-                  branch_frames=None):
-    rec = {
-        "id": utt_id,
-        "activation": activation,
-        "reference": list(reference),
-        "hypothesis": list(hypothesis),
-        **asdict(report),
-    }
-    if branch_frames:
-        rec["branch_frames"] = branch_frames
-    return rec

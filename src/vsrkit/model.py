@@ -42,6 +42,7 @@ __all__ = [
     "ForwardOutputs",
     "Model",
     "CheckpointError",
+    "check_arrays",
     "DECODE_MODES",
     "BLANK_ID",
     "SOS_ID",
@@ -413,14 +414,18 @@ class Model:
 
     def forward_infer(self, features, act: ActivationConfig, decode,
                       beam_width) -> Hypothesis:
-        """Inference with on-demand branch activation.
+        """Inference on one utterance, a T x ``input_dim`` array, with
+        on-demand branch activation.
 
         Only the branches enabled by ``act`` execute; their framewise argmax
         classes ride along on the hypothesis for interpretability.
         """
         features = as_tensor(features)
-        if features.data.ndim == 2:
-            features = Tensor(features.data[None])
+        if features.data.shape[1:] != (self.cfg.input_dim,):
+            raise ValueError(
+                f"forward_infer takes one T x {self.cfg.input_dim} "
+                f"utterance, got shape {features.data.shape}")
+        features = Tensor(features.data[None])
         if (act.use_phoneme or act.use_viseme) and not self.with_branches:
             raise CheckpointError(
                 f"activation {act.name!r} requests a branch absent from "
@@ -496,16 +501,24 @@ class Model:
                 f"{path}: {kind} ModelConfig key {bad[0]!r}")
         model = cls(ModelConfig(**values), with_branches=any(
             k.startswith("phoneme/") for k in loaded))
-        for name, p in model.params.items():
-            if name not in loaded:
-                raise CheckpointError(f"{path} lacks parameter {name}")
-            if loaded[name].shape != p.data.shape:
-                raise CheckpointError(
-                    f"parameter {name} in {path} has shape "
-                    f"{loaded[name].shape}, expected {p.data.shape}")
-        for name in loaded:
-            if name not in model.params:
-                raise CheckpointError(
-                    f"{path} holds unexpected parameter {name}")
+        check_arrays(path, "parameter", loaded,
+                     {k: p.data for k, p in model.params.items()},
+                     CheckpointError)
+        for name in model.params:
             model.params[name] = Tensor(loaded[name])
         return model
+
+
+def check_arrays(path, what, loaded, expected, error):
+    """Raise ``error`` naming ``path`` and the first ``what`` array of
+    ``expected`` (name -> array) that ``loaded`` lacks or holds in another
+    shape, else the first ``loaded`` name that ``expected`` lacks."""
+    for name in [*expected, *loaded]:
+        if name not in loaded:
+            raise error(f"{path} lacks {what} {name}")
+        if name not in expected:
+            raise error(f"{path} holds unexpected {what} {name}")
+        if loaded[name].shape != expected[name].shape:
+            raise error(f"{what} {name} in {path} has shape "
+                        f"{loaded[name].shape}, expected "
+                        f"{expected[name].shape}")

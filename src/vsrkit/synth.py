@@ -309,7 +309,8 @@ def write_manifest(path, utterances, inv, lexicon):
 
 def read_manifest(path):
     """Load a corpus written by ``write_manifest``; returns (utterances,
-    inventory, lexicon)."""
+    inventory, lexicon). An id outside its lexicon or its inventory's
+    non-blank phonemes is a ``ManifestError`` naming the record."""
     path = Path(path)
     index = path / "index.tsv"
     if not index.exists():
@@ -350,6 +351,13 @@ def read_manifest(path):
             feats = np.frombuffer(raw, dtype="<f8").reshape(T, C).copy()
             chars = _parse_ints(chars_s)
             phonemes = _parse_ints(ph_s)
+            for kind, ids, lo, hi in (
+                    ("character", chars, 0, len(lexicon)),
+                    ("phoneme", phonemes, 1, inv.num_phonemes)):
+                bad = [i for i in ids if not lo <= i < hi]
+                if bad:
+                    raise ManifestError(f"record {uid}: {kind} id {bad[0]} "
+                                        f"outside [{lo}, {hi})")
             durations = _parse_ints(dur_s)
             if len(durations) != len(phonemes) or sum(durations) != T \
                     or min(durations, default=0) < 0:

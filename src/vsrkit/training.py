@@ -1,13 +1,14 @@
 """Deterministic training loop: two-phase length curriculum, decoupled
-weight-decay adaptive-moment optimizer, cosine schedule with warmup,
-ablation switches, and per-activation evaluation with timing. A training
-state is the weights, the optimizer moments, the rng and the step count;
+weight-decay adaptive-moment optimizer, cosine schedule with warmup, the
+branch ablation switch (``lambda1 = 0`` drops the alignment loss), and
+``evaluate``, the one writer of the eval report. A training state is the
+weights, both moments of every parameter, the rng and the step count;
 the step count alone places a resumed state in the caller's schedule."""
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import accumulate
 from pathlib import Path
 
@@ -22,8 +23,9 @@ from .losses import (
     ctc_loss,
     total_loss,
 )
-from .metrics import cer, report_record
-from .model import CHAR_OFFSET, EOS_ID, SOS_ID, Model, ModelConfig
+from .metrics import cer
+from .model import CHAR_OFFSET, EOS_ID, SOS_ID, Model, ModelConfig, \
+    check_arrays
 from .synth import filter_by_length, time_mask
 
 __all__ = [
@@ -62,7 +64,6 @@ class TrainConfig:
     warmup_steps: int = 8
     seed: int = 0
     loss: LossConfig = field(default_factory=LossConfig)
-    disable_align: bool = False
     disable_branches: bool = False
 
     def __post_init__(self):
@@ -92,21 +93,23 @@ def lr_schedule(step, total_steps, peak, warmup):
 
 @dataclass
 class TrainState:
-    """Weights, step count, AdamW moments and rng; the schedule is the
-    caller's ``TrainConfig``, and ``step`` is the position in it."""
+    """Weights, AdamW moments (one per parameter), rng and step; the
+    schedule is the caller's ``TrainConfig`` and ``step`` its position."""
 
     model: Model
+    opt_m: dict
+    opt_v: dict
+    rng: np.random.Generator
     step: int = 0
-    opt_m: dict = field(default_factory=dict)
-    opt_v: dict = field(default_factory=dict)
-    rng: np.random.Generator = None
 
     @classmethod
     def new(cls, cfg: TrainConfig, model_cfg: ModelConfig):
         model = Model(model_cfg, seed=cfg.seed,
                       with_branches=not cfg.disable_branches)
         rng = np.random.default_rng([cfg.seed, _TRAIN_STREAM])
-        return cls(model=model, rng=rng)
+        m, v = ({k: np.zeros_like(p.data) for k, p in model.params.items()}
+                for _ in range(2))
+        return cls(model=model, opt_m=m, opt_v=v, rng=rng)
 
     def save(self, path):
         """Write the model checkpoint (see ``Model.save``) plus this state's
@@ -121,19 +124,23 @@ class TrainState:
 
     @classmethod
     def load(cls, path):
-        """Model from ``Model.load``; step, rng and moments from the
-        ``__train__``, ``m::`` and ``v::`` sections."""
+        """Model from ``Model.load``; step, rng and each parameter's two
+        moments from the ``__train__``, ``m::`` and ``v::`` sections."""
         model = Model.load(path)
         with np.load(path, allow_pickle=False) as z:
             if "__train__" not in z.files:
                 raise TrainingError(
                     f"{path} holds a model but no training state")
             meta = json.loads(str(z["__train__"]))
-            m = {k[3:]: z[k] for k in z.files if k.startswith("m::")}
-            v = {k[3:]: z[k] for k in z.files if k.startswith("v::")}
+            moments = {k: z[k] for k in z.files if k.startswith(("m::", "v::"))}
+        check_arrays(path, "moment", moments,
+                     {f"{kind}::{k}": p.data for kind in "mv"
+                      for k, p in model.params.items()}, TrainingError)
         rng = np.random.default_rng(0)
         rng.bit_generator.state = meta["rng_state"]
-        return cls(model=model, step=meta["step"], opt_m=m, opt_v=v, rng=rng)
+        m, v = ({k: moments[f"{kind}::{k}"] for k in model.params}
+                for kind in "mv")
+        return cls(model=model, opt_m=m, opt_v=v, rng=rng, step=meta["step"])
 
 
 def _char_tokens(utt):
@@ -190,7 +197,7 @@ def _batch_losses(cfg: TrainConfig, state: TrainState, utts, inv,
                                [u.labels.phonemes for u in utts], lengths)
         viseme_ctc = ctc_loss(out.viseme_logits,
                               [u.labels.visemes for u in utts], lengths)
-        if not cfg.disable_align:
+        if cfg.loss.lambda1 > 0:
             vis_cls = out.viseme_logits.data.argmax(axis=-1)
             pho_cls = out.phoneme_logits.data.argmax(axis=-1)
             align = align_loss(out.V, out.P, vis_cls, pho_cls, inv,
@@ -217,15 +224,10 @@ def _adamw_step(state: TrainState, lr):
     bc2 = 1.0 - _BETA2 ** t
     for name, p in state.model.params.items():
         g = grads[name] * scale
-        m = state.opt_m.get(name)
-        v = state.opt_v.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        m = _BETA1 * m + (1.0 - _BETA1) * g
-        v = _BETA2 * v + (1.0 - _BETA2) * g * g
-        state.opt_m[name] = m
-        state.opt_v[name] = v
+        m = state.opt_m[name] = _BETA1 * state.opt_m[name] + \
+            (1.0 - _BETA1) * g
+        v = state.opt_v[name] = _BETA2 * state.opt_v[name] + \
+            (1.0 - _BETA2) * g * g
         update = (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
         if p.data.ndim >= 2:  # decoupled decay on weight matrices only
             update = update + _WEIGHT_DECAY * p.data
@@ -317,51 +319,49 @@ def train(cfg: TrainConfig, corpus, inv: LinguisticInventory,
     return state
 
 
-def evaluate(model: Model, corpus, activations, lexicon, decode, beam_width):
-    """Per-activation decoding of a corpus.
-
-    ``activations`` are ``ActivationConfig`` objects. Returns one result
-    per activation config: utterance records, a summary (corpus and median
-    CER, active parameter count), and the wall-clock seconds the pass took.
-    """
-    results = []
+def evaluate(model: Model, corpus, activations, lexicon, decode, beam_width,
+             out):
+    """Decode ``corpus`` under each ``ActivationConfig`` and write the eval
+    report into the directory ``out``: ``report.jsonl`` holds a record per
+    utterance and activation, then a summary of each activation's summed
+    edit counts, corpus and median CER and active parameters;
+    ``timings.json`` holds each activation's wall-clock seconds. Returns
+    the summaries and those seconds."""
+    records, summaries, seconds = [], [], {}
     for act in activations:
         t0 = time.perf_counter()
-        records = []
-        cers = []
-        S = D = I = N = 0
+        reports = []
         for u in corpus:
             hyp = model.forward_infer(u.features, act, decode=decode,
                                       beam_width=beam_width)
             ref_ids = _char_tokens(u)
-            rep = cer(ref_ids, hyp.tokens)
-            cers.append(rep.cer)
-            S += rep.substitutions
-            D += rep.deletions
-            I += rep.insertions
-            N += rep.ref_len
-            records.append(report_record(
-                u.id, act.name,
-                _readable(ref_ids, lexicon),
-                _readable(hyp.tokens, lexicon),
-                rep,
-                branch_frames=hyp.branch_frames or None,
-            ))
-        wall = time.perf_counter() - t0
-        summary = {
+            reports.append(cer(ref_ids, hyp.tokens))
+            records.append({"kind": "utterance", "id": u.id,
+                            "activation": act.name,
+                            "reference": _readable(ref_ids, lexicon),
+                            "hypothesis": _readable(hyp.tokens, lexicon),
+                            **asdict(reports[-1])})
+            if hyp.branch_frames:
+                records[-1]["branch_frames"] = hyp.branch_frames
+        seconds[act.name] = time.perf_counter() - t0
+        counts = {k: sum(getattr(r, k) for r in reports) for k in
+                  ("substitutions", "deletions", "insertions", "ref_len")}
+        errors = sum(r.substitutions + r.deletions + r.insertions for r in reports)
+        summaries.append({
             "activation": act.name,
             "utterances": len(corpus),
-            "substitutions": S,
-            "deletions": D,
-            "insertions": I,
-            "ref_len": N,
-            "corpus_cer": (S + D + I) / N if N else 0.0,
-            "median_cer": float(np.median(cers)) if cers else 0.0,
+            **counts,
+            "corpus_cer": errors / counts["ref_len"] if corpus else 0.0,
+            "median_cer": float(np.median([r.cer for r in reports]))
+            if corpus else 0.0,
             "active_params": model.count_active_params(act),
-        }
-        results.append({"records": records, "summary": summary,
-                        "wall_clock_s": wall})
-    return results
+        })
+    with open(Path(out) / "report.jsonl", "w", encoding="utf-8") as fh:
+        for rec in [*records, {"kind": "summary", "configs": summaries}]:
+            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    (Path(out) / "timings.json").write_text(json.dumps(seconds, indent=2),
+                                            encoding="utf-8")
+    return summaries, seconds
 
 
 def _readable(token_ids, lexicon):

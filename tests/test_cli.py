@@ -101,14 +101,21 @@ def test_train_smoke_and_determinism(tmp_path, cfg_file):
 
 
 def test_train_disable_align_flag(tmp_path, cfg_file):
-    data = tmp_path / "data"
-    run("--config", cfg_file, "--out", str(data), "--quiet", "gen")
-    rd = tmp_path / "run"
-    assert run("--config", cfg_file, "--out", str(rd), "--quiet", "train",
+    # the flag is [loss] lambda1 = 0: same records, same effective config
+    data = _manifest(tmp_path, cfg_file)
+    zero = tmp_path / "zero.ini"
+    zero.write_text(f"{CFG_TEXT}\n[loss]\nlambda1 = 0\n", encoding="utf-8")
+    flag, conf = tmp_path / "flag", tmp_path / "conf"
+    assert run("--config", cfg_file, "--out", str(flag), "--quiet", "train",
                "--data", str(data), "--disable-align") == 0
-    first = json.loads((rd / "metrics.jsonl").read_text().splitlines()[0])
+    assert run("--config", str(zero), "--out", str(conf), "--quiet", "train",
+               "--data", str(data)) == 0
+    first = json.loads((flag / "metrics.jsonl").read_text().splitlines()[0])
     assert "align" not in first
     assert "phoneme_ctc" in first
+    for name in ("metrics.jsonl", "effective_config.ini"):
+        assert (flag / name).read_bytes() == (conf / name).read_bytes(), name
+    assert "lambda1 = 0.0" in (flag / "effective_config.ini").read_text()
 
 
 def test_train_resume_flag(tmp_path, cfg_file):
@@ -366,6 +373,16 @@ def test_train_setting_that_fails_validation_exits_one(tmp_path, cfg_file,
                "--data", str(data)) == 1
     assert f"[{section}]" in capsys.readouterr().err
     assert not (out / "effective_config.ini").exists()
+
+
+def test_a_percent_in_a_config_value_exits_one_naming_the_key(tmp_path,
+                                                             capsys):
+    cfg = tmp_path / "gen.ini"
+    cfg.write_text("[synth]\nnoise_std = 5%\n", encoding="utf-8")
+    out = tmp_path / "data"
+    assert run("--config", str(cfg), "--out", str(out), "--quiet", "gen") == 1
+    assert "[synth] noise_std = '5%'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_setting_that_fails_validation_exits_one(tmp_path, capsys):

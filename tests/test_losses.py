@@ -200,7 +200,7 @@ def test_batched_ctc_rejects_mismatched_batch_arguments():
 
 
 @pytest.mark.parametrize("suite", [
-    lambda: verify.ctc_suite(draws=1, max_T=3),
+    lambda: verify.ctc_suite(draws=1),
     lambda: verify.gradient_suite(instances=3, model_instances=0),
 ])
 def test_oracle_suites_surface_unexpected_ctc_errors(monkeypatch, suite):

@@ -1,9 +1,7 @@
-import json
-
 import numpy as np
 import pytest
 
-from vsrkit.metrics import cer, report_record, write_eval_report
+from vsrkit.metrics import cer
 from vsrkit.verify import edit_distance_reference
 
 REFERENCE = "国务院督察组将督促整改"
@@ -80,13 +78,3 @@ def test_counts_are_deterministic():
     reps = {cer("abcab", "bcaba") for _ in range(5)}
     assert len(reps) == 1
 
-
-def test_eval_report_roundtrip(tmp_path):
-    rep = cer("ab", "ab")
-    records = [report_record("utt0", "f", ["a", "b"], ["a", "b"], rep)]
-    summary = {"configs": [{"activation": "f", "corpus_cer": 0.0}]}
-    path = tmp_path / "report.jsonl"
-    write_eval_report(path, records, summary)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert [json.loads(line) for line in lines] == [
-        {"kind": "utterance", **records[0]}, {"kind": "summary", **summary}]

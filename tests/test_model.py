@@ -300,6 +300,15 @@ def test_infer_emits_branch_frames_per_activation(model):
     assert all(len(v) == 5 for h in hyps for v in h.branch_frames.values())
 
 
+@pytest.mark.parametrize("shape", [(2, 5, CFG.input_dim),
+                                   (5, CFG.input_dim + 1),
+                                   (CFG.input_dim,)])
+def test_infer_takes_exactly_one_utterance(model, shape):
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        model.forward_infer(np.zeros(shape), ActivationConfig(False, False),
+                            "ctc_greedy", 8)
+
+
 def test_branchless_model_rejects_branch_activation():
     m = Model(CFG, seed=0, with_branches=False)
     feats = np.zeros((4, CFG.input_dim))

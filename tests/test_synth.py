@@ -222,6 +222,30 @@ def test_manifest_rejects_a_negative_duration(tmp_path, small_corpus):
         read_manifest(tmp_path / "m")
 
 
+@pytest.mark.parametrize("column, value, message", [
+    (4, -1, "character id -1 outside [0, 30)"),
+    (4, 30, "character id 30 outside [0, 30)"),
+    (5, -1, "phoneme id -1 outside [1, 38)"),
+    (5, 0, "phoneme id 0 outside [1, 38)"),
+    (5, 38, "phoneme id 38 outside [1, 38)"),
+], ids=["char-negative", "char-past-lexicon", "phoneme-negative",
+        "phoneme-blank", "phoneme-past-inventory"])
+def test_manifest_names_the_record_of_an_out_of_range_label_id(
+        tmp_path, small_corpus, column, value, message):
+    _, lex, corpus = small_corpus
+    assert len(lex) == 30 and INV.num_phonemes == 38
+    write_manifest(tmp_path / "m", corpus[:2], INV, lex)
+    index = tmp_path / "m" / "index.tsv"
+    lines = index.read_text(encoding="utf-8").splitlines()
+    fields = lines[2].split("\t")
+    fields[column] = ",".join([str(value), *fields[column].split(",")[1:]])
+    lines[2] = "\t".join(fields)
+    index.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(ManifestError,
+                       match=re.escape(f"record {corpus[1].id}: {message}")):
+        read_manifest(tmp_path / "m")
+
+
 def test_manifest_requires_lexicon_coverage():
     lex = make_lexicon(INV, 10, seed=0)
     cfg = SynthConfig(seed=0, num_utterances=2, char_vocab_size=20)

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -41,7 +42,9 @@ def tiny_setup(seed=1, n=12, disable_align=False, disable_branches=False,
                        max_frames=40, head_hidden_mult=2)
     tcfg = TrainConfig(epochs_phase1=epochs[0], epochs_phase2=epochs[1],
                        phase1_max_frames=20, batch_size=4, seed=seed,
-                       warmup_steps=2, disable_align=disable_align,
+                       warmup_steps=2,
+                       loss=LossConfig(lambda1=0.0) if disable_align
+                       else LossConfig(),
                        disable_branches=disable_branches)
     return corpus, lex, mcfg, tcfg
 
@@ -214,8 +217,10 @@ def test_state_roundtrip(tmp_path):
     assert all(np.array_equal(state.model.params[k].data,
                               again.model.params[k].data)
                for k in state.model.params)
-    assert all(np.array_equal(state.opt_m[k], again.opt_m[k])
-               for k in state.opt_m)
+    for moments, back in ((state.opt_m, again.opt_m),
+                          (state.opt_v, again.opt_v)):
+        assert list(back) == list(state.model.params)
+        assert all(np.array_equal(moments[k], back[k]) for k in moments)
     assert again.rng.bit_generator.state == state.rng.bit_generator.state
 
 
@@ -239,51 +244,123 @@ def test_state_load_of_a_model_file_names_the_path(tmp_path):
         TrainState.load(path)
 
 
+def test_a_new_state_has_zero_moments_for_every_parameter():
+    _, _, mcfg, tcfg = tiny_setup()
+    state = TrainState.new(tcfg, mcfg)
+    for moments in (state.opt_m, state.opt_v):
+        assert list(moments) == list(state.model.params)
+        assert all(np.array_equal(m, np.zeros_like(state.model.params[k].data))
+                   for k, m in moments.items())
+
+
+def _cut_in_proj_m(arrays):
+    arrays["m::trunk/in_proj_w"] = np.zeros((1, 8))
+
+
+def _drop_trunk_v(arrays):
+    for k in [k for k in arrays if k.startswith("v::trunk/")]:
+        del arrays[k]
+
+
+def _add_extra_m(arrays):
+    arrays["m::trunk/extra_w"] = np.zeros(3)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_cut_in_proj_m, "moment m::trunk/in_proj_w in {path} has shape (1, 8), "
+                     "expected (8, 16)"),
+    (_drop_trunk_v, "{path} lacks moment v::trunk/in_proj_w"),
+    (_add_extra_m, "{path} holds unexpected moment m::trunk/extra_w"),
+], ids=["mis-shaped", "missing", "unexpected"])
+def test_state_load_checks_moment_names_and_shapes(tmp_path, edit, message):
+    corpus, _, mcfg, tcfg = tiny_setup(epochs=(1, 0))
+    path = tmp_path / "state.npz"
+    train(tcfg, corpus, INV, mcfg).save(path)
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    edit(arrays)
+    np.savez(path, **arrays)
+    with pytest.raises(TrainingError,
+                       match=re.escape(message.format(path=path))):
+        train(tcfg, corpus, INV, mcfg, resume=path)
+
+
 # ----------------------------------------------------------------------
 # evaluation
 
 
-def test_evaluate_reports_one_summary_per_activation():
+def _report(out):
+    """``report.jsonl`` lines and ``timings.json`` under ``out``."""
+    lines = (out / "report.jsonl").read_text(encoding="utf-8").splitlines()
+    timings = json.loads((out / "timings.json").read_text(encoding="utf-8"))
+    return [json.loads(line) for line in lines], timings
+
+
+_COUNTS = ("substitutions", "deletions", "insertions", "ref_len")
+
+
+def test_evaluate_reports_one_summary_per_activation(tmp_path):
     corpus, lex, mcfg, tcfg = tiny_setup(epochs=(1, 0))
     state = train(tcfg, corpus, INV, mcfg)
     acts = [ActivationConfig(False, False), ActivationConfig(True, True)]
-    results = evaluate(state.model, corpus[:4], acts, lex, "ctc_greedy", 8)
-    assert len(results) == 2
-    for res, act in zip(results, acts):
-        assert res["summary"]["activation"] == act.name
-        assert len(res["records"]) == 4
-        assert res["wall_clock_s"] > 0
-        assert res["summary"]["active_params"] == \
+    summaries, seconds = evaluate(state.model, corpus[:4], acts, lex,
+                                  "ctc_greedy", 8, tmp_path)
+    lines, timings = _report(tmp_path)
+    # the summary is the last line, after every utterance record
+    assert [r["kind"] for r in lines] == ["utterance"] * 8 + ["summary"]
+    assert lines[-1] == {"kind": "summary", "configs": summaries}
+    assert timings == seconds
+    assert list(seconds) == [a.name for a in acts]
+    assert all(s > 0 for s in seconds.values())
+    for summary, act in zip(summaries, acts):
+        records = [r for r in lines[:-1] if r["activation"] == act.name]
+        assert [r["id"] for r in records] == [u.id for u in corpus[:4]]
+        assert list(records[0])[:10] == [
+            "kind", "id", "activation", "reference", "hypothesis", *_COUNTS,
+            "cer"]
+        assert list(summary) == ["activation", "utterances", *_COUNTS,
+                                 "corpus_cer", "median_cer", "active_params"]
+        assert summary["activation"] == act.name
+        assert summary["utterances"] == 4
+        for key in _COUNTS:
+            assert summary[key] == sum(r[key] for r in records), key
+        errors = summary["substitutions"] + summary["deletions"] + \
+            summary["insertions"]
+        assert summary["corpus_cer"] == errors / summary["ref_len"]
+        assert summary["median_cer"] == np.median([r["cer"] for r in records])
+        assert summary["active_params"] == \
             state.model.count_active_params(act)
 
 
-def test_evaluate_records_include_branch_frames_when_active():
+def test_evaluate_records_include_branch_frames_when_active(tmp_path):
     corpus, lex, mcfg, tcfg = tiny_setup(epochs=(1, 0))
     state = train(tcfg, corpus, INV, mcfg)
-    res = evaluate(state.model, corpus[:2], [ActivationConfig(True, True)],
-                   lex, "ctc_greedy", 8)[0]
-    for rec in res["records"]:
+    evaluate(state.model, corpus[:2], [ActivationConfig(True, True),
+                                       ActivationConfig(False, False)],
+             lex, "ctc_greedy", 8, tmp_path)
+    records = _report(tmp_path)[0][:-1]
+    for rec in records[:2]:
         assert set(rec["branch_frames"]) == {"phoneme", "viseme"}
-    res_f = evaluate(state.model, corpus[:2], [ActivationConfig(False, False)],
-                     lex, "ctc_greedy", 8)[0]
-    for rec in res_f["records"]:
+        assert list(rec)[-1] == "branch_frames"
+    for rec in records[2:]:
         assert "branch_frames" not in rec
 
 
-def test_evaluate_f_config_invariant_to_branch_weights():
+def test_evaluate_f_config_invariant_to_branch_weights(tmp_path):
     corpus, lex, mcfg, tcfg = tiny_setup(epochs=(1, 0))
     state = train(tcfg, corpus, INV, mcfg)
     act = [ActivationConfig(False, False)]
-    before = evaluate(state.model, corpus[:4], act, lex, "ctc_greedy", 8)[0]
-    rng = np.random.default_rng(0)
-    for k, p in state.model.params.items():
-        if k.startswith(("phoneme/", "viseme/", "heads/phoneme",
-                         "heads/viseme")):
-            p.data = rng.normal(size=p.data.shape)
-    after = evaluate(state.model, corpus[:4], act, lex, "ctc_greedy", 8)[0]
-    assert before["summary"] == after["summary"]
-    assert [r["hypothesis"] for r in before["records"]] == \
-        [r["hypothesis"] for r in after["records"]]
+    before, after = tmp_path / "before", tmp_path / "after"
+    for out in (before, after):
+        out.mkdir()
+        evaluate(state.model, corpus[:4], act, lex, "ctc_greedy", 8, out)
+        rng = np.random.default_rng(0)
+        for k, p in state.model.params.items():
+            if k.startswith(("phoneme/", "viseme/", "heads/phoneme",
+                             "heads/viseme")):
+                p.data = rng.normal(size=p.data.shape)
+    assert (before / "report.jsonl").read_bytes() == \
+        (after / "report.jsonl").read_bytes()
 
 
 def test_logged_grad_norm_and_clip_scale(tmp_path, monkeypatch):
