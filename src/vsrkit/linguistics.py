@@ -21,6 +21,7 @@ __all__ = [
     "default_inventory",
     "load_lexicon",
     "default_lexicon",
+    "labels_of",
     "text_to_labels",
     "build_mapping_matrix",
     "build_window_mask",
@@ -73,14 +74,8 @@ class LinguisticInventory:
         except KeyError:
             raise LinguisticsError(f"unmapped phoneme {symbol!r}") from None
 
-    def viseme_of(self, phoneme_idx: int) -> int:
-        return self.phoneme_to_viseme[phoneme_idx]
-
     def phonemes_of_viseme(self, viseme_id: int) -> list[int]:
         return [i for i, v in enumerate(self.phoneme_to_viseme) if v == viseme_id]
-
-    def map_phonemes(self, phoneme_indices) -> tuple[int, ...]:
-        return tuple(self.phoneme_to_viseme[p] for p in phoneme_indices)
 
 
 @dataclass(frozen=True)
@@ -278,20 +273,24 @@ def save_lexicon(path, lexicon: Lexicon, inv: LinguisticInventory) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def labels_of(chars, lexicon: Lexicon, inv: LinguisticInventory) -> LabelTriple:
+    """The label triple of a sequence of lexicon character ids: each
+    character's pronunciation in order, and each phoneme's viseme. Every
+    ``LabelTriple`` is built here, so its phonemes and visemes always follow
+    from its characters."""
+    chars = tuple(int(c) for c in chars)
+    phonemes = tuple(p for c in chars for p in lexicon.entries[c].phonemes)
+    return LabelTriple(chars=chars, phonemes=phonemes, visemes=tuple(
+        inv.phoneme_to_viseme[p] for p in phonemes))
+
+
 def text_to_labels(text: str, lexicon: Lexicon, inv: LinguisticInventory) -> LabelTriple:
     """Convert a character string into aligned char/phoneme/viseme sequences."""
-    chars = []
-    phonemes = []
-    for pos, ch in enumerate(text):
-        if ch not in lexicon:
-            raise LinguisticsError(
-                f"character {ch!r} at position {pos} not in lexicon"
-            )
-        idx = lexicon.char_index(ch)
-        chars.append(idx)
-        phonemes.extend(lexicon.entries[idx].phonemes)
-    visemes = inv.map_phonemes(phonemes)
-    return LabelTriple(chars=tuple(chars), phonemes=tuple(phonemes), visemes=visemes)
+    missing = [pos for pos, ch in enumerate(text) if ch not in lexicon]
+    if missing:
+        raise LinguisticsError(f"character {text[missing[0]]!r} at position "
+                               f"{missing[0]} not in lexicon")
+    return labels_of(map(lexicon.char_index, text), lexicon, inv)
 
 
 def build_mapping_matrix(viseme_frame_classes, phoneme_frame_classes,

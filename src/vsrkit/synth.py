@@ -6,7 +6,8 @@ sampled duration with isotropic noise. The codebook is structured so that
 viseme identity is a strong signal and within-viseme phoneme detail a weak
 one, mirroring what a visual channel exposes. Each utterance keeps its
 ground-truth alignment as frames per phoneme; it exists only because the
-data is synthetic, and training never consumes it.
+data is synthetic, and training never consumes it. A manifest stores
+characters, not phonemes: labels follow from them (``labels_of``).
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from .linguistics import (
     LexiconEntry,
     LabelTriple,
     LinguisticInventory,
+    labels_of,
     load_inventory,
     load_lexicon,
     save_inventory,
@@ -41,7 +43,7 @@ __all__ = [
     "viseme_frequencies",
 ]
 
-MANIFEST_VERSION = "vsrkit-manifest v1"
+MANIFEST_VERSION = "vsrkit-manifest v2"
 
 _CODEBOOK_STREAM = 101
 _LEXICON_STREAM = 202
@@ -177,12 +179,11 @@ def _char_sampling_weights(lexicon: Lexicon, inv: LinguisticInventory,
     inventory prior as closely as the lexicon allows (nonnegative least
     squares on the composition deficit)."""
     prior = np.asarray(inv.viseme_frequency)
-    counts = np.zeros((inv.num_visemes, vocab_size))
-    lens = np.zeros(vocab_size)
-    for c in range(vocab_size):
-        for p in lexicon.entries[c].phonemes:
-            counts[inv.viseme_of(p), c] += 1
-        lens[c] = len(lexicon.entries[c].phonemes)
+    counts = np.stack([
+        np.bincount(labels_of([c], lexicon, inv).visemes,
+                    minlength=inv.num_visemes) for c in range(vocab_size)],
+        axis=1).astype(np.float64)
+    lens = counts.sum(axis=0)
     deficit = counts - prior[:, None] * lens[None, :]
     system = np.vstack([deficit, np.ones((1, vocab_size))])
     rhs = np.zeros(inv.num_visemes + 1)
@@ -223,25 +224,18 @@ def generate_corpus(cfg: SynthConfig, inv: LinguisticInventory,
     utterances = []
     for u in range(cfg.num_utterances):
         n_chars = int(rng.integers(cfg.sentence_len[0], cfg.sentence_len[1] + 1))
-        char_idxs = rng.choice(cfg.char_vocab_size, size=n_chars, p=weights)
-        phonemes = []
-        for c in char_idxs:
-            phonemes.extend(lexicon.entries[int(c)].phonemes)
-        phonemes = np.asarray(phonemes, dtype=np.int64)
+        chars = rng.choice(cfg.char_vocab_size, size=n_chars, p=weights)
+        labels = labels_of(chars, lexicon, inv)
         durations = rng.integers(cfg.frames_per_phoneme[0],
                                  cfg.frames_per_phoneme[1] + 1,
-                                 size=len(phonemes))
-        feats = book[np.repeat(phonemes, durations)]
+                                 size=len(labels.phonemes))
+        feats = book[np.repeat(labels.phonemes, durations)]
         if cfg.noise_std > 0:
             feats = feats + cfg.noise_std * rng.normal(size=feats.shape)
         utterances.append(Utterance(
             id=f"utt{u:05d}",
             features=np.ascontiguousarray(feats, dtype=np.float64),
-            labels=LabelTriple(
-                chars=tuple(int(c) for c in char_idxs),
-                phonemes=tuple(int(p) for p in phonemes),
-                visemes=inv.map_phonemes(phonemes),
-            ),
+            labels=labels,
             durations=tuple(durations.tolist()),
         ))
     return utterances
@@ -280,8 +274,9 @@ def viseme_frequencies(labels, inv: LinguisticInventory) -> np.ndarray:
 def write_manifest(path, utterances, inv, lexicon):
     """Persist a corpus: index.tsv, a packed little-endian feature blob,
     and the inventory (visemes.tsv) and lexicon (lexicon.tsv) it is
-    labelled with, so the directory is self-contained.
-    """
+    labelled with, so the directory is self-contained. Under the
+    ``#vsrkit-manifest v2`` header, each index record holds id, T, C, blob
+    offset, character ids and frames per phoneme, tab-separated."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     offset = 0
@@ -296,7 +291,6 @@ def write_manifest(path, utterances, inv, lexicon):
                 str(C),
                 str(offset),
                 ",".join(map(str, u.labels.chars)),
-                ",".join(map(str, u.labels.phonemes)),
                 ",".join(map(str, u.durations)),
             ]))
             blob.write(feats.tobytes())
@@ -309,8 +303,12 @@ def write_manifest(path, utterances, inv, lexicon):
 
 def read_manifest(path):
     """Load a corpus written by ``write_manifest``; returns (utterances,
-    inventory, lexicon). An id outside its lexicon or its inventory's
-    non-blank phonemes is a ``ManifestError`` naming the record."""
+    inventory, lexicon), labels derived by ``labels_of`` through the
+    manifest's own lexicon and inventory. A ``ManifestError`` names the path
+    of a missing file, a header other than v2 or an index without records,
+    and names the record of a malformed field, a negative T or offset, a C
+    below 1 or unlike the first record's, no characters, a character id
+    outside the lexicon, or durations not >= 1 per phoneme summing to T."""
     path = Path(path)
     index = path / "index.tsv"
     if not index.exists():
@@ -325,59 +323,60 @@ def read_manifest(path):
     for name in ("visemes.tsv", "lexicon.tsv"):
         if not (path / name).exists():
             raise ManifestError(f"no {name} under {path}")
+    if len(lines) == 1:
+        raise ManifestError(f"no records in {index}")
     inv = load_inventory(path / "visemes.tsv")
     lexicon = load_lexicon(path / "lexicon.tsv", inv)
 
     blob_size = (path / "features.bin").stat().st_size
-    blob = open(path / "features.bin", "rb")
-    try:
-        utterances = []
+    utterances = []
+    with open(path / "features.bin", "rb") as blob:
         for ln in lines[1:]:
             fields = ln.split("\t")
-            if len(fields) != 7:
+            if len(fields) != 6:
                 raise ManifestError(f"malformed index record: {ln!r}")
-            uid, T_s, C_s, off_s, chars_s, ph_s, dur_s = fields
-            T, C, off = int(T_s), int(C_s), int(off_s)
+            uid = fields[0]
+            T, C, off = (_parse_ints(uid, f, count=1)[0] for f in fields[1:4])
+            width = utterances[0].features.shape[1] if utterances else C
+            if min(T, off) < 0 or not 1 <= C == width:
+                raise ManifestError(
+                    f"record {uid}: T {T} and offset {off} must be >= 0, "
+                    f"C {C} >= 1 and the first record's {width}")
             nbytes = T * C * 8
             if off + nbytes > blob_size:
                 raise ManifestError(
                     f"feature blob truncated: record {uid} wants bytes "
-                    f"[{off}, {off + nbytes}) of {blob_size}"
-                )
+                    f"[{off}, {off + nbytes}) of {blob_size}")
             blob.seek(off)
             raw = blob.read(nbytes)
-            if len(raw) != nbytes:
-                raise ManifestError(f"short read for record {uid}")
-            feats = np.frombuffer(raw, dtype="<f8").reshape(T, C).copy()
-            chars = _parse_ints(chars_s)
-            phonemes = _parse_ints(ph_s)
-            for kind, ids, lo, hi in (
-                    ("character", chars, 0, len(lexicon)),
-                    ("phoneme", phonemes, 1, inv.num_phonemes)):
-                bad = [i for i in ids if not lo <= i < hi]
-                if bad:
-                    raise ManifestError(f"record {uid}: {kind} id {bad[0]} "
-                                        f"outside [{lo}, {hi})")
-            durations = _parse_ints(dur_s)
-            if len(durations) != len(phonemes) or sum(durations) != T \
-                    or min(durations, default=0) < 0:
+            chars = _parse_ints(uid, fields[4])
+            if not chars:
+                raise ManifestError(f"record {uid}: no characters")
+            bad = [i for i in chars if not 0 <= i < len(lexicon)]
+            if bad:
+                raise ManifestError(f"record {uid}: character id {bad[0]} "
+                                    f"outside [0, {len(lexicon)})")
+            labels = labels_of(chars, lexicon, inv)
+            durations = _parse_ints(uid, fields[5])
+            if len(durations) != len(labels.phonemes) or sum(durations) != T \
+                    or min(durations) < 1:
                 raise ManifestError(f"inconsistent durations for record {uid}")
             utterances.append(Utterance(
                 id=uid,
-                features=feats,
-                labels=LabelTriple(chars=chars, phonemes=phonemes,
-                                   visemes=inv.map_phonemes(phonemes)),
+                features=np.frombuffer(raw, dtype="<f8").reshape(T, C).copy(),
+                labels=labels,
                 durations=durations,
             ))
-    finally:
-        blob.close()
     return utterances, inv, lexicon
 
 
-def _parse_ints(s):
-    if not s:
-        return tuple()
+def _parse_ints(uid, s, count=None):
+    """Record ``uid``'s comma-separated integers ``s``, exactly ``count``
+    of them when given."""
     try:
-        return tuple(int(x) for x in s.split(","))
+        ints = tuple(int(x) for x in s.split(",")) if s else ()
+        if count not in (None, len(ints)):
+            raise ValueError
     except ValueError:
-        raise ManifestError(f"malformed integer list {s!r}") from None
+        raise ManifestError(f"record {uid}: malformed integers {s!r}") from None
+    return ints

@@ -327,6 +327,8 @@ def evaluate(model: Model, corpus, activations, lexicon, decode, beam_width,
     edit counts, corpus and median CER and active parameters;
     ``timings.json`` holds each activation's wall-clock seconds. Returns
     the summaries and those seconds."""
+    if not corpus:
+        raise TrainingError("corpus is empty")
     records, summaries, seconds = [], [], {}
     for act in activations:
         t0 = time.perf_counter()
@@ -351,9 +353,8 @@ def evaluate(model: Model, corpus, activations, lexicon, decode, beam_width,
             "activation": act.name,
             "utterances": len(corpus),
             **counts,
-            "corpus_cer": errors / counts["ref_len"] if corpus else 0.0,
-            "median_cer": float(np.median([r.cer for r in reports]))
-            if corpus else 0.0,
+            "corpus_cer": errors / counts["ref_len"],
+            "median_cer": float(np.median([r.cer for r in reports])),
             "active_params": model.count_active_params(act),
         })
     with open(Path(out) / "report.jsonl", "w", encoding="utf-8") as fh:

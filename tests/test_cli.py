@@ -231,6 +231,19 @@ def test_eval_names_an_unsupported_version(tmp_path, cfg_file, capsys):
     assert "CheckpointError" in err and "'bogus v9'" in err
 
 
+def test_train_and_eval_name_an_empty_manifest(tmp_path, cfg_file, capsys):
+    _, ck = _edited_state(tmp_path, cfg_file, lambda arrays: None)
+    empty = tmp_path / "empty"
+    write_manifest(empty, [], default_inventory(),
+                   make_lexicon(default_inventory(), 14, seed=3))
+    capsys.readouterr()
+    for command in (["train"], ["eval", "--checkpoint", str(ck)]):
+        assert run("--config", cfg_file, "--out", str(tmp_path / "out"),
+                   "--quiet", *command, "--data", str(empty)) == 2
+        assert f"ManifestError: no records in {empty / 'index.tsv'}" in \
+            capsys.readouterr().err
+
+
 def test_eval_requires_arguments(cfg_file):
     assert run("--config", cfg_file, "--quiet", "eval") == 1
 
@@ -457,7 +470,7 @@ def test_train_takes_phoneme_vocab_from_the_manifest_inventory(tmp_path,
     extra.write_text(rows.rstrip("\n") + ",uʷ\n", encoding="utf-8")
     inv = load_inventory(extra)
     new = inv.phoneme_index("uʷ")
-    assert inv.num_phonemes == 39 and inv.viseme_of(new) == 15
+    assert inv.num_phonemes == 39 and inv.phoneme_to_viseme[new] == 15
     lex = make_lexicon(inv, 14, seed=3)
     # every character of the lexicon ends in the new phoneme
     lex = Lexicon([LexiconEntry(e.character, (*e.phonemes, new))
@@ -522,10 +535,15 @@ def test_manifest_from_gen_is_rewritten_byte_for_byte(tmp_path_factory,
                    + f"[gen]\nlexicon = {lexicon}\n", encoding="utf-8")
     assert run("--config", str(cfg), "--out", str(root / "gen"), "--quiet",
                "gen") == 0
-    write_manifest(root / "again", *read_manifest(root / "gen"))
+    corpus, inv, lex = read_manifest(root / "gen")
+    write_manifest(root / "again", corpus, inv, lex)
     for name in ("index.tsv", "features.bin", "visemes.tsv", "lexicon.tsv"):
         assert (root / "again" / name).read_bytes() == \
             (root / "gen" / name).read_bytes(), name
+    # the labels read back are the ones generated
+    scfg = SynthConfig(**{k: tuple(map(int, v.split(","))) if isinstance(
+        v, str) else v for k, v in synth.items()})
+    assert corpus == generate_corpus(scfg, default_inventory(), lex)
 
 
 _WORDS = st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=6)

@@ -253,3 +253,33 @@ def test_no_function_leaves_a_local_unread():
     unread = {str(p.relative_to(ROOT)): unread_locals(
         p.read_text(encoding="utf-8")) for p in paths}
     assert {path: names for path, names in unread.items() if names} == {}
+
+
+def label_triple_calls(source):
+    """Line numbers of the ``LabelTriple(...)`` calls made anywhere but in
+    a function named ``labels_of``, the one place a triple is built."""
+    tree = ast.parse(source)
+    allowed = {id(n) for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and fn.name == "labels_of"
+               for n in ast.walk(fn)}
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.Call) and id(n) not in allowed
+                  and getattr(n.func, "id", getattr(n.func, "attr", None))
+                  == "LabelTriple")
+
+
+def test_label_triple_calls_sees_every_call_outside_labels_of():
+    source = (
+        "from x import LabelTriple\nimport x\n\n"
+        "def labels_of(c):\n    return LabelTriple(c, (), ())\n\n"
+        "def other(c):\n    t = LabelTriple\n"
+        "    return [LabelTriple(c, (), ()), x.LabelTriple(c, (), ())]\n\n"
+        "DEFAULT = LabelTriple((), (), ())\n"
+    )
+    assert label_triple_calls(source) == [9, 9, 11]
+
+
+def test_only_labels_of_builds_a_label_triple():
+    calls = {p.name: label_triple_calls(p.read_text(encoding="utf-8"))
+             for p in MODULES}
+    assert {name: lines for name, lines in calls.items() if lines} == {}

@@ -7,6 +7,7 @@ from vsrkit.linguistics import (
     build_window_mask,
     default_inventory,
     default_lexicon,
+    labels_of,
     load_inventory,
     load_lexicon,
     save_inventory,
@@ -69,8 +70,8 @@ def test_bundled_inventory_shape(inv):
 
 
 def test_specific_lookups(inv):
-    assert inv.viseme_of(inv.phoneme_index("f")) == 3
-    assert inv.viseme_of(inv.phoneme_index("y")) == 13
+    assert inv.phoneme_to_viseme[inv.phoneme_index("f")] == 3
+    assert inv.phoneme_to_viseme[inv.phoneme_index("y")] == 13
 
 
 def test_load_errors(tmp_path):
@@ -154,7 +155,17 @@ def test_text_to_labels_reports_position(inv, lexicon):
 
 def test_labels_roundtrip_viseme_invariant(inv, lexicon):
     t = text_to_labels("国务院督察组将督促整改", lexicon, inv)
-    assert t.visemes == inv.map_phonemes(t.phonemes)
+    assert t.visemes == tuple(inv.phoneme_to_viseme[p] for p in t.phonemes)
+
+
+def test_labels_of_concatenates_pronunciations_as_python_ints(inv, lexicon):
+    # generate_corpus hands it numpy ids; the triple holds plain ints
+    ids = np.array([lexicon.char_index("妈"), lexicon.char_index("国")])
+    t = labels_of(ids, lexicon, inv)
+    assert t == text_to_labels("妈国", lexicon, inv)
+    assert t.phonemes == lexicon.entries[ids[0]].phonemes + \
+        lexicon.entries[ids[1]].phonemes
+    assert all(type(i) is int for i in (*t.chars, *t.phonemes, *t.visemes))
 
 
 def test_save_and_reload_inventory(tmp_path, inv):
@@ -205,7 +216,7 @@ def test_mapping_matrix_matches_pairwise_lookup_oracle(inv):
     table = np.zeros((inv.num_visemes, inv.num_phonemes))
     for v in range(inv.num_visemes):
         for p in range(inv.num_phonemes):
-            table[v, p] = 1.0 if v != 0 and inv.viseme_of(p) == v else 0.0
+            table[v, p] = 1.0 if v != 0 and inv.phoneme_to_viseme[p] == v else 0.0
     rng = np.random.default_rng(0)
     for _ in range(50):
         T = int(rng.integers(1, 9))

@@ -3,7 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from vsrkit.linguistics import LabelTriple, default_inventory
+from vsrkit.linguistics import Lexicon, LexiconEntry, default_inventory, \
+    labels_of
 from vsrkit.synth import (
     ManifestError,
     SynthConfig,
@@ -35,10 +36,10 @@ def test_generation_is_deterministic(small_corpus):
 
 
 def test_label_consistency(small_corpus):
-    _, _, corpus = small_corpus
+    _, lex, corpus = small_corpus
     p2v = np.asarray(INV.phoneme_to_viseme)
     for u in corpus:
-        assert u.labels.visemes == INV.map_phonemes(u.labels.phonemes)
+        assert u.labels == labels_of(u.labels.chars, lex, INV)
         assert len(u.durations) == len(u.labels.phonemes)
         assert np.array_equal(p2v[u.frame_phonemes],
                               np.repeat(u.labels.visemes, u.durations))
@@ -148,25 +149,25 @@ def test_manifest_roundtrip(tmp_path, small_corpus):
 
 
 def test_manifest_roundtrip_keeps_the_split_of_equal_phonemes(tmp_path):
-    # two adjacent /ɑ/ make one run of 6 frames; the 2 + 4 split survives
+    # /ɑ/ ends the first character and starts the second, so two adjacent
+    # /ɑ/ make one run of 6 frames; the 2 + 4 split survives
     a, t = INV.phoneme_index("ɑ"), INV.phoneme_index("t")
-    phonemes = (a, a, t)
+    lex = Lexicon([LexiconEntry("\ue000", (a,)), LexiconEntry("\ue001", (a, t))])
+    labels = labels_of((0, 1), lex, INV)
+    assert labels.phonemes == (a, a, t)
     u = Utterance(id="utt00000", features=np.arange(27.0).reshape(9, 3),
-                  labels=LabelTriple(chars=(0,), phonemes=phonemes,
-                                     visemes=INV.map_phonemes(phonemes)),
-                  durations=(2, 4, 3))
-    write_manifest(tmp_path / "m", [u], INV, make_lexicon(INV, 10, seed=0))
+                  labels=labels, durations=(2, 4, 3))
+    write_manifest(tmp_path / "m", [u], INV, lex)
     back, _, _ = read_manifest(tmp_path / "m")
     assert back[0].durations == (2, 4, 3)
     assert back == [u]
 
 
 def test_manifest_empty_corpus(tmp_path):
-    lex = make_lexicon(INV, 10, seed=0)
-    write_manifest(tmp_path / "m", [], INV, lex)
-    back, inv, lex2 = read_manifest(tmp_path / "m")
-    assert back == [] and inv.phonemes == INV.phonemes
-    assert lex2.entries == lex.entries
+    write_manifest(tmp_path / "m", [], INV, make_lexicon(INV, 10, seed=0))
+    with pytest.raises(ManifestError, match=re.escape(
+            f"no records in {tmp_path / 'm' / 'index.tsv'}")):
+        read_manifest(tmp_path / "m")
 
 
 @pytest.mark.parametrize("missing", ["visemes.tsv", "lexicon.tsv"])
@@ -205,45 +206,71 @@ def test_manifest_rejects_corrupted_length(tmp_path, small_corpus):
         read_manifest(tmp_path / "m")
 
 
+def _edit_record(manifest, row, column, edit):
+    """Rewrite field ``column`` of index record ``row`` (1 is the first
+    record) to ``edit(old_value)``."""
+    index = manifest / "index.tsv"
+    lines = index.read_text(encoding="utf-8").splitlines()
+    fields = lines[row].split("\t")
+    fields[column] = edit(fields[column])
+    lines[row] = "\t".join(fields)
+    index.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def test_manifest_rejects_a_negative_duration(tmp_path, small_corpus):
     _, lex, corpus = small_corpus
-    write_manifest(tmp_path / "m", corpus[:1], INV, lex)
-    index = tmp_path / "m" / "index.tsv"
-    lines = index.read_text(encoding="utf-8").splitlines()
-    fields = lines[1].split("\t")
-    durations = [int(d) for d in fields[6].split(",")]
-    assert len(durations) > 1
-    # same total, so only the sign check can catch it
-    durations[0], durations[-1] = -1, durations[-1] + durations[0] + 1
-    fields[6] = ",".join(map(str, durations))
-    lines[1] = "\t".join(fields)
-    index.write_text("\n".join(lines), encoding="utf-8")
-    with pytest.raises(ManifestError, match="inconsistent durations"):
-        read_manifest(tmp_path / "m")
+    # a negative and a zero count; every phoneme needs at least one frame
+    for bad in (-1, 0):
+        write_manifest(tmp_path / str(bad), corpus[:1], INV, lex)
+        durations = list(corpus[0].durations)
+        assert len(durations) > 1
+        # same total, so only the bound check can catch it
+        durations[0], durations[-1] = bad, durations[-1] + durations[0] - bad
+        _edit_record(tmp_path / str(bad), 1, 5,
+                     lambda _: ",".join(map(str, durations)))
+        with pytest.raises(ManifestError,
+                           match=f"inconsistent durations for record "
+                                 f"{corpus[0].id}"):
+            read_manifest(tmp_path / str(bad))
 
 
-@pytest.mark.parametrize("column, value, message", [
-    (4, -1, "character id -1 outside [0, 30)"),
-    (4, 30, "character id 30 outside [0, 30)"),
-    (5, -1, "phoneme id -1 outside [1, 38)"),
-    (5, 0, "phoneme id 0 outside [1, 38)"),
-    (5, 38, "phoneme id 38 outside [1, 38)"),
-], ids=["char-negative", "char-past-lexicon", "phoneme-negative",
-        "phoneme-blank", "phoneme-past-inventory"])
+@pytest.mark.parametrize("value, message", [
+    ("-1", "character id -1 outside [0, 30)"),
+    ("30", "character id 30 outside [0, 30)"),
+    ("", "no characters"),
+], ids=["char-negative", "char-past-lexicon", "no-characters"])
 def test_manifest_names_the_record_of_an_out_of_range_label_id(
-        tmp_path, small_corpus, column, value, message):
+        tmp_path, small_corpus, value, message):
     _, lex, corpus = small_corpus
-    assert len(lex) == 30 and INV.num_phonemes == 38
+    assert len(lex) == 30
     write_manifest(tmp_path / "m", corpus[:2], INV, lex)
-    index = tmp_path / "m" / "index.tsv"
-    lines = index.read_text(encoding="utf-8").splitlines()
-    fields = lines[2].split("\t")
-    fields[column] = ",".join([str(value), *fields[column].split(",")[1:]])
-    lines[2] = "\t".join(fields)
-    index.write_text("\n".join(lines), encoding="utf-8")
+    # the first character id, or the whole list when value is empty
+    _edit_record(tmp_path / "m", 2, 4, lambda old: ",".join(
+        [value, *old.split(",")[1:]] if value else []))
     with pytest.raises(ManifestError,
                        match=re.escape(f"record {corpus[1].id}: {message}")):
         read_manifest(tmp_path / "m")
+
+
+@pytest.mark.parametrize("column, edit, message", [
+    (1, lambda _: "x", "malformed integers 'x'"),
+    (1, lambda _: "9,9", "malformed integers '9,9'"),
+    (1, lambda _: "-29", "T -29 and"),
+    (3, lambda _: "-8", "offset -8 must"),
+    (2, lambda _: "0", "C 0 >= 1"),
+    (2, lambda old: str(int(old) // 2), "C 8 >= 1 and the first record's 16"),
+], ids=["T-not-an-integer", "T-two-integers", "T-negative",
+        "offset-negative", "C-zero", "C-unlike-the-first"])
+def test_manifest_names_the_record_of_a_bad_size(tmp_path, small_corpus,
+                                                 column, edit, message):
+    _, lex, corpus = small_corpus
+    assert corpus[1].features.shape[1] == 16
+    write_manifest(tmp_path / "m", corpus[:2], INV, lex)
+    _edit_record(tmp_path / "m", 2, column, edit)
+    with pytest.raises(ManifestError, match=re.escape(
+            f"record {corpus[1].id}: ")) as raised:
+        read_manifest(tmp_path / "m")
+    assert message in str(raised.value)
 
 
 def test_manifest_requires_lexicon_coverage():

@@ -332,6 +332,14 @@ def test_evaluate_reports_one_summary_per_activation(tmp_path):
             state.model.count_active_params(act)
 
 
+def test_evaluate_rejects_an_empty_corpus(tmp_path):
+    _, lex, mcfg, _ = tiny_setup()
+    with pytest.raises(TrainingError, match="corpus is empty"):
+        evaluate(Model(mcfg), [], [ActivationConfig(True, True)], lex,
+                 "ctc_greedy", 8, tmp_path)
+    assert not (tmp_path / "report.jsonl").exists()
+
+
 def test_evaluate_records_include_branch_frames_when_active(tmp_path):
     corpus, lex, mcfg, tcfg = tiny_setup(epochs=(1, 0))
     state = train(tcfg, corpus, INV, mcfg)
