@@ -1,8 +1,8 @@
 """Minimal dense-array reverse-mode autodiff on float64 numpy arrays.
 
-Every operation builds a node graph; ``backward`` replays the graph in
-reverse topological order exactly once per node. NaNs abort immediately
-with the identity of the producing node.
+Outside ``inference()``, every operation builds a node graph that
+``backward`` replays in reverse topological order exactly once per node,
+and a NaN aborts at once with the identity of the producing node.
 
 The ops are the ones the model and the losses use. ``add``, ``mul`` and
 ``silu`` are elementwise, and ``slice_`` backs ``Tensor[...]``. The
@@ -18,6 +18,9 @@ A node adopts the first gradient it receives and sums later ones into a new
 array, so gradient arrays may be shared and are read-only.
 """
 from __future__ import annotations
+
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 from scipy.special import expit
@@ -38,12 +41,14 @@ __all__ = [
     "attention",
     "depthwise_conv",
     "backward",
+    "inference",
     "trace",
     "central_difference",
     "finite_difference_check",
 ]
 
 _node_counter = 0
+_recording = ContextVar("recording", default=True)  # off in inference()
 
 
 class AutodiffError(RuntimeError):
@@ -67,13 +72,14 @@ class Tensor:
     __slots__ = ("data", "parents", "_grad_fn", "grad", "op", "node_id")
 
     def __init__(self, data, parents=(), grad_fn=None, op="leaf"):
+        recording = _recording.get()
         self.data = np.asarray(data, dtype=np.float64)
-        self.parents = tuple(parents)
-        self._grad_fn = grad_fn
+        self.parents = tuple(parents) if recording else ()
+        self._grad_fn = grad_fn if recording else None
         self.grad = None
         self.op = op
         self.node_id = _next_id()
-        if op != "leaf" and np.isnan(self.data).any():
+        if recording and op != "leaf" and np.isnan(self.data).any():
             raise AutodiffError(f"NaN produced by node #{self.node_id} ({op})")
 
     @property
@@ -262,22 +268,35 @@ def attention(q, k, v, heads, disallow=None):
 
 def depthwise_conv(x, w):
     """Per-channel convolution along T of ``(B, T, C)`` input with a
-    ``(k, C)`` kernel, k odd, zero-padded to keep T frames."""
+    ``(k, C)`` kernel, k odd, zero-padded: each tap adds in range only."""
     x, w = as_tensor(x), as_tensor(w)
     k, T, r = w.data.shape[0], x.data.shape[1], w.data.shape[0] // 2
-    xp = np.pad(x.data, ((0, 0), (r, r), (0, 0)))
-    out = xp[:, :T] * w.data[0]
-    for i in range(1, k):
-        out = out + xp[:, i:i + T] * w.data[i]
+    taps = [(i, slice(max(0, r - i), T + min(0, r - i)),  # frames written
+             slice(max(0, i - r), T + min(0, i - r)))  # frames read
+            for i in range(k) if abs(i - r) < T]
+    out = np.zeros_like(x.data)
+    for i, o, s in taps:
+        out[:, o] += x.data[:, s] * w.data[i]
 
     def grad_fn(g):
-        gx = np.zeros_like(xp)
-        for i in range(k):
-            gx[:, i:i + T] += g * w.data[i]
-        return gx[:, r:r + T], np.stack(
-            [(g * xp[:, i:i + T]).sum(axis=(0, 1)) for i in range(k)])
+        gx, gw = np.zeros_like(x.data), np.zeros_like(w.data)
+        for i, o, s in taps:
+            gx[:, s] += g[:, o] * w.data[i]
+            gw[i] = (g[:, o] * x.data[:, s]).sum(axis=(0, 1))
+        return gx, gw
 
     return Tensor(out, (x, w), grad_fn, op="depthwise_conv")
+
+
+@contextmanager
+def inference():
+    """Ops inside keep no parents or grad_fn and skip the NaN check, in
+    this thread or task only; ``backward`` through their results raises."""
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
 
 
 class Tape:
@@ -327,6 +346,8 @@ def backward(output):
         node.grad = None
     output.grad = np.ones_like(output.data)
     for node in reversed(tape.nodes):
+        if node._grad_fn is None and node.op != "leaf":
+            raise AutodiffError(f"{node.op} #{node.node_id} ran in inference()")
         if node._grad_fn is None or node.grad is None:
             continue
         grads = node._grad_fn(node.grad)

@@ -105,9 +105,9 @@ def attention_greedy_decode(step_fn, max_len, eos_id):
     """Argmax autoregressive decode.
 
     ``step_fn(prefix)`` returns the next-token logits given the tokens
-    emitted so far (the start symbol is the callee's concern). Decoding
-    stops at ``eos_id`` or after ``max_len`` tokens.
-    """
+    emitted so far (the start symbol is the callee's concern); it may keep
+    state, as each prefix extends the last by one token. Decoding stops at
+    ``eos_id`` or after ``max_len`` tokens."""
     tokens = []
     for _ in range(max_len):
         logits = np.asarray(step_fn(tuple(tokens)))

@@ -2,7 +2,7 @@
 encoders with class heads, stochastic branch-drop fusion, and a character
 encoder/decoder pair producing CTC and attention logits from one memory.
 
-All compute runs on the autodiff Tensor graph; parameters are named with
+All compute runs on autodiff Tensors; parameters are named with
 group prefixes (trunk/phoneme/viseme/fusion/char_encoder/char_decoder/heads)
 so checkpoints can verify which branches exist.
 
@@ -272,25 +272,34 @@ class Model:
         h = ad.silu(self._linear(self._norm(x, f"{prefix}_norm"), prefix, 1))
         return ad.add(x, self._linear(h, prefix, 2))
 
-    def _attention(self, x_q, x_kv, prefix, key_valid=None, causal=False):
+    def _attention(self, x_q, x_kv, prefix, key_valid=None, causal=False,
+                   cache=None):
         """Pre-norm multi-head attention plus residual. ``x_q`` is B_q x T_q
         x C; ``x_kv`` is B_k x T_k x C, or None for self-attention. B_q and
         B_k broadcast as numpy batch axes (a batch-1 token row may attend
         into a batch-2 memory) and the result has the broadcast batch size.
         ``key_valid`` (B_k x T_k) hides padded keys; ``causal`` (self-attention
         only) hides keys after each query. A 2-D ``x_q`` holds the packed
-        ``key_valid`` rows of a self-attention, and so does the result."""
+        ``key_valid`` rows of a self-attention, and so does the result.
+        ``cache`` keeps keys and values by ``prefix`` (``decoder_forward``)."""
         rows = key_valid if x_q.data.ndim == 2 else None
         xq = ad.unpack(self._norm(x_q, f"{prefix}_norm"), rows)
         xkv = xq if x_kv is None else x_kv
+        kv = None if cache is None else cache.get(prefix)
+        if kv is None or x_kv is None:
+            new = (self._linear(xkv, prefix, "k", bias=False),
+                   self._linear(xkv, prefix, "v"))
+            kv = new if kv is None else [Tensor(np.concatenate(
+                (old.data, row.data), -2)) for old, row in zip(kv, new)]
+            if cache is not None:
+                cache[prefix] = kv
+        k, v = kv
         disallow = None if key_valid is None else ~key_valid[:, None, :]
-        if causal:
-            T = xq.data.shape[-2]
-            future = np.triu(np.ones((T, T), dtype=bool), k=1)
+        if causal:  # query i is position i + T_k - T_q
+            Tq, Tk = xq.data.shape[-2], k.data.shape[-2]
+            future = np.triu(np.ones((Tq, Tk), dtype=bool), k=Tk - Tq + 1)
             disallow = future if disallow is None else disallow | future
-        heads = ad.attention(self._linear(xq, prefix, "q"),
-                             self._linear(xkv, prefix, "k", bias=False),
-                             self._linear(xkv, prefix, "v"),
+        heads = ad.attention(self._linear(xq, prefix, "q"), k, v,
                              self.cfg.attention_heads, disallow)
         return ad.add(x_q, self._linear(ad.pack(heads, rows), prefix, "o"))
 
@@ -372,21 +381,29 @@ class Model:
                                                memory_valid=valid)
         return F_mem, ctc_logits, attn_logits
 
-    def decoder_forward(self, F_mem, tokens, memory_valid=None):
+    def decoder_forward(self, F_mem, tokens, memory_valid=None, cache=None):
         """Teacher-forced decoder: causal self-attention over the token
-        prefix and cross-attention into the encoder memory."""
+        prefix and cross-attention into the encoder memory. With a ``cache``
+        dict (inference only, empty at first), ``tokens`` must extend the last
+        call's by one token, and only that newest position is computed."""
         cfg = self.cfg
         tokens = np.asarray(tokens, dtype=np.int64)
         _, L = tokens.shape
         if L > cfg.max_decode_len + 1:
             raise ValueError("decoder input longer than max_decode_len")
-        x = ad.add(self.params["char_decoder/embed"][tokens],
-                   self.params["char_decoder/pos"][:L])
+        start = 0
+        if cache is not None:
+            seen = cache.get("tokens", tokens[:, :0])
+            if not np.array_equal(tokens[:, :-1], seen):
+                raise ValueError("tokens must extend the cached ones by one")
+            cache["tokens"], start = tokens, L - 1
+        x = ad.add(self.params["char_decoder/embed"][tokens[:, start:]],
+                   self.params["char_decoder/pos"][start:L])
         for i in range(cfg.char_decoder_layers):
             x = self._attention(x, None, f"char_decoder/layer{i}_self",
-                                causal=True)
+                                causal=True, cache=cache)
             x = self._attention(x, F_mem, f"char_decoder/layer{i}_cross",
-                                key_valid=memory_valid)
+                                key_valid=memory_valid, cache=cache)
             x = self._ffn(x, f"char_decoder/layer{i}_ffn")
         return self._head(self._norm(x, "char_decoder/out_norm"),
                           "heads/char_attn")
@@ -412,13 +429,16 @@ class Model:
             self.char_forward(fused, valid, decoder_inputs)
         return out
 
+    @ad.inference()
     def forward_infer(self, features, act: ActivationConfig, decode,
                       beam_width) -> Hypothesis:
         """Inference on one utterance, a T x ``input_dim`` array, with
         on-demand branch activation.
 
         Only the branches enabled by ``act`` execute; their framewise argmax
-        classes ride along on the hypothesis for interpretability.
+        classes ride along on the hypothesis for interpretability. Runs
+        under ``autodiff.inference()``; an ``AutodiffError`` names ``act`` if
+        the logits it decodes (CTC, or each attention step's) are not finite.
         """
         features = as_tensor(features)
         if features.data.shape[1:] != (self.cfg.input_dim,):
@@ -443,28 +463,29 @@ class Model:
         fused = self.fuse(F, P, V)
         F_mem, ctc_logits, _ = self.char_forward(fused)
 
+        def finite(logits):
+            if not np.isfinite(logits).all():
+                raise ad.AutodiffError(f"non-finite logits under {act.name!r}")
+            return logits
+
         if decode == "ctc_greedy":
-            tokens = ctc_greedy_decode(ctc_logits.data[0])
+            tokens = ctc_greedy_decode(finite(ctc_logits.data[0]))
             score = float(log_probs(ctc_logits.data[0]).max(axis=-1).sum())
         elif decode == "ctc_beam":
-            hyps = ctc_beam_decode(ctc_logits.data[0], beam_width=beam_width)
+            hyps = ctc_beam_decode(finite(ctc_logits.data[0]), beam_width)
             tokens, score = (list(hyps[0].tokens), hyps[0].score) if hyps \
                 else ([], 0.0)
         elif decode == "attention":
+            cache = {}  # this utterance's decoder state; prefixes grow by one
             tokens = attention_greedy_decode(
-                self._decode_step(F_mem), self.cfg.max_decode_len, EOS_ID)
+                lambda prefix: finite(self.decoder_forward(
+                    F_mem, [[SOS_ID, *prefix]], cache=cache).data[0, -1]),
+                self.cfg.max_decode_len, EOS_ID)
             score = 0.0
         else:
             raise ValueError(f"unknown decode mode {decode!r}")
         return Hypothesis(tokens=tuple(tokens), score=score,
                           branch_frames=branch_frames)
-
-    def _decode_step(self, F_mem):
-        def step(prefix):
-            tokens = np.asarray([[SOS_ID, *prefix]], dtype=np.int64)
-            logits = self.decoder_forward(F_mem, tokens)
-            return logits.data[0, -1]
-        return step
 
     # ------------------------------------------------------------------
     # checkpoints

@@ -306,9 +306,9 @@ def read_manifest(path):
     inventory, lexicon), labels derived by ``labels_of`` through the
     manifest's own lexicon and inventory. A ``ManifestError`` names the path
     of a missing file, a header other than v2 or an index without records,
-    and names the record of a malformed field, a negative T or offset, a C
-    below 1 or unlike the first record's, no characters, a character id
-    outside the lexicon, or durations not >= 1 per phoneme summing to T."""
+    and the record of a repeated id, a malformed field, a negative T or
+    offset, a C below 1 or unlike the first record's, no characters, a
+    character outside the lexicon, or durations not >= 1 summing to T."""
     path = Path(path)
     index = path / "index.tsv"
     if not index.exists():
@@ -329,13 +329,16 @@ def read_manifest(path):
     lexicon = load_lexicon(path / "lexicon.tsv", inv)
 
     blob_size = (path / "features.bin").stat().st_size
-    utterances = []
+    utterances, ids = [], set()
     with open(path / "features.bin", "rb") as blob:
         for ln in lines[1:]:
             fields = ln.split("\t")
             if len(fields) != 6:
                 raise ManifestError(f"malformed index record: {ln!r}")
             uid = fields[0]
+            if uid in ids:
+                raise ManifestError(f"record {uid}: repeated id")
+            ids.add(uid)
             T, C, off = (_parse_ints(uid, f, count=1)[0] for f in fields[1:4])
             width = utterances[0].features.shape[1] if utterances else C
             if min(T, off) < 0 or not 1 <= C == width:

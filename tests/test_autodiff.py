@@ -1,8 +1,9 @@
+import threading
 import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -112,6 +113,77 @@ def test_fused_op_gradients_match_finite_differences(name):
     f, shape = FUSED[name]
     check_primitive(f, shape, np.random.default_rng(zlib.crc32(name.encode())),
                     cases=10)
+
+
+def _padded_conv(x, w, g):
+    """The zero-padded depthwise conv and its gradients, tap by tap in the
+    same order as ``ad.depthwise_conv``: the reference its slicing keeps."""
+    k, T, r = w.shape[0], x.shape[1], w.shape[0] // 2
+    xp = np.pad(x, ((0, 0), (r, r), (0, 0)))
+    out = xp[:, :T] * w[0]
+    for i in range(1, k):
+        out = out + xp[:, i:i + T] * w[i]
+    gx = np.zeros_like(xp)
+    for i in range(k):
+        gx[:, i:i + T] += g * w[i]
+    gw = np.stack([(g * xp[:, i:i + T]).sum(axis=(0, 1)) for i in range(k)])
+    return out, gx[:, r:r + T], gw
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 9), st.sampled_from([1, 3, 5, 9]),
+       st.integers(1, 5), st.integers(0, 2**32 - 1))
+@example(B=1, T=2, k=9, C=3, seed=0)  # T < |tap offset| < 2T
+def test_depthwise_conv_equals_the_zero_padded_reference(B, T, k, C, seed):
+    # kernels wider than 2T + 1 included: some taps then read no frame. The
+    # output and the input gradient add the same products in the same order;
+    # the kernel gradient skips the zero products past the edges, which a
+    # pairwise sum (C = 1) may round differently
+    rng = np.random.default_rng(seed)
+    x, w = Tensor(rng.normal(size=(B, T, C))), Tensor(rng.normal(size=(k, C)))
+    g = rng.normal(size=(B, T, C))
+    out = ad.depthwise_conv(x, w)
+    backward(weighted_sum(out, g))
+    ref_out, ref_gx, ref_gw = _padded_conv(x.data, w.data, g)
+    assert np.array_equal(out.data, ref_out)
+    assert np.array_equal(grad_of(x), ref_gx)
+    assert np.allclose(grad_of(w), ref_gw, rtol=1e-13, atol=1e-13)
+
+
+def test_inference_records_no_graph_and_backward_raises():
+    x = Tensor(RNG.normal(size=3))
+    with ad.inference():
+        y = ad.mul(x, x)
+        with np.errstate(invalid="ignore"):  # no per-node NaN check
+            assert np.isnan(ad.mul(Tensor(np.array([np.inf])), 0.0).data)
+        with pytest.raises(AutodiffError, match=r"weighted_sum #\d+ ran in inference"):
+            backward(weighted_sum(y))
+    assert y.parents == () and y._grad_fn is None
+    with pytest.raises(AutodiffError, match=r"mul #\d+ ran in inference"):
+        backward(weighted_sum(y))  # a recorded op on an unrecorded result
+
+
+def test_inference_restores_recording_after_an_exception_and_nesting():
+    x = Tensor(np.ones(2))
+    with pytest.raises(KeyError):
+        with ad.inference():
+            raise KeyError("inside")
+    assert ad.add(x, x).parents == (x, x)
+    with ad.inference():
+        with ad.inference():
+            pass
+        assert ad.add(x, x).parents == ()
+    assert ad.add(x, x).parents == (x, x)
+
+
+def test_inference_leaves_other_threads_recording():
+    x, seen = Tensor(np.ones(2)), []
+    with ad.inference():
+        worker = threading.Thread(
+            target=lambda: seen.append(ad.add(x, x).parents))
+        worker.start()
+        worker.join(timeout=10)
+    assert not worker.is_alive() and seen == [(x, x)]
 
 
 def test_shared_gradient_arrays_are_never_written_in_place():

@@ -1,7 +1,9 @@
 """Static gates on the code's names: every module-level import in the
 package is used or re-exported, every private or public module-level name
-and every dataclass field has a reader, and every local a function assigns
-is read. They need only ``ast``, so they run wherever the tests run."""
+and every dataclass field has a reader, every local a function assigns is
+read, a label triple is built in one place and only ``Model.forward_infer``
+runs without a graph. They need only ``ast``, so they run wherever the
+tests run."""
 import ast
 from pathlib import Path
 
@@ -281,5 +283,43 @@ def test_label_triple_calls_sees_every_call_outside_labels_of():
 
 def test_only_labels_of_builds_a_label_triple():
     calls = {p.name: label_triple_calls(p.read_text(encoding="utf-8"))
+             for p in MODULES}
+    assert {name: lines for name, lines in calls.items() if lines} == {}
+
+
+def inference_calls(source):
+    """Line numbers of the calls of ``inference`` (bare or as an attribute,
+    in a ``with`` or a decorator) made anywhere but in ``Model.forward_infer``,
+    the one path that may run without a graph and the NaN check."""
+    tree = ast.parse(source)
+    allowed = {id(n) for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) and cls.name == "Model"
+               for fn in cls.body if isinstance(fn, ast.FunctionDef)
+               and fn.name == "forward_infer" for n in ast.walk(fn)}
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.Call) and id(n) not in allowed
+                  and getattr(n.func, "id", getattr(n.func, "attr", None))
+                  == "inference")
+
+
+def test_inference_calls_sees_every_call_outside_model_forward_infer():
+    source = (
+        "import ad\nfrom ad import inference\n\n"
+        "class Model:\n"
+        "    @ad.inference()\n"
+        "    def forward_infer(self):\n"
+        "        with inference():\n            pass\n\n"
+        "    def forward_train(self):\n"
+        "        with ad.inference():\n            pass\n\n"
+        "class Other:\n"
+        "    @ad.inference()\n"
+        "    def forward_infer(self):\n        pass\n\n"
+        "def helper():\n    return inference().__enter__()\n"
+    )
+    assert inference_calls(source) == [11, 15, 20]
+
+
+def test_only_model_forward_infer_enters_inference():
+    calls = {p.name: inference_calls(p.read_text(encoding="utf-8"))
              for p in MODULES}
     assert {name: lines for name, lines in calls.items() if lines} == {}

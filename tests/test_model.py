@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vsrkit import autodiff as ad
-from vsrkit.autodiff import Tensor, backward, grad_of
+from vsrkit.autodiff import AutodiffError, Tensor, backward, grad_of
+from vsrkit.decoding import attention_greedy_decode
 from vsrkit.linguistics import NUM_VISEMES
 from vsrkit.model import (
     ALL_ACTIVATIONS,
+    DECODE_MODES,
+    EOS_ID,
+    SOS_ID,
     ActivationConfig,
     CheckpointError,
     Model,
@@ -254,6 +259,65 @@ def test_unpadded_forward_records_no_layout_nodes(model):
     assert "depthwise_conv" in ops and not ops & {"pack", "unpack", "mul"}
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.sampled_from([1, 2]),
+       st.lists(st.integers(0, CFG.char_vocab - 1),
+                max_size=CFG.max_decode_len),
+       st.integers(0, 2**32 - 1))
+def test_incremental_decoder_steps_match_teacher_forcing(T, layers, prefix,
+                                                         seed):
+    # step i feeds token i alone, against the cached keys and values of
+    # tokens 0..i-1 and of the memory; a 1-row GEMM may round differently
+    model = Model(replace(CFG, char_decoder_layers=layers), seed=seed % 97)
+    F_mem = Tensor(np.random.default_rng(seed).normal(
+        size=(1, T, CFG.model_dim)))
+    tokens = [SOS_ID, *prefix]
+    forced = model.decoder_forward(F_mem, [tokens]).data[0]
+    cache = {}
+    with ad.inference():
+        for i in range(1, len(tokens) + 1):
+            step = model.decoder_forward(F_mem, [tokens[:i]], cache=cache)
+            assert step.data.shape == (1, 1, CFG.char_vocab)
+            assert np.abs(step.data[0, 0] - forced[i - 1]).max() <= 1e-12
+
+
+def test_cached_attention_decode_matches_full_recompute(model):
+    # the reference step reruns the decoder over the whole prefix
+    lengths = []
+    for seed in range(6):
+        feats = np.random.default_rng(seed).normal(size=(4 + seed,
+                                                         CFG.input_dim))
+        for act in ALL_ACTIVATIONS:
+            got = model.forward_infer(feats, act, "attention", 8).tokens
+            F = model.trunk_forward(Tensor(feats[None]))
+            P = model.branch_forward(F, "phoneme")[0] if act.use_phoneme \
+                else None
+            V = model.branch_forward(F, "viseme")[0] if act.use_viseme \
+                else None
+            F_mem, _, _ = model.char_forward(model.fuse(F, P, V))
+            want = attention_greedy_decode(
+                lambda p: model.decoder_forward(
+                    F_mem, [[SOS_ID, *p]]).data[0, -1],
+                CFG.max_decode_len, EOS_ID)
+            assert list(got) == want
+            lengths.append(len(want))
+    assert max(lengths) > 1
+
+
+def test_decoder_cache_refuses_a_prefix_that_skips_or_repeats(model):
+    F_mem = Tensor(np.random.default_rng(14).normal(size=(1, 5,
+                                                          CFG.model_dim)))
+    cache = {}
+    with ad.inference():
+        model.decoder_forward(F_mem, [[SOS_ID]], cache=cache)
+        model.decoder_forward(F_mem, [[SOS_ID, 4]], cache=cache)
+        for bad in ([[SOS_ID, 4]], [[SOS_ID, 4, 5, 6]], [[SOS_ID, 5, 6]],
+                    [[SOS_ID]]):
+            with pytest.raises(ValueError, match="extend the cached"):
+                model.decoder_forward(F_mem, bad, cache=cache)
+        model.decoder_forward(F_mem, [[SOS_ID, 4, 5]], cache=cache)
+
+
 # ----------------------------------------------------------------------
 # inference and activation
 
@@ -298,6 +362,35 @@ def test_infer_emits_branch_frames_per_activation(model):
     assert set(hyps[2].branch_frames) == {"viseme"}
     assert set(hyps[3].branch_frames) == {"phoneme", "viseme"}
     assert all(len(v) == 5 for h in hyps for v in h.branch_frames.values())
+
+
+def test_infer_builds_no_graph_and_restores_recording(model, monkeypatch):
+    seen = []
+    char_forward = model.char_forward
+
+    def spy(*args):
+        seen.append(char_forward(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(model, "char_forward", spy)
+    feats = np.random.default_rng(15).normal(size=(5, CFG.input_dim))
+    model.forward_infer(feats, ALL_ACTIVATIONS[3], "attention", 8)
+    F_mem, ctc, _ = seen[0]
+    assert F_mem.parents == ctc.parents == () and ctc._grad_fn is None
+    x = Tensor(np.ones(2))
+    assert ad.add(x, x).parents == (x, x)
+
+
+@pytest.mark.parametrize("decode", DECODE_MODES)
+def test_infer_names_the_activation_of_non_finite_logits(model, decode):
+    model.params["char_encoder/layer0_ffn1_w1"].data[0, 0] = np.nan
+    feats = np.random.default_rng(16).normal(size=(5, CFG.input_dim))
+    for act in ALL_ACTIVATIONS:
+        with np.errstate(invalid="ignore"), pytest.raises(
+                AutodiffError, match=re.escape(f"under {act.name!r}")):
+            model.forward_infer(feats, act, decode, 8)
+    x = Tensor(np.ones(2))
+    assert ad.add(x, x).parents == (x, x)
 
 
 @pytest.mark.parametrize("shape", [(2, 5, CFG.input_dim),

@@ -273,6 +273,15 @@ def test_manifest_names_the_record_of_a_bad_size(tmp_path, small_corpus,
     assert message in str(raised.value)
 
 
+def test_manifest_names_a_repeated_record_id(tmp_path, small_corpus):
+    _, lex, corpus = small_corpus
+    write_manifest(tmp_path / "m", corpus[:3], INV, lex)
+    _edit_record(tmp_path / "m", 2, 0, lambda _: corpus[0].id)
+    with pytest.raises(ManifestError, match=re.escape(
+            f"record {corpus[0].id}: repeated id")):
+        read_manifest(tmp_path / "m")
+
+
 def test_manifest_requires_lexicon_coverage():
     lex = make_lexicon(INV, 10, seed=0)
     cfg = SynthConfig(seed=0, num_utterances=2, char_vocab_size=20)
