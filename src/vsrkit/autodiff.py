@@ -5,9 +5,12 @@ Outside ``inference()``, every operation builds a node graph that
 and a NaN aborts at once with the identity of the producing node.
 
 The ops are the ones the model and the losses use. ``add``, ``mul`` and
-``silu`` are elementwise, and ``slice_`` backs ``Tensor[...]``. The
-transformer blocks run on four fused nodes with closed-form gradients:
-``linear``, ``layer_norm``, multi-head ``attention`` and ``depthwise_conv``.
+``silu`` (whose sigmoid is 1 / (1 + exp(-x)) from numpy's vector ``exp``)
+are elementwise, and ``slice_`` backs ``Tensor[...]``. The transformer
+blocks run on four fused nodes with closed-form gradients: ``linear``,
+``layer_norm``, multi-head ``attention`` and ``depthwise_conv``; the bias
+gradient of ``linear``, the softmax row sums of ``attention`` and the
+backward sums of ``layer_norm`` are BLAS products with a vector of ones.
 ``pack`` and ``unpack`` move between a padded ``(B, T, C)`` array and its
 ``(N, C)`` rows under a boolean ``(B, T)`` mask. A value computed in numpy
 with a hand-written gradient is a ``Tensor`` built directly from its data,
@@ -23,7 +26,6 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "Tensor",
@@ -139,22 +141,23 @@ def mul(a, b):
 
 
 def linear(x, w, b=None):
-    """``x @ w (+ b)`` over the last axis of ``x`` as one 2-D GEMM on the
-    flattened rows; the weight gradient is one 2-D GEMM too."""
-    parents = tuple(as_tensor(t) for t in (x, w, b) if t is not None)
-    x, w = parents[:2]
-    x2 = x.data.reshape(-1, x.data.shape[-1])
+    """``x @ w (+ b)`` over the last axis of ``x`` as one 2-D GEMM on its
+    rows (a 2-D ``x`` is not reshaped); the weight gradient is one 2-D GEMM
+    too, and the bias gradient a row of ones times the output gradient."""
+    x, w = as_tensor(x), as_tensor(w)
+    parents = (x, w) if b is None else (x, w, as_tensor(b))
+    x2 = x.data if x.data.ndim == 2 else x.data.reshape(-1, x.data.shape[-1])
     out = x2 @ w.data
     if b is not None:
         out += parents[2].data
 
     def grad_fn(g):
-        g2 = g.reshape(-1, g.shape[-1])
-        return ((g2 @ w.data.T).reshape(x.data.shape), x2.T @ g2,
-                g2.sum(axis=0))[:len(parents)]
+        g2 = g if g.ndim == 2 else g.reshape(-1, g.shape[-1])
+        grads = ((g2 @ w.data.T).reshape(x.data.shape), x2.T @ g2)
+        return grads if b is None else (*grads, np.ones(len(g2)) @ g2)
 
-    return Tensor(out.reshape(*x.data.shape[:-1], -1), parents, grad_fn,
-                  op="linear")
+    return Tensor(out if x2 is x.data else out.reshape(*x.data.shape[:-1], -1),
+                  parents, grad_fn, op="linear")
 
 
 def slice_(a, key):
@@ -194,15 +197,23 @@ def unpack(x, rows):
 
 
 def silu(a):
-    """Smooth gated unit x * sigmoid(x) as one node."""
+    """Smooth gated unit x * sigmoid(x) as one node; the sigmoid is
+    1 / (1 + exp(-x)) in place, exactly 0 below x = -709."""
     a = as_tensor(a)
-    s = expit(a.data)
-    return Tensor(
-        a.data * s,
-        (a,),
-        lambda g: (g * (s * (1.0 + a.data * (1.0 - s))),),
-        op="silu",
-    )
+    s = np.negative(a.data, out=np.empty_like(a.data))  # 0-d too
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    s += 1.0
+    np.divide(1.0, s, out=s)
+
+    def grad_fn(g):  # g * s * (1 + x (1 - s)), built in one array
+        d = np.subtract(1.0, s, out=np.empty_like(s))
+        d *= a.data
+        d += 1.0
+        d *= s
+        return (np.multiply(d, g, out=d),)
+
+    return Tensor(a.data * s, (a,), grad_fn, op="silu")
 
 
 def layer_norm(x, scale, bias, eps):
@@ -215,13 +226,13 @@ def layer_norm(x, scale, bias, eps):
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
 
-    def grad_fn(g):
-        gh = g * scale.data
-        gx = inv * (gh - (gh.sum(axis=-1, keepdims=True)
-                          + xhat * (gh * xhat).sum(axis=-1, keepdims=True))
+    def grad_fn(g):  # every sum is a product with ones
+        gh, g2, ones = g * scale.data, g.reshape(-1, n), np.ones(n)
+        gx = inv * (gh - ((gh @ ones)[..., None]
+                          + xhat * ((gh * xhat) @ ones)[..., None])
                     * (1.0 / n))
-        g2 = g.reshape(-1, n)
-        return gx, (g2 * xhat.reshape(-1, n)).sum(axis=0), g2.sum(axis=0)
+        rows = np.ones(len(g2))
+        return gx, rows @ (g2 * xhat.reshape(-1, n)), rows @ g2
 
     return Tensor(xhat * scale.data + bias.data, (x, scale, bias), grad_fn,
                   op="layer_norm")
@@ -242,18 +253,22 @@ def attention(q, k, v, heads, disallow=None):
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scale = 1.0 / np.sqrt(qh.shape[-1])
-    scores = (qh @ kh.swapaxes(-1, -2)) * scale
+    ones = np.ones(kh.shape[-2])  # row sums as BLAS matrix-vector products
+    p = qh @ kh.swapaxes(-1, -2)  # softmax in place on the scores
+    p *= scale
     if disallow is not None:
         disallow = np.asarray(disallow, dtype=bool)[..., None, :, :]
-        scores = np.where(disallow, -1e30, scores)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
+        p = np.where(disallow, -1e30, p)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= (p @ ones)[..., None]
     out = p @ vh
 
     def grad_fn(g):
         go = split(g)
-        gp = go @ vh.swapaxes(-1, -2)
-        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+        gs = go @ vh.swapaxes(-1, -2)
+        gs -= ((gs * p) @ ones)[..., None]
+        gs *= p
         if disallow is not None:
             gs = np.where(disallow, 0.0, gs)
         gs *= scale

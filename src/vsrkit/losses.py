@@ -3,13 +3,15 @@ combination, the semantic-guided local contrastive alignment loss, and the
 total multitask loss.
 
 All losses return scalar autodiff Tensors so gradients reach the model
-through one reverse pass. CTC, the attention cross-entropy and the
-alignment loss each take a padded batch with per-utterance lengths and are
-one taped node per batch, a ``Tensor`` built from its value, its inputs
+through one reverse pass. CTC (per head), the attention cross-entropy and
+the alignment loss each take a padded batch with per-utterance lengths and
+are one taped node per batch, a ``Tensor`` built from its value, its inputs
 and its gradient function: the value is computed in numpy, vectorised over
 utterances, and the gradient has a closed form (for CTC, from the
 forward-backward recursion) rather than coming from taping every
-intermediate. Padded frames and rows get exactly zero gradient.
+intermediate. Padded frames and rows get exactly zero gradient. One
+``ctc_loss`` call runs one recursion over the utterances of every CTC head
+it is given; one head, or one T x K utterance, is the same call.
 ``total_loss`` combines them into the objective and returns every present
 component by name, in the order a training record logs them, so the
 objective and its component names are written once.
@@ -82,15 +84,6 @@ class LossConfig:
             raise ValueError(f"window_w must be odd and >= 1, got {self.window_w}")
 
 
-def _logaddexp3(a, b, c):
-    """Elementwise log(exp(a) + exp(b) + exp(c)); all -inf stays -inf."""
-    m = np.maximum(np.maximum(a, b), c)
-    safe = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        return np.log(np.exp(a - safe) + np.exp(b - safe) + np.exp(c - safe)) \
-            + safe
-
-
 def _extended_labels(target):
     ext = np.full(2 * len(target) + 1, BLANK, dtype=np.int64)
     ext[1::2] = target
@@ -102,42 +95,53 @@ def _min_frames(target):
     return len(target) + repeats
 
 
-def ctc_loss(logits, targets, lengths=None) -> Tensor:
+def ctc_loss(logits, targets, lengths=None):
     """Batch mean of -log p(target | logits), summed over all alignments.
 
     ``logits`` is a B x T x K Tensor with the blank class at index 0,
     ``targets`` holds B blank-free token sequences and ``lengths`` the B
     frame counts (default T each); frames at or past T_b are padding. A
-    T x K ``logits`` with one ``targets`` sequence is the B = 1 case.
+    T x K ``logits`` with one ``targets`` sequence is the B = 1 case. Given
+    dicts of such heads (one B and T) and of their targets by head name, it
+    returns a dict of one loss Tensor per head.
 
-    The alpha and beta recursions run once over all utterances and the
-    blank-interleaved label positions, padded to the longest; beta starts
-    at each utterance's own last frame. The gradient comes from the
+    The alpha and beta recursions run once over every head's utterances
+    and the blank-interleaved label positions, padded to the longest; beta
+    starts at each utterance's own last frame. The gradient comes from the
     occupancy posteriors and is exactly zero on padded frames.
-    ``CtcNoValidPathError`` names the first infeasible batch element.
+    ``CtcNoValidPathError`` names the head and the first infeasible batch
+    element.
     """
-    logits = as_tensor(logits)
-    x = logits.data
-    if x.ndim == 2:
-        x, targets = x[None], [targets]
-    elif x.ndim != 3:
-        raise CtcError(f"logits must be B x T x K or T x K, got shape {x.shape}")
-    B, T, K = x.shape
+    if not isinstance(logits, dict):
+        return ctc_loss({None: logits}, {None: targets}, lengths)[None]
+    names = list(logits)
+    heads = [as_tensor(logits[n]) for n in names]
+    xs = [lg.data[None] if lg.data.ndim == 2 else lg.data for lg in heads]
+    targets = [[targets[n]] if lg.data.ndim == 2 else targets[n]
+               for n, lg in zip(names, heads)]
+    B, T = xs[0].shape[:2] if xs[0].ndim == 3 else (0, 0)
+    if any(x.ndim != 3 or x.shape[:2] != (B, T) for x in xs):
+        raise CtcError(f"logits must be B x T x K or T x K, with B and T "
+                       f"shared by every head; got shapes "
+                       f"{[lg.data.shape for lg in heads]}")
     lengths = np.asarray([T] * B if lengths is None else lengths,
                          dtype=np.int64)
-    if len(targets) != B or lengths.shape != (B,):
+    if any(len(t) != B for t in targets) or lengths.shape != (B,):
         raise CtcError(f"need one target and one length per batch element, "
-                       f"got {len(targets)} and {lengths.size} for B = {B}")
+                       f"got {[len(t) for t in targets]} and "
+                       f"{lengths.size} for B = {B}")
     if (lengths < 1).any() or (lengths > T).any():
         raise CtcError(f"lengths must lie in [1, {T}], got {lengths.tolist()}")
 
-    exts = []
-    for b, target in enumerate(targets):
+    prefix = ["" if n is None else f"head {n!r}, " for n in names]
+    exts = []  # row h·B + b holds head h's batch element b
+    for row, target in enumerate(t for head in targets for t in head):
+        h, b = divmod(row, B)
         target = np.asarray(target, dtype=np.int64)
-        at = f"batch element {b}:"
+        at = f"{prefix[h]}batch element {b}:"
         if target.ndim != 1:
             raise CtcError(f"{at} target must be a 1-D token sequence")
-        if target.size and (target.min() < 1 or target.max() >= K):
+        if target.size and (target.min() < 1 or target.max() >= xs[h].shape[2]):
             if (target == BLANK).any():
                 raise CtcError(f"{at} target must not contain the blank index")
             raise CtcError(f"{at} target token out of range")
@@ -146,67 +150,77 @@ def ctc_loss(logits, targets, lengths=None) -> Tensor:
                                       f"cannot fit in {lengths[b]} frames")
         exts.append(_extended_labels(target))
 
+    R = len(exts)
     S_len = np.array([len(e) for e in exts])
     S = int(S_len.max())
-    ext = np.full((B, S), BLANK, dtype=np.int64)  # padding never feeds a path
-    for b, e in enumerate(exts):
-        ext[b, :len(e)] = e
-    bi = np.arange(B)
-    ends = lengths - 1
+    ext = np.full((R, S), BLANK)  # padding never feeds a path
+    for row, e in enumerate(exts):
+        ext[row, :len(e)] = e
+    bi = np.arange(R)
+    ends = np.tile(lengths, len(xs)) - 1
 
-    lp = log_probs(x)  # B x T x K
-    lp_ext = np.take_along_axis(lp, ext[:, None, :], axis=2)  # B x T x S
+    lps = [log_probs(x) for x in xs]  # B x T x K_h each
+    lp_ext = np.concatenate([np.take_along_axis(  # R x T x S
+        lp, ext[h * B:(h + 1) * B, None], axis=2) for h, lp in enumerate(lps)])
 
     # a path may also reach s from s-2 when s holds a label that differs
     # from the one at s-2
-    skip_in = np.zeros((B, S), dtype=bool)
+    skip_in = np.zeros(ext.shape, dtype=bool)
     skip_in[:, 2:] = (ext[:, 2:] != BLANK) & (ext[:, 2:] != ext[:, :-2])
-    skip_out = np.zeros((B, S), dtype=bool)
+    skip_out = np.zeros(ext.shape, dtype=bool)
     skip_out[:, :-2] = skip_in[:, 2:]
 
-    # two leading -inf columns stand for positions -2 and -1; positions past
-    # S_b only ever receive from lower positions, so they never feed back
-    la = np.full((B, T, S + 2), NEG_INF)
-    la[:, 0, 2:4] = lp_ext[:, 0, :2]
-    for t in range(1, T):
-        prev = la[:, t - 1]
-        la[:, t, 2:] = lp_ext[:, t] + _logaddexp3(
-            prev[:, 2:], prev[:, 1:-1], np.where(skip_in, prev[:, :-2], NEG_INF))
-    la = la[:, :, 2:]
-
+    # alpha, and beta with its frames and positions reversed, run as one
+    # log-space recursion over 2R rows: x[r, i + 1, 2 + s] sums the paths
+    # from s, s - 1 and (where skip allows) s - 2 at frame i, and row r
+    # starts afresh at frame first[r]. Frame 0 and columns 0, 1 stay -inf;
+    # positions past S_b only ever receive from lower ones.
     pos = np.arange(S)
     last_two = (pos >= S_len[:, None] - 2) & (pos < S_len[:, None])
+    start = np.concatenate([np.where(pos < 2, lp_ext[:, 0], NEG_INF), np.where(
+        last_two, lp_ext[bi, ends], NEG_INF)[:, ::-1]])
+    first = np.concatenate([np.zeros_like(ends), T - 1 - ends])
+    lp2 = np.concatenate([lp_ext, lp_ext[:, ::-1, ::-1]])
+    skip = np.zeros((2 * R, 3, S))  # added to the window s - 2, s - 1, s
+    skip[:, 0] = np.where(np.concatenate([skip_in, skip_out[:, ::-1]]), 0.0,
+                          NEG_INF)
+    x = np.full((2 * R, T + 1, S + 2), NEG_INF)
+    window = np.lib.stride_tricks.sliding_window_view(x, S, axis=2)
+    with np.errstate(divide="ignore"):
+        for i in range(T):
+            w = window[:, i] + skip
+            # the largest term, or -1e300 where all are -inf: no -inf - -inf
+            top = np.maximum(w.max(axis=1), -1e300)
+            w -= top[:, None]
+            np.exp(w, out=w)
+            rec = lp2[:, i] + (np.log(w[:, 2] + w[:, 1] + w[:, 0]) + top)
+            x[:, i + 1, 2:] = np.where((first == i)[:, None], start, rec)
+    la, lb = x[:R, 1:, 2:], x[R:, :0:-1, :1:-1]
+
     log_p = np.logaddexp.reduce(
         np.where(last_two, la[bi, ends], NEG_INF), axis=-1)
     bad = np.flatnonzero(~np.isfinite(log_p))
     if bad.size:
-        raise CtcNoValidPathError(
-            f"batch element {bad[0]}: no alignment has nonzero probability")
+        raise CtcNoValidPathError(f"{prefix[bad[0] // B]}batch element "
+                                  f"{bad[0] % B}: no alignment has nonzero "
+                                  f"probability")
 
-    # an extra -inf frame past T and two trailing -inf columns; frames past
-    # T_b - 1 stay -inf, which zeroes their occupancy
-    lb = np.full((B, T + 1, S + 2), NEG_INF)
-    start = np.where(last_two, lp_ext[bi, ends], NEG_INF)
-    for t in range(T - 1, -1, -1):
-        nxt = lb[:, t + 1]
-        rec = lp_ext[:, t] + _logaddexp3(
-            nxt[:, :-2], nxt[:, 1:-1], np.where(skip_out, nxt[:, 2:], NEG_INF))
-        lb[:, t, :-2] = np.where((ends == t)[:, None], start, rec)
-    lb = lb[:, :T, :-2]
-
-    # occupancy posterior of each position, summed onto its label
-    post = np.exp(la + lb - lp_ext - log_p[:, None, None])  # B x T x S
-    occ = post @ (ext[:, :, None] == np.arange(K)).astype(np.float64)
+    # each head's occupancy posterior of each position, summed onto its label
     frame_valid = np.arange(T)[None, :, None] < lengths[:, None, None]
-    grad = np.where(frame_valid, np.exp(lp) - occ, 0.0).reshape(
-        logits.data.shape)  # d(-log p_b)/d logits
-
-    return Tensor(
-        np.float64(-log_p.mean()),
-        (logits,),
-        lambda g: ((g * (1.0 / B)) * grad,),
-        op="ctc_loss",
-    )
+    losses = []
+    for h, (lg, lp) in enumerate(zip(heads, lps)):
+        rows = slice(h * B, (h + 1) * B)
+        Sh = int(S_len[rows].max())
+        post = np.exp(la[rows, :, :Sh] + lb[rows, :, :Sh]
+                      - lp_ext[rows, :, :Sh] - log_p[rows, None, None])
+        occ = post @ (ext[rows, :Sh, None] ==
+                      np.arange(lp.shape[2])).astype(np.float64)
+        grad = np.where(frame_valid, np.exp(lp) - occ, 0.0).reshape(
+            lg.data.shape)  # d(-log p_b)/d logits
+        losses.append(Tensor(np.float64(-log_p[rows].mean()), (lg,),
+                             lambda g, grad=grad: ((g * (1.0 / B)) * grad,),
+                             op="ctc_loss"))
+    return dict(zip(names, losses))
 
 
 def attention_ce_loss(logits, targets, lengths=None) -> Tensor:

@@ -7,10 +7,11 @@ group prefixes (trunk/phoneme/viseme/fusion/char_encoder/char_decoder/heads)
 so checkpoints can verify which branches exist.
 
 Every method takes and returns padded ``(B, T, ·)`` arrays, and the decoder
-runs on them. Given a ``valid`` mask, the trunk, the branches and the
-character encoder compute on its packed ``(N, C)`` rows; only attention and
-the depthwise conv unpack, inside the block. Padded rows of their outputs
-are exactly zero. With ``valid=None`` nothing is packed.
+runs on them; only the memory that ``char_forward`` returns is packed.
+Given a ``valid`` mask, the trunk, the branches and the character encoder
+compute on its packed ``(N, C)`` rows; only attention and the depthwise
+conv unpack, inside the block. Padded rows of their outputs are exactly
+zero. With ``valid=None`` nothing is packed.
 
 There is one checkpoint file layout, written by ``Model.save`` and read by
 ``Model.load``: a ``.npz`` with ``__version__`` ("vsrkit-checkpoint v3"),
@@ -295,7 +296,8 @@ class Model:
                 cache[prefix] = kv
         k, v = kv
         disallow = None if key_valid is None else ~key_valid[:, None, :]
-        if causal:  # query i is position i + T_k - T_q
+        # query i is position i + T_k - T_q; a lone query sees every key
+        if causal and xq.data.shape[-2] > 1:
             Tq, Tk = xq.data.shape[-2], k.data.shape[-2]
             future = np.triu(np.ones((Tq, Tk), dtype=bool), k=Tk - Tq + 1)
             disallow = future if disallow is None else disallow | future
@@ -362,8 +364,9 @@ class Model:
         return mp, mv
 
     def char_forward(self, fused, valid=None, decoder_inputs=None):
-        """Character encoder over fused features; returns the memory, CTC
-        logits, and (when teacher-forced inputs are given) attention logits."""
+        """Character encoder over fused features; returns the memory (its
+        packed valid rows when ``valid`` is given) and, when teacher-forced
+        inputs are given, the attention logits. Callers run the CTC head."""
         cfg = self.cfg
         x = self._norm(ad.pack(fused, valid), "fusion/norm")
         for i in range(cfg.char_encoder_layers):
@@ -372,14 +375,13 @@ class Model:
                                 key_valid=valid)
             x = self._depthwise_conv(x, f"char_encoder/layer{i}_conv", valid)
             x = self._ffn(x, f"char_encoder/layer{i}_ffn2")
-        F_mem = self._norm(x, "char_encoder/out_norm")
-        ctc_logits = ad.unpack(self._head(F_mem, "heads/char_ctc"), valid)
-        F_mem = ad.unpack(F_mem, valid)
+        memory = self._norm(x, "char_encoder/out_norm")
         attn_logits = None
         if decoder_inputs is not None:
-            attn_logits = self.decoder_forward(F_mem, decoder_inputs,
+            attn_logits = self.decoder_forward(ad.unpack(memory, valid),
+                                               decoder_inputs,
                                                memory_valid=valid)
-        return F_mem, ctc_logits, attn_logits
+        return memory, attn_logits
 
     def decoder_forward(self, F_mem, tokens, memory_valid=None, cache=None):
         """Teacher-forced decoder: causal self-attention over the token
@@ -425,8 +427,9 @@ class Model:
             fused = self.fuse(out.F, out.P, out.V, out.drop_masks)
         else:
             fused = self.fuse(out.F, None, None)
-        _, out.char_ctc_logits, out.char_attn_logits = \
-            self.char_forward(fused, valid, decoder_inputs)
+        mem, out.char_attn_logits = self.char_forward(fused, valid,
+                                                      decoder_inputs)
+        out.char_ctc_logits = ad.unpack(self._head(mem, "heads/char_ctc"), valid)
         return out
 
     @ad.inference()
@@ -440,6 +443,8 @@ class Model:
         under ``autodiff.inference()``; an ``AutodiffError`` names ``act`` if
         the logits it decodes (CTC, or each attention step's) are not finite.
         """
+        if decode not in DECODE_MODES:
+            raise ValueError(f"unknown decode mode {decode!r}")
         features = as_tensor(features)
         if features.data.shape[1:] != (self.cfg.input_dim,):
             raise ValueError(
@@ -460,30 +465,29 @@ class Model:
         if act.use_viseme:
             V, v_logits = self.branch_forward(F, "viseme")
             branch_frames["viseme"] = v_logits.data[0].argmax(axis=-1).tolist()
-        fused = self.fuse(F, P, V)
-        F_mem, ctc_logits, _ = self.char_forward(fused)
+        F_mem, _ = self.char_forward(self.fuse(F, P, V))
 
         def finite(logits):
             if not np.isfinite(logits).all():
                 raise ad.AutodiffError(f"non-finite logits under {act.name!r}")
             return logits
 
+        ctc = None if decode == "attention" else \
+            finite(self._head(F_mem, "heads/char_ctc").data[0])
         if decode == "ctc_greedy":
-            tokens = ctc_greedy_decode(finite(ctc_logits.data[0]))
-            score = float(log_probs(ctc_logits.data[0]).max(axis=-1).sum())
+            tokens = ctc_greedy_decode(ctc)
+            score = float(log_probs(ctc).max(axis=-1).sum())
         elif decode == "ctc_beam":
-            hyps = ctc_beam_decode(finite(ctc_logits.data[0]), beam_width)
+            hyps = ctc_beam_decode(ctc, beam_width)
             tokens, score = (list(hyps[0].tokens), hyps[0].score) if hyps \
                 else ([], 0.0)
-        elif decode == "attention":
+        else:
             cache = {}  # this utterance's decoder state; prefixes grow by one
             tokens = attention_greedy_decode(
                 lambda prefix: finite(self.decoder_forward(
                     F_mem, [[SOS_ID, *prefix]], cache=cache).data[0, -1]),
                 self.cfg.max_decode_len, EOS_ID)
             score = 0.0
-        else:
-            raise ValueError(f"unknown decode mode {decode!r}")
         return Hypothesis(tokens=tuple(tokens), score=score,
                           branch_frames=branch_frames)
 

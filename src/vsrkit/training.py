@@ -3,7 +3,9 @@ weight-decay adaptive-moment optimizer, cosine schedule with warmup, the
 branch ablation switch (``lambda1 = 0`` drops the alignment loss), and
 ``evaluate``, the one writer of the eval report. A training state is the
 weights, both moments of every parameter, the rng and the step count;
-the step count alone places a resumed state in the caller's schedule."""
+the step count alone places a resumed state in the caller's schedule.
+AdamW updates the moments and the weights in place, so anyone holding a
+parameter or moment array sees it change."""
 from __future__ import annotations
 
 import json
@@ -186,52 +188,57 @@ def _batch_losses(cfg: TrainConfig, state: TrainState, utts, inv,
     dec_in, target = _decoder_batch(utts, model.cfg.max_decode_len)
     out = model.forward_train(feats, lengths, dec_in, state.rng)
 
-    char_ctc = ctc_loss(out.char_ctc_logits,
-                        [_char_tokens(u) for u in utts], lengths)
-    char_attn = attention_ce_loss(out.char_attn_logits, target,
-                                  [len(u.labels.chars) + 1 for u in utts])
-
-    phoneme_ctc = viseme_ctc = align = None
+    heads = {"char": out.char_ctc_logits}
+    targets = {"char": [_char_tokens(u) for u in utts]}
+    align = None
     if model.with_branches:
-        phoneme_ctc = ctc_loss(out.phoneme_logits,
-                               [u.labels.phonemes for u in utts], lengths)
-        viseme_ctc = ctc_loss(out.viseme_logits,
-                              [u.labels.visemes for u in utts], lengths)
+        heads.update(phoneme=out.phoneme_logits, viseme=out.viseme_logits)
+        targets.update(phoneme=[u.labels.phonemes for u in utts],
+                       viseme=[u.labels.visemes for u in utts])
         if cfg.loss.lambda1 > 0:
             vis_cls = out.viseme_logits.data.argmax(axis=-1)
             pho_cls = out.phoneme_logits.data.argmax(axis=-1)
             align = align_loss(out.V, out.P, vis_cls, pho_cls, inv,
                                cfg.loss, lengths=lengths)
+    ctc = ctc_loss(heads, targets, lengths)
+    char_attn = attention_ce_loss(out.char_attn_logits, target,
+                                  [len(u.labels.chars) + 1 for u in utts])
 
-    return total_loss(char_ctc, char_attn, cfg.loss,
-                      phoneme_ctc=phoneme_ctc, viseme_ctc=viseme_ctc,
-                      align=align)
+    return total_loss(ctc["char"], char_attn, cfg.loss,
+                      phoneme_ctc=ctc.get("phoneme"),
+                      viseme_ctc=ctc.get("viseme"), align=align)
 
 
 def _adamw_step(state: TrainState, lr):
-    """Clip the gradient to ``_CLIP_NORM`` and take one AdamW step;
-    returns the global gradient norm and the clip scale applied to it."""
-    grads = {}
-    sq = 0.0
-    for name, p in state.model.params.items():
-        g = grads[name] = grad_of(p)
-        sq += float((g * g).sum())
-    norm = np.sqrt(sq)
+    """Clip the gradient to ``_CLIP_NORM`` and take one AdamW step in place
+    on the moments and the weights; returns the global gradient norm and
+    the clip scale applied to it."""
+    grads = {name: grad_of(p) for name, p in state.model.params.items()}
+    norm = np.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
     scale = _CLIP_NORM / norm if norm > _CLIP_NORM else 1.0
 
+    # (m / bc1) / (sqrt(v / bc2) + 1e-8), bias corrections folded in
     t = state.step + 1
-    bc1 = 1.0 - _BETA1 ** t
-    bc2 = 1.0 - _BETA2 ** t
+    root_bc2 = np.sqrt(1.0 - _BETA2 ** t)
+    step = lr * root_bc2 / (1.0 - _BETA1 ** t)
+    eps = 1e-8 * root_bc2
     for name, p in state.model.params.items():
-        g = grads[name] * scale
-        m = state.opt_m[name] = _BETA1 * state.opt_m[name] + \
-            (1.0 - _BETA1) * g
-        v = state.opt_v[name] = _BETA2 * state.opt_v[name] + \
-            (1.0 - _BETA2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+        g = grads[name] if scale == 1.0 else grads[name] * scale
+        m, v = state.opt_m[name], state.opt_v[name]
+        buf = np.multiply(g, 1.0 - _BETA1)  # the one scratch array
+        m *= _BETA1
+        m += buf
+        np.multiply(g, 1.0 - _BETA2, out=buf)
+        buf *= g
+        v *= _BETA2
+        v += buf
+        np.sqrt(v, out=buf)
+        buf += eps
+        np.divide(m, buf, out=buf)
+        buf *= step
         if p.data.ndim >= 2:  # decoupled decay on weight matrices only
-            update = update + _WEIGHT_DECAY * p.data
-        p.data = p.data - lr * update
+            p.data *= 1.0 - lr * _WEIGHT_DECAY
+        p.data -= buf
         p.grad = None
     return float(norm), float(scale)
 

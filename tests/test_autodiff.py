@@ -1,4 +1,5 @@
 import threading
+import warnings
 import zlib
 
 import numpy as np
@@ -223,6 +224,131 @@ def test_silu_matches_the_sigmoid_composite(x):
     for got, want in ((out.data, ref.data),
                       (grad_of(fused), grad_of(composite))):
         assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+
+
+def test_silu_saturates_exactly_and_silently():
+    x = np.array([-1e3, -745.5, -709.5, -40.0, 0.0, 40.0, 745.5, 1e3])
+    leaf = Tensor(x.copy())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = ad.silu(leaf)
+        backward(weighted_sum(out))
+    assert np.array_equal(out.data[:2], [0.0, 0.0])
+    assert np.array_equal(out.data[-2:], x[-2:])
+    assert np.array_equal(grad_of(leaf)[:2], [0.0, 0.0])
+    assert np.array_equal(grad_of(leaf)[-2:], [1.0, 1.0])
+    scalar = Tensor(np.float64(-2.0))  # a 0-d array is one element
+    backward(ad.silu(scalar))
+    assert grad_of(scalar).shape == ()
+
+
+def _linear_reference(x, w, b=None):
+    """``ad.linear`` before it skipped 2-D reshapes and took the bias
+    gradient as a product with ones."""
+    parents = tuple(ad.as_tensor(t) for t in (x, w, b) if t is not None)
+    x, w = parents[:2]
+    x2 = x.data.reshape(-1, x.data.shape[-1])
+    out = x2 @ w.data
+    if b is not None:
+        out += parents[2].data
+
+    def grad_fn(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        return ((g2 @ w.data.T).reshape(x.data.shape), x2.T @ g2,
+                g2.sum(axis=0))[:len(parents)]
+
+    return Tensor(out.reshape(*x.data.shape[:-1], -1), parents, grad_fn,
+                  op="linear")
+
+
+def _attention_reference(q, k, v, heads, disallow=None):
+    """``ad.attention`` before its softmax ran in place with row sums as
+    products with ones."""
+    q, k, v = ad.as_tensor(q), ad.as_tensor(k), ad.as_tensor(v)
+
+    def split(a):
+        return a.reshape(*a.shape[:-1], heads, -1).swapaxes(-2, -3)
+
+    def merge(g, a, ah):
+        return ad._unbroadcast(g, ah.shape).swapaxes(-2, -3).reshape(
+            a.data.shape)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scale = 1.0 / np.sqrt(qh.shape[-1])
+    scores = (qh @ kh.swapaxes(-1, -2)) * scale
+    if disallow is not None:
+        disallow = np.asarray(disallow, dtype=bool)[..., None, :, :]
+        scores = np.where(disallow, -1e30, scores)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = p @ vh
+
+    def grad_fn(g):
+        go = split(g)
+        gp = go @ vh.swapaxes(-1, -2)
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+        if disallow is not None:
+            gs = np.where(disallow, 0.0, gs)
+        gs *= scale
+        return (merge(gs @ kh, q, qh),
+                merge(gs.swapaxes(-1, -2) @ qh, k, kh),
+                merge(p.swapaxes(-1, -2) @ go, v, vh))
+
+    merged = out.swapaxes(-2, -3)
+    return Tensor(merged.reshape(*merged.shape[:-2], -1), (q, k, v), grad_fn,
+                  op="attention")
+
+
+def _assert_same_op(op, reference, arrays, seed):
+    """``op`` and ``reference`` agree to 1e-12 relative (absolute below
+    1) in the output and in the gradient of every argument."""
+    g = None
+    results = []
+    for fn in (op, reference):
+        leaves = [Tensor(a.copy()) for a in arrays]
+        out = fn(*leaves)
+        if g is None:
+            g = np.random.default_rng(seed).normal(size=out.data.shape)
+        backward(weighted_sum(out, g))
+        results.append([out.data] + [grad_of(t) for t in leaves])
+    for got, want in zip(*results):
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <=
+                      1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from([(7,), (2, 7), (3, 1, 7)]), st.integers(1, 9),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_linear_matches_its_reference(lead, n_out, bias, seed):
+    rng = np.random.default_rng(seed)
+    shape = (*lead[:-1], rng.integers(1, 6), lead[-1])
+    arrays = [rng.normal(size=shape), rng.normal(size=(shape[-1], n_out))]
+    if bias:
+        arrays.append(rng.normal(size=n_out))
+    _assert_same_op(ad.linear, _linear_reference, arrays, seed)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 6), st.integers(1, 6),
+       st.sampled_from([1, 2, 4]), st.sampled_from([None, "keys", "causal"]),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_attention_matches_its_reference(B, Tq, Tk, heads, mask,
+                                         broadcast_memory, seed):
+    rng = np.random.default_rng(seed)
+    Bk = 1 if broadcast_memory else B
+    q = rng.normal(size=(B, Tq, 2 * heads))
+    k, v = (rng.normal(size=(Bk, Tk, 2 * heads)) for _ in range(2))
+    disallow = None
+    if mask == "keys":  # every query keeps at least its first key
+        disallow = rng.random((Bk, 1, Tk)) < 0.4
+        disallow[..., 0] = False
+    elif mask == "causal":
+        disallow = np.triu(np.ones((Tq, Tk), dtype=bool), k=Tk - Tq + 1)
+        disallow[:, 0] = False
+    _assert_same_op(lambda *t: ad.attention(*t, heads, disallow),
+                    lambda *t: _attention_reference(*t, heads, disallow),
+                    [q, k, v], seed)
 
 
 def test_backward_sum_gives_ones():

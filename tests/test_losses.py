@@ -195,6 +195,69 @@ def test_batched_ctc_rejects_mismatched_batch_arguments():
         ctc_loss(Tensor(logits), [[1], [2]], [3, 4])
 
 
+@st.composite
+def ctc_heads(draw, max_batch=4, max_label=4):
+    """Two or three heads over one padded batch, keyed by name: each has
+    its own vocabulary and targets, and all share the frames and lengths."""
+    B = draw(st.integers(1, max_batch))
+    Ks = draw(st.lists(st.integers(2, 6), min_size=2, max_size=3))
+    targets = {f"h{h}": [draw(st.lists(st.integers(1, K - 1),
+                                       max_size=max_label))
+                         for _ in range(B)] for h, K in enumerate(Ks)}
+    lengths = [max(1, *(_min_frames(t[b]) for t in targets.values()))
+               + draw(st.integers(0, 3)) for b in range(B)]
+    T = max(lengths) + draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.1, 1.0, 4.0]))
+    logits = {f"h{h}": scale * rng.normal(size=(B, T, K))
+              for h, K in enumerate(Ks)}
+    return logits, targets, lengths
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(ctc_heads())
+def test_multi_head_ctc_equals_one_call_per_head_bit_for_bit(batch):
+    logits, targets, lengths = batch
+    joint = {name: Tensor(x.copy()) for name, x in logits.items()}
+    losses = ctc_loss(joint, targets, lengths)
+    assert list(losses) == list(logits)
+    for name, x in logits.items():
+        alone = Tensor(x.copy())
+        loss = ctc_loss(alone, targets[name], lengths)
+        backward(loss)
+        backward(losses[name])
+        assert float(losses[name].data) == float(loss.data)
+        assert np.array_equal(grad_of(joint[name]), grad_of(alone))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(ctc_heads(), st.data())
+def test_multi_head_ctc_names_the_infeasible_head(batch, data):
+    logits, targets, lengths = batch
+    name = data.draw(st.sampled_from(sorted(logits)))
+    bad = data.draw(st.integers(0, len(lengths) - 1))
+    targets[name][bad] = [1] * (max(lengths) + 3)  # never fits
+    with pytest.raises(CtcNoValidPathError,
+                       match=f"head '{name}', batch element {bad}:"):
+        ctc_loss({n: Tensor(x) for n, x in logits.items()}, targets, lengths)
+
+
+def test_multi_head_ctc_names_a_head_without_an_alignment():
+    logits = {"a": np.zeros((2, 3, 3)), "b": np.zeros((2, 3, 4))}
+    logits["b"][1, :, 2] = -np.inf  # label 2 is never emitted
+    with pytest.raises(CtcNoValidPathError,
+                       match="head 'b', batch element 1: no alignment"):
+        ctc_loss({n: Tensor(x) for n, x in logits.items()},
+                 {"a": [[1], [2]], "b": [[3], [2]]}, [3, 3])
+
+
+def test_multi_head_ctc_rejects_heads_of_other_frames():
+    with pytest.raises(CtcError, match="shared by every head"):
+        ctc_loss({"a": Tensor(np.zeros((2, 3, 3))),
+                  "b": Tensor(np.zeros((2, 4, 3)))},
+                 {"a": [[1], [2]], "b": [[1], [2]]})
+
+
 # ----------------------------------------------------------------------
 # oracle suites
 

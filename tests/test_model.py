@@ -195,7 +195,7 @@ def test_decoder_causality(model):
     feats, lengths, _ = batch(rng)
     F = model.trunk_forward(Tensor(feats))
     fused = model.fuse(F, None, None)
-    F_mem, _, _ = model.char_forward(fused)
+    F_mem, _ = model.char_forward(fused)
     a = np.array([[1, 4, 5, 6]])
     b = np.array([[1, 4, 5, 9]])  # change only the last position
     la = model.decoder_forward(F_mem, a).data
@@ -222,15 +222,16 @@ def test_padded_batch_matches_per_utterance_forwards(sizes, seed):
     V, v_logits = model.branch_forward(F, "viseme", valid)
     unit = np.ones((len(sizes), 1, 1))
     fused = model.fuse(F, P, V, (unit, unit))
-    _, ctc, attn = model.char_forward(fused, valid, tokens)
+    rows, attn = model.char_forward(fused, valid, tokens)
+    mem = ad.unpack(rows, valid)
     for b, (t, n) in enumerate(sizes):
         F1 = model.trunk_forward(feats[b:b + 1, :t])
         P1, p1 = model.branch_forward(F1, "phoneme")
         V1, v1 = model.branch_forward(F1, "viseme")
         fused1 = model.fuse(F1, P1, V1, (unit[:1], unit[:1]))
-        _, ctc1, attn1 = model.char_forward(fused1, None, tokens[b:b + 1, :n])
+        mem1, attn1 = model.char_forward(fused1, None, tokens[b:b + 1, :n])
         for batched, single in ((F, F1), (P, P1), (p_logits, p1), (V, V1),
-                                (v_logits, v1), (fused, fused1), (ctc, ctc1)):
+                                (v_logits, v1), (fused, fused1), (mem, mem1)):
             assert np.abs(batched.data[b, :t] - single.data[0]).max() <= 1e-10
         assert np.abs(attn.data[b, :n] - attn1.data[0]).max() <= 1e-10
 
@@ -240,12 +241,9 @@ def test_padded_rows_of_block_outputs_are_zero(model):
     feats, _, dec_in = batch(rng, T=7)
     lengths = [4, 7]
     out = model.forward_train(feats, lengths, dec_in, np.random.default_rng(0))
-    valid = np.arange(7)[None, :] < np.asarray(lengths)[:, None]
-    F_mem, _, _ = model.char_forward(
-        model.fuse(out.F, out.P, out.V, out.drop_masks), valid)
     blocks = {name: getattr(out, name) for name in (
         "F", "P", "V", "phoneme_logits", "viseme_logits", "char_ctc_logits")}
-    for name, block in {**blocks, "F_mem": F_mem}.items():
+    for name, block in blocks.items():
         rows = block.data[0]
         assert not rows[4:].any() and rows[:4].any(), name
 
@@ -253,9 +251,8 @@ def test_padded_rows_of_block_outputs_are_zero(model):
 def test_unpadded_forward_records_no_layout_nodes(model):
     # no padding: no pack, no unpack and no mask multiply on the tape
     F = model.trunk_forward(Tensor(np.ones((1, 5, CFG.input_dim))))
-    F_mem, ctc, _ = model.char_forward(model.fuse(F, None, None))
-    ops = {n.op for n in ad.trace(ad.add(weighted_sum(F_mem),
-                                         weighted_sum(ctc))).nodes}
+    F_mem, _ = model.char_forward(model.fuse(F, None, None))
+    ops = {n.op for n in ad.trace(weighted_sum(F_mem)).nodes}
     assert "depthwise_conv" in ops and not ops & {"pack", "unpack", "mul"}
 
 
@@ -294,7 +291,7 @@ def test_cached_attention_decode_matches_full_recompute(model):
                 else None
             V = model.branch_forward(F, "viseme")[0] if act.use_viseme \
                 else None
-            F_mem, _, _ = model.char_forward(model.fuse(F, P, V))
+            F_mem, _ = model.char_forward(model.fuse(F, P, V))
             want = attention_greedy_decode(
                 lambda p: model.decoder_forward(
                     F_mem, [[SOS_ID, *p]]).data[0, -1],
@@ -375,8 +372,8 @@ def test_infer_builds_no_graph_and_restores_recording(model, monkeypatch):
     monkeypatch.setattr(model, "char_forward", spy)
     feats = np.random.default_rng(15).normal(size=(5, CFG.input_dim))
     model.forward_infer(feats, ALL_ACTIVATIONS[3], "attention", 8)
-    F_mem, ctc, _ = seen[0]
-    assert F_mem.parents == ctc.parents == () and ctc._grad_fn is None
+    F_mem, attn = seen[0]
+    assert F_mem.parents == () and F_mem._grad_fn is None and attn is None
     x = Tensor(np.ones(2))
     assert ad.add(x, x).parents == (x, x)
 
@@ -391,6 +388,37 @@ def test_infer_names_the_activation_of_non_finite_logits(model, decode):
             model.forward_infer(feats, act, decode, 8)
     x = Tensor(np.ones(2))
     assert ad.add(x, x).parents == (x, x)
+
+
+def test_infer_refuses_an_unknown_decode_before_any_forward(model,
+                                                           monkeypatch):
+    def no_forward(*args, **kwargs):
+        raise AssertionError("the forward ran")
+
+    monkeypatch.setattr(model, "trunk_forward", no_forward)
+    with pytest.raises(ValueError, match="unknown decode mode 'bogus'"):
+        model.forward_infer(np.zeros((5, CFG.input_dim)), ALL_ACTIVATIONS[3],
+                            "bogus", 8)
+
+
+def test_attention_decoding_never_runs_the_char_ctc_head(model, monkeypatch):
+    feats = np.random.default_rng(17).normal(size=(6, CFG.input_dim))
+    want = [model.forward_infer(feats, act, "attention", 8).tokens
+            for act in ALL_ACTIVATIONS]
+    for name, p in model.params.items():
+        if name.startswith("heads/char_ctc_"):
+            p.data = np.full_like(p.data, np.nan)
+    heads = []
+    head = model._head
+    monkeypatch.setattr(model, "_head",
+                        lambda x, prefix: heads.append(prefix) or head(x, prefix))
+    got = [model.forward_infer(feats, act, "attention", 8).tokens
+           for act in ALL_ACTIVATIONS]
+    assert got == want and "heads/char_ctc" not in heads
+    for decode in ("ctc_greedy", "ctc_beam"):
+        with np.errstate(invalid="ignore"), pytest.raises(
+                AutodiffError, match="non-finite logits"):
+            model.forward_infer(feats, ALL_ACTIVATIONS[3], decode, 8)
 
 
 @pytest.mark.parametrize("shape", [(2, 5, CFG.input_dim),

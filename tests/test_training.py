@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vsrkit import training
-from vsrkit.autodiff import Tensor
+from vsrkit.autodiff import Tensor, grad_of
 from vsrkit.linguistics import default_inventory
 from vsrkit.losses import LossConfig
 from vsrkit.model import CHAR_OFFSET, ActivationConfig, Model, ModelConfig
@@ -384,3 +384,62 @@ def test_logged_grad_norm_and_clip_scale(tmp_path, monkeypatch):
             assert scale == (clip_norm / norm if norm > clip_norm else 1.0)
         clipped = [r["clip_scale"] < 1.0 for r in seen]
         assert all(clipped) if clip_norm < 1.0 else not any(clipped)
+
+
+def _adamw_reference(state, lr):
+    """The AdamW step as it was before it ran in place and folded its bias
+    corrections: fresh arrays for the moments and the weights."""
+    grads = {}
+    sq = 0.0
+    for name, p in state.model.params.items():
+        g = grads[name] = grad_of(p)
+        sq += float((g * g).sum())
+    norm = np.sqrt(sq)
+    clip = training._CLIP_NORM
+    scale = clip / norm if norm > clip else 1.0
+    t = state.step + 1
+    b1, b2 = training._BETA1, training._BETA2
+    bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    for name, p in state.model.params.items():
+        g = grads[name] * scale
+        m = state.opt_m[name] = b1 * state.opt_m[name] + (1.0 - b1) * g
+        v = state.opt_v[name] = b2 * state.opt_v[name] + (1.0 - b2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+        if p.data.ndim >= 2:
+            update = update + training._WEIGHT_DECAY * p.data
+        p.data = p.data - lr * update
+        p.grad = None
+    return float(norm), float(scale)
+
+
+def test_in_place_adamw_matches_the_reference_step():
+    _, _, mcfg, tcfg = tiny_setup()
+    got, want = (TrainState.new(tcfg, mcfg) for _ in range(2))
+    rng = np.random.default_rng(3)
+    assert {p.data.ndim for p in got.model.params.values()} == {1, 2}
+    scales = []
+    for step, size in enumerate((10.0, 1e-3, 10.0, 1e-3, 1e-3, 10.0)):
+        grads = {}
+        for name, p in got.model.params.items():
+            grads[name] = size * rng.normal(size=p.data.shape)
+            grads[name].flags.writeable = False  # shared, read-only
+        kept = {name: g.copy() for name, g in grads.items()}
+        results = []
+        for state, step_fn in ((got, training._adamw_step),
+                               (want, _adamw_reference)):
+            for name, p in state.model.params.items():
+                p.grad = grads[name]
+            results.append(step_fn(state, 1e-3 * (step + 1)))
+            assert all(p.grad is None for p in state.model.params.values())
+            state.step += 1
+        np.testing.assert_allclose(*results, rtol=1e-12)  # norm and scale
+        scales.append(results[0][1])
+        for name, g in grads.items():
+            assert np.array_equal(g, kept[name])
+        for a, b in ((got.opt_m, want.opt_m), (got.opt_v, want.opt_v),
+                     ({k: p.data for k, p in got.model.params.items()},
+                      {k: p.data for k, p in want.model.params.items()})):
+            for name in b:
+                np.testing.assert_allclose(a[name], b[name], rtol=1e-12,
+                                           atol=0, err_msg=name)
+    assert min(scales) < 1.0 and max(scales) == 1.0  # clipped and not
