@@ -298,14 +298,15 @@ def build_mapping_matrix(viseme_frame_classes, phoneme_frame_classes,
     """Binary T x T compatibility matrix between framewise class sequences.
 
     Entry (i, j) is 1 exactly when the phoneme class at frame j maps onto the
-    viseme class at frame i and that viseme is not blank.
+    viseme class at frame i and that viseme is not blank. Class arrays of
+    one shape (..., T) give one matrix per sequence, of shape (..., T, T).
     """
     vis = np.asarray(viseme_frame_classes, dtype=np.int64)
     pho = np.asarray(phoneme_frame_classes, dtype=np.int64)
-    if vis.ndim != 1 or pho.ndim != 1 or vis.shape != pho.shape:
+    if vis.ndim == 0 or vis.shape != pho.shape:
         raise LinguisticsError(
-            f"frame class sequences must be equal-length vectors, "
-            f"got {vis.shape} and {pho.shape}"
+            f"frame class sequences must be equal-length arrays of one "
+            f"shape, got {vis.shape} and {pho.shape}"
         )
     if vis.size and (vis.min() < 0 or vis.max() >= NUM_VISEMES):
         raise LinguisticsError("viseme class out of range")
@@ -313,7 +314,8 @@ def build_mapping_matrix(viseme_frame_classes, phoneme_frame_classes,
         raise LinguisticsError("phoneme class out of range")
     p2v = np.asarray(inv.phoneme_to_viseme, dtype=np.int64)
     mapped = p2v[pho]  # viseme class of each phoneme frame
-    m = (vis[:, None] == mapped[None, :]) & (vis[:, None] != BLANK)
+    rows = vis[..., :, None]
+    m = (rows == mapped[..., None, :]) & (rows != BLANK)
     return m.astype(np.float64)
 
 

@@ -4,17 +4,18 @@ total multitask loss.
 
 All losses return scalar autodiff Tensors so gradients reach the model
 through one reverse pass. CTC (per head), the attention cross-entropy and
-the alignment loss each take a padded batch with per-utterance lengths and
-are one taped node per batch, a ``Tensor`` built from its value, its inputs
-and its gradient function: the value is computed in numpy, vectorised over
-utterances, and the gradient has a closed form (for CTC, from the
+the alignment loss each take one form, a padded batch with its required
+lengths (one utterance is a batch of one), and are one taped node per
+batch, a ``Tensor`` built from its value, its inputs and its gradient
+function: the value and its masks are computed in numpy for the whole
+batch at once, and the gradient has a closed form (for CTC, from the
 forward-backward recursion) rather than coming from taping every
 intermediate. Padded frames and rows get exactly zero gradient. One
-``ctc_loss`` call runs one recursion over the utterances of every CTC head
-it is given; one head, or one T x K utterance, is the same call.
-``total_loss`` combines them into the objective and returns every present
-component by name, in the order a training record logs them, so the
-objective and its component names are written once.
+``ctc_loss`` call takes dicts of heads by name and runs one recursion over
+the utterances of them all. ``total_loss`` combines the losses into the
+objective and returns every present component by name, in the order a
+training record logs them, so objective and component names are written
+once.
 """
 from __future__ import annotations
 
@@ -95,15 +96,15 @@ def _min_frames(target):
     return len(target) + repeats
 
 
-def ctc_loss(logits, targets, lengths=None):
-    """Batch mean of -log p(target | logits), summed over all alignments.
+def ctc_loss(logits, targets, lengths):
+    """Batch mean of -log p(target | logits), summed over all alignments,
+    for each CTC head of one padded batch.
 
-    ``logits`` is a B x T x K Tensor with the blank class at index 0,
-    ``targets`` holds B blank-free token sequences and ``lengths`` the B
-    frame counts (default T each); frames at or past T_b are padding. A
-    T x K ``logits`` with one ``targets`` sequence is the B = 1 case. Given
-    dicts of such heads (one B and T) and of their targets by head name, it
-    returns a dict of one loss Tensor per head.
+    ``logits`` maps each head name to a B x T x K Tensor with the blank
+    class at index 0, ``targets`` maps the same names to B blank-free token
+    sequences, and ``lengths`` holds the B frame counts that every head
+    shares; frames at or past T_b are padding. Returns a dict of one loss
+    Tensor per head, in the order of ``logits``.
 
     The alpha and beta recursions run once over every head's utterances
     and the blank-interleaved label positions, padded to the longest; beta
@@ -112,20 +113,18 @@ def ctc_loss(logits, targets, lengths=None):
     ``CtcNoValidPathError`` names the head and the first infeasible batch
     element.
     """
-    if not isinstance(logits, dict):
-        return ctc_loss({None: logits}, {None: targets}, lengths)[None]
+    if not (isinstance(logits, dict) and isinstance(targets, dict)):
+        raise CtcError("logits and targets must be dicts by head name: a "
+                       "B x T x K Tensor and B target sequences per head")
     names = list(logits)
     heads = [as_tensor(logits[n]) for n in names]
-    xs = [lg.data[None] if lg.data.ndim == 2 else lg.data for lg in heads]
-    targets = [[targets[n]] if lg.data.ndim == 2 else targets[n]
-               for n, lg in zip(names, heads)]
+    xs = [lg.data for lg in heads]
+    targets = [targets[n] for n in names]
     B, T = xs[0].shape[:2] if xs[0].ndim == 3 else (0, 0)
     if any(x.ndim != 3 or x.shape[:2] != (B, T) for x in xs):
-        raise CtcError(f"logits must be B x T x K or T x K, with B and T "
-                       f"shared by every head; got shapes "
-                       f"{[lg.data.shape for lg in heads]}")
-    lengths = np.asarray([T] * B if lengths is None else lengths,
-                         dtype=np.int64)
+        raise CtcError(f"each head must be B x T x K, with B and T shared "
+                       f"by every head; got shapes {[x.shape for x in xs]}")
+    lengths = np.asarray(lengths, dtype=np.int64)
     if any(len(t) != B for t in targets) or lengths.shape != (B,):
         raise CtcError(f"need one target and one length per batch element, "
                        f"got {[len(t) for t in targets]} and "
@@ -133,12 +132,11 @@ def ctc_loss(logits, targets, lengths=None):
     if (lengths < 1).any() or (lengths > T).any():
         raise CtcError(f"lengths must lie in [1, {T}], got {lengths.tolist()}")
 
-    prefix = ["" if n is None else f"head {n!r}, " for n in names]
     exts = []  # row h·B + b holds head h's batch element b
     for row, target in enumerate(t for head in targets for t in head):
         h, b = divmod(row, B)
         target = np.asarray(target, dtype=np.int64)
-        at = f"{prefix[h]}batch element {b}:"
+        at = f"head {names[h]!r}, batch element {b}:"
         if target.ndim != 1:
             raise CtcError(f"{at} target must be a 1-D token sequence")
         if target.size and (target.min() < 1 or target.max() >= xs[h].shape[2]):
@@ -201,9 +199,9 @@ def ctc_loss(logits, targets, lengths=None):
         np.where(last_two, la[bi, ends], NEG_INF), axis=-1)
     bad = np.flatnonzero(~np.isfinite(log_p))
     if bad.size:
-        raise CtcNoValidPathError(f"{prefix[bad[0] // B]}batch element "
-                                  f"{bad[0] % B}: no alignment has nonzero "
-                                  f"probability")
+        raise CtcNoValidPathError(f"head {names[bad[0] // B]!r}, batch "
+                                  f"element {bad[0] % B}: no alignment has "
+                                  f"nonzero probability")
 
     # each head's occupancy posterior of each position, summed onto its label
     frame_valid = np.arange(T)[None, :, None] < lengths[:, None, None]
@@ -215,62 +213,57 @@ def ctc_loss(logits, targets, lengths=None):
                       - lp_ext[rows, :, :Sh] - log_p[rows, None, None])
         occ = post @ (ext[rows, :Sh, None] ==
                       np.arange(lp.shape[2])).astype(np.float64)
-        grad = np.where(frame_valid, np.exp(lp) - occ, 0.0).reshape(
-            lg.data.shape)  # d(-log p_b)/d logits
+        # d(-log p_b) / d logits
+        grad = np.where(frame_valid, np.exp(lp) - occ, 0.0)
         losses.append(Tensor(np.float64(-log_p[rows].mean()), (lg,),
                              lambda g, grad=grad: ((g * (1.0 / B)) * grad,),
                              op="ctc_loss"))
     return dict(zip(names, losses))
 
 
-def attention_ce_loss(logits, targets, lengths=None) -> Tensor:
+def attention_ce_loss(logits, targets, lengths) -> Tensor:
     """Batch mean of the per-utterance mean cross-entropy of teacher-forced
     decoder logits against their targets.
 
     ``logits`` is a B x L x K Tensor, ``targets`` a B x L array of class
-    indices and ``lengths`` the B target lengths (default L each); rows at
-    or past L_b are padding, their targets are ignored and their gradient
-    is exactly zero. An L x K ``logits`` with one length-L target is the
-    B = 1 case.
+    indices and ``lengths`` the B target lengths; rows at or past L_b are
+    padding, their targets are ignored and their gradient is exactly zero.
+    A ``ValueError`` names the first batch element with a length outside
+    [1, L] or a target outside [0, K).
     """
     logits = as_tensor(logits)
     x = logits.data
-    targets = np.asarray(targets, dtype=np.int64)
-    if x.ndim == 2:
-        x, targets = x[None], targets[None]
-    elif x.ndim != 3:
+    if x.ndim != 3:
         raise ValueError(
-            f"decoder logits must be B x L x K or L x K, got shape {x.shape}")
+            f"decoder logits must be B x L x K, got shape {x.shape}")
     B, L, K = x.shape
+    targets = np.asarray(targets, dtype=np.int64)
     if targets.shape != (B, L):
         raise ValueError(f"targets of shape {targets.shape} do not match "
                          f"the logits rows {(B, L)}")
-    lengths = np.asarray([L] * B if lengths is None else lengths,
-                         dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.shape != (B,):
         raise ValueError(f"need one length per batch element, got "
                          f"{lengths.size} for B = {B}")
     valid = np.arange(L) < lengths[:, None]
-    for b in range(B):
-        if not 1 <= lengths[b] <= L:
+    bad_length = (lengths < 1) | (lengths > L)
+    bad_target = (valid & ((targets < 0) | (targets >= K))).any(axis=1)
+    bad = np.flatnonzero(bad_length | bad_target)
+    if bad.size:
+        b = bad[0]
+        if bad_length[b]:
             raise ValueError(f"batch element {b}: length {lengths[b]} "
                              f"outside [1, {L}]")
-        tb = targets[b, :lengths[b]]
-        if tb.min() < 0 or tb.max() >= K:
-            raise ValueError(f"batch element {b}: target outside [0, {K})")
+        raise ValueError(f"batch element {b}: target outside [0, {K})")
 
     targets = np.where(valid, targets, 0)
     lp = log_probs(x)  # B x L x K
     picked = np.take_along_axis(lp, targets[..., None], axis=-1)[..., 0]
     weight = valid * (1.0 / (B * lengths))[:, None]  # d loss / d row loss
-    grad = ((np.exp(lp) - (targets[..., None] == np.arange(K)))
-            * weight[..., None]).reshape(logits.data.shape)
-    return Tensor(
-        np.float64(-(picked * weight).sum()),
-        (logits,),
-        lambda g: (g * grad,),
-        op="attention_ce_loss",
-    )
+    grad = (np.exp(lp) - (targets[..., None] == np.arange(K))) \
+        * weight[..., None]
+    return Tensor(np.float64(-(picked * weight).sum()), (logits,),
+                  lambda g: (g * grad,), op="attention_ce_loss")
 
 
 def _unit_rows(x):
@@ -289,22 +282,21 @@ def _unit_rows(x):
 
 
 def align_loss(V, P, viseme_classes, phoneme_classes,
-               inv: LinguisticInventory, cfg: LossConfig,
-               lengths=None) -> Tensor:
+               inv: LinguisticInventory, cfg: LossConfig, lengths) -> Tensor:
     """Semantic-guided local contrastive loss between viseme features V and
     phoneme features P (both B x T x C), with ``lengths`` the B frame counts
-    (default T each; 0 is an empty utterance that adds 0 to the mean).
+    (0 is an empty utterance that adds 0 to the mean).
 
-    Per batch element the framewise classes define the semantic mapping
-    matrix, the window mask localizes the contrast, and the loss is the KL
-    divergence from the positive distribution p to the local similarity
-    distribution q = softmax(cos(V_i, P_j) / tau) over the window, averaged
-    over rows that have positives and then over the batch. Gradients reach
-    V and P only; the classes are hard labels. The gradient is closed-form:
-    (q - p) on the rows with positives, scaled by 1 / (tau * B *
-    (n_active + 1e-8)), taken through the cosine similarity; the 1e-8
-    keeps an utterance with no active row at 0. Padded frames get exactly
-    zero gradient.
+    Per batch element the framewise classes (B x T, padded frames too, in
+    range) define the semantic mapping matrix, the window mask localizes
+    the contrast, and the loss is the KL divergence from the positive
+    distribution p to the local similarity distribution
+    q = softmax(cos(V_i, P_j) / tau) over the window, averaged over rows
+    that have positives and then over the batch. Gradients reach V and P
+    only; the classes are hard labels. The gradient is closed-form: (q - p)
+    on the rows with positives, scaled by 1 / (tau * B * (n_active + 1e-8)),
+    taken through the cosine similarity; the 1e-8 keeps an utterance with
+    no active row at 0. Padded frames get exactly zero gradient.
     """
     V, P = as_tensor(V), as_tensor(P)
     if V.data.shape != P.data.shape or V.data.ndim != 3 or \
@@ -318,23 +310,19 @@ def align_loss(V, P, viseme_classes, phoneme_classes,
     pho = np.asarray(phoneme_classes, dtype=np.int64)
     if vis.shape != (B, T) or pho.shape != (B, T):
         raise ValueError("class arrays must be B x T")
-    lengths = np.asarray([T] * B if lengths is None else lengths,
-                         dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.shape != (B,):
         raise ValueError("lengths must have one entry per batch element")
+    bad = np.flatnonzero((lengths < 0) | (lengths > T))
+    if bad.size:
+        raise ValueError(f"batch element {bad[0]}: length "
+                         f"{lengths[bad[0]]} outside [0, {T}]")
 
-    # positive distribution and window of each utterance, zero-padded
-    p = np.zeros((B, T, T))
-    window = np.zeros((B, T, T), dtype=bool)
-    for b, Tb in enumerate(lengths):
-        if not 0 <= Tb <= T:
-            raise ValueError(f"batch element {b}: length {Tb} "
-                             f"outside [0, {T}]")
-        if Tb:
-            W = build_window_mask(Tb, cfg.window_w)
-            p[b, :Tb, :Tb] = build_mapping_matrix(
-                vis[b, :Tb], pho[b, :Tb], inv) * W
-            window[b, :Tb, :Tb] = W > 0
+    # every utterance's positive distribution and window, zero past T_b
+    frames = np.arange(T) < lengths[:, None]
+    window = (build_window_mask(T, cfg.window_w) > 0) \
+        & frames[:, :, None] & frames[:, None, :]
+    p = build_mapping_matrix(vis, pho, inv) * window
     row_sum = p.sum(axis=-1)
     active = row_sum > 0
     p /= np.where(active, row_sum, 1.0)[..., None]

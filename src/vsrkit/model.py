@@ -44,6 +44,7 @@ __all__ = [
     "Model",
     "CheckpointError",
     "check_arrays",
+    "json_section",
     "DECODE_MODES",
     "BLANK_ID",
     "SOS_ID",
@@ -516,7 +517,7 @@ class Model:
                 raise CheckpointError(
                     f"unsupported checkpoint version {version!r} in {path}; "
                     f"expected {CHECKPOINT_VERSION!r}")
-            values = json.loads(str(z["__config__"]))
+            values = json_section(z, path, "__config__", (), CheckpointError)
             loaded = {k.removeprefix("param::"): z[k] for k in z.files
                       if k.startswith("param::")}
         bad = sorted(set(values) ^ {f.name for f in fields(ModelConfig)})
@@ -532,6 +533,24 @@ class Model:
         for name in model.params:
             model.params[name] = Tensor(loaded[name])
         return model
+
+
+def json_section(z, path, name, keys, error):
+    """The JSON object in section ``name`` of the open checkpoint ``z``;
+    raises ``error`` naming ``path`` and the section if the section is
+    missing or is not a JSON object, or the first of ``keys`` it lacks."""
+    if name not in z.files:
+        raise error(f"{path} lacks section {name}")
+    try:
+        value = json.loads(str(z[name]))
+    except json.JSONDecodeError as e:
+        raise error(f"{path}: section {name} is not JSON ({e})") from None
+    if not isinstance(value, dict):
+        raise error(f"{path}: section {name} is not a JSON object")
+    for key in keys:
+        if key not in value:
+            raise error(f"{path}: section {name} lacks key {key!r}")
+    return value
 
 
 def check_arrays(path, what, loaded, expected, error):

@@ -320,7 +320,7 @@ def read_manifest(path):
             f"unsupported manifest version header: {lines[0] if lines else '<empty>'!r}"
         )
 
-    for name in ("visemes.tsv", "lexicon.tsv"):
+    for name in ("visemes.tsv", "lexicon.tsv", "features.bin"):
         if not (path / name).exists():
             raise ManifestError(f"no {name} under {path}")
     if len(lines) == 1:

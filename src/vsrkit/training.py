@@ -27,7 +27,7 @@ from .losses import (
 )
 from .metrics import cer
 from .model import CHAR_OFFSET, EOS_ID, SOS_ID, Model, ModelConfig, \
-    check_arrays
+    check_arrays, json_section
 from .synth import filter_by_length, time_mask
 
 __all__ = [
@@ -133,7 +133,8 @@ class TrainState:
             if "__train__" not in z.files:
                 raise TrainingError(
                     f"{path} holds a model but no training state")
-            meta = json.loads(str(z["__train__"]))
+            meta = json_section(z, path, "__train__", ("step", "rng_state"),
+                                TrainingError)
             moments = {k: z[k] for k in z.files if k.startswith(("m::", "v::"))}
         check_arrays(path, "moment", moments,
                      {f"{kind}::{k}": p.data for kind in "mv"

@@ -3,7 +3,8 @@ re-implementation of the alignment loss, a reference edit-distance, and
 finite-difference gradient checks.
 
 Everything here is deliberately independent of the taped implementations it
-checks: plain loops, no shared helpers beyond the inventory data.
+checks: plain loops, no shared helpers beyond the inventory data. A
+single-utterance check passes the losses a batch of one.
 """
 from __future__ import annotations
 
@@ -98,13 +99,11 @@ def ctc_path_enumeration(logits, target):
 
 
 def align_loss_dense(V, P, viseme_classes, phoneme_classes, phoneme_to_viseme,
-                     cfg: LossConfig, lengths=None):
+                     cfg: LossConfig, lengths):
     """Plain-loop evaluation of the alignment loss definition."""
     V = np.asarray(V, dtype=np.float64)
     P = np.asarray(P, dtype=np.float64)
     B = V.shape[0]
-    if lengths is None:
-        lengths = [V.shape[1]] * B
     r = cfg.window_w // 2
     total = 0.0
     for b in range(B):
@@ -149,6 +148,11 @@ def edit_distance_reference(a, b):
     return prev[-1]
 
 
+def _ctc(x, target):
+    """CTC loss of the one T x K utterance ``x``, as a batch of one."""
+    return ctc_loss({"ctc": x[None]}, {"ctc": [target]}, [len(x.data)])["ctc"]
+
+
 # ----------------------------------------------------------------------
 # suites
 
@@ -169,7 +173,7 @@ def ctc_suite(draws=20):
                     logits = rng.normal(size=(T, K))
                     brute = ctc_path_enumeration(logits, target)
                     try:
-                        loss = float(ctc_loss(Tensor(logits), target).data)
+                        loss = float(_ctc(Tensor(logits), target).data)
                     except CtcNoValidPathError:
                         if brute == 0.0:
                             continue
@@ -265,7 +269,7 @@ def gradient_suite(instances, model_instances):
         x = rng.normal(size=(T, K))
         try:
             worst = max(worst, finite_difference_check(
-                lambda t: ctc_loss(t, target), Tensor(x)))
+                lambda t: _ctc(t, target), Tensor(x)))
         except CtcNoValidPathError:
             continue
     results["ctc"] = worst
@@ -275,9 +279,9 @@ def gradient_suite(instances, model_instances):
         L = int(rng.integers(1, 6))
         K = int(rng.integers(2, 7))
         target = rng.integers(0, K, size=L)
-        x = rng.normal(size=(L, K))
+        x = rng.normal(size=(1, L, K))
         worst = max(worst, finite_difference_check(
-            lambda t: attention_ce_loss(t, target), Tensor(x)))
+            lambda t: attention_ce_loss(t, [target], [L]), Tensor(x)))
     target = ragged.integers(0, 4, size=(2, 5))
     worst = max(worst, finite_difference_check(
         lambda t: attention_ce_loss(t, target, [5, 2]),
@@ -294,10 +298,10 @@ def gradient_suite(instances, model_instances):
         pho = rng.integers(0, inv.num_phonemes, size=(B, T))
         other = rng.normal(size=(B, T, C))
         x = rng.normal(size=(B, T, C))
-        side = int(rng.integers(2))
+        side, lens = int(rng.integers(2)), [T] * B
         for fn in (
-            lambda t: align_loss(t, Tensor(other), vis, pho, inv, cfg),
-            lambda t: align_loss(Tensor(other), t, vis, pho, inv, cfg),
+            lambda t: align_loss(t, Tensor(other), vis, pho, inv, cfg, lens),
+            lambda t: align_loss(Tensor(other), t, vis, pho, inv, cfg, lens),
         )[side:side + 1]:
             worst = max(worst, finite_difference_check(fn, Tensor(x)))
     cfg = LossConfig(window_w=3)
@@ -324,24 +328,24 @@ def gradient_suite(instances, model_instances):
         vis = rng.integers(0, inv.num_visemes, size=(1, T))
         pho = rng.integers(0, inv.num_phonemes, size=(1, T))
         P_feat = rng.normal(size=(1, T, C))
-        attn = rng.normal(size=(L, Kc))
-        pho_logits = rng.normal(size=(T, 7))
-        vis_logits = rng.normal(size=(T, 5))
-        pho_tgt = rng.integers(1, 7, size=1)
-        vis_tgt = rng.integers(1, 5, size=1)
+        attn = rng.normal(size=(1, L, Kc))
+        pho_logits = rng.normal(size=(1, T, 7))
+        vis_logits = rng.normal(size=(1, T, 5))
+        tgts = {"char": [target], "phoneme": [rng.integers(1, 7, size=1)],
+                "viseme": [rng.integers(1, 5, size=1)]}
 
         def full(t):
+            ctc = ctc_loss({"char": t[:, :, :Kc],
+                            "phoneme": Tensor(pho_logits),
+                            "viseme": Tensor(vis_logits)}, tgts, [T])
             return total_loss(
-                ctc_loss(t[:, :Kc], target),
-                attention_ce_loss(Tensor(attn), target),
-                cfg,
-                phoneme_ctc=ctc_loss(Tensor(pho_logits), pho_tgt),
-                viseme_ctc=ctc_loss(Tensor(vis_logits), vis_tgt),
-                align=align_loss(t[None, :, :C], Tensor(P_feat), vis, pho,
-                                 inv, cfg),
+                ctc["char"], attention_ce_loss(Tensor(attn), [target], [L]),
+                cfg, phoneme_ctc=ctc["phoneme"], viseme_ctc=ctc["viseme"],
+                align=align_loss(t[:, :, :C], Tensor(P_feat), vis, pho,
+                                 inv, cfg, [T]),
             )["total"]
 
-        x = rng.normal(size=(T, max(Kc, C)))
+        x = rng.normal(size=(1, T, max(Kc, C)))
         worst = max(worst, finite_difference_check(full, Tensor(x)))
     results["total"] = worst
 
@@ -359,6 +363,8 @@ def gradient_suite(instances, model_instances):
         names = list(model.params)
         picks = rng.choice(len(names), size=min(_MODEL_PARAMS, len(names)),
                            replace=False)
+        ctc_targets = {"char": chars[:1], "phoneme": [[1, 2]],
+                       "viseme": [[1, 2]]}
 
         # class predictions are hard labels with no gradient path, so they
         # are frozen here; probing through a live argmax would only measure
@@ -371,15 +377,17 @@ def gradient_suite(instances, model_instances):
         def model_loss():
             out = model.forward_train(feats, lengths, dec_in,
                                       np.random.default_rng(0))
-            char_ctc = ctc_loss(out.char_ctc_logits[0, :lengths[0]], chars[0])
-            char_attn = attention_ce_loss(out.char_attn_logits[0], target[0])
-            ph = ctc_loss(out.phoneme_logits[0, :lengths[0]],
-                          [1, 2])
-            vi = ctc_loss(out.viseme_logits[0, :lengths[0]], [1, 2])
+            ctc = ctc_loss({"char": out.char_ctc_logits[:1],
+                            "phoneme": out.phoneme_logits[:1],
+                            "viseme": out.viseme_logits[:1]},
+                           ctc_targets, lengths[:1])
+            char_attn = attention_ce_loss(out.char_attn_logits[:1],
+                                          target[:1], [len(target[0])])
             al = align_loss(out.V, out.P, vis_cls, pho_cls,
                             inv, cfg, lengths=lengths)
-            return total_loss(char_ctc, char_attn, cfg, phoneme_ctc=ph,
-                              viseme_ctc=vi, align=al)["total"]
+            return total_loss(ctc["char"], char_attn, cfg,
+                              phoneme_ctc=ctc["phoneme"],
+                              viseme_ctc=ctc["viseme"], align=al)["total"]
 
         ad.backward(model_loss())
         for pi in picks:

@@ -224,6 +224,11 @@ def test_mapping_matrix_matches_pairwise_lookup_oracle(inv):
         pho = rng.integers(0, inv.num_phonemes, size=T)
         M = build_mapping_matrix(vis, pho, inv)
         assert np.array_equal(M, table[np.ix_(vis, pho)])
+    # a (B, T) pair gives the per-row matrices, stacked
+    vis = rng.integers(0, inv.num_visemes, size=(3, 5))
+    pho = rng.integers(0, inv.num_phonemes, size=(3, 5))
+    assert np.array_equal(build_mapping_matrix(vis, pho, inv), np.stack(
+        [build_mapping_matrix(v, p, inv) for v, p in zip(vis, pho)]))
 
 
 def test_mapping_matrix_permutation_equivariance(inv):

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -24,41 +25,56 @@ from vsrkit.verify import align_loss_dense, ctc_path_enumeration
 INV = default_inventory()
 
 
+def _head(x, targets, lengths):
+    """One CTC head's loss over a padded batch."""
+    return ctc_loss({"h": x}, {"h": targets}, lengths)["h"]
+
+
+def _ctc1(x, target):
+    """CTC loss of one T x K utterance, as a batch of one."""
+    return _head(x[None], [target], [len(x.data)])
+
+
+def _ce1(x, target):
+    """Attention cross-entropy of one L x K utterance, as a batch of one."""
+    return attention_ce_loss(x[None], [target], [len(x.data)])
+
+
 # ----------------------------------------------------------------------
 # ctc
 
 
 def test_ctc_single_frame_uniform():
-    loss = ctc_loss(Tensor(np.zeros((1, 3))), [2])
+    loss = _ctc1(Tensor(np.zeros((1, 3))), [2])
     assert float(loss.data) == pytest.approx(math.log(3), abs=1e-12)
 
 
 def test_ctc_two_frames_three_paths():
     # paths (a,a), (blank,a), (a,blank) out of 4 -> p = 3/4
-    loss = ctc_loss(Tensor(np.zeros((2, 2))), [1])
+    loss = _ctc1(Tensor(np.zeros((2, 2))), [1])
     assert float(loss.data) == pytest.approx(-math.log(0.75), abs=1e-12)
 
 
 def test_ctc_infeasible_target_raises_distinct_error():
     with pytest.raises(CtcNoValidPathError):
-        ctc_loss(Tensor(np.zeros((1, 3))), [1, 2])
+        _ctc1(Tensor(np.zeros((1, 3))), [1, 2])
     with pytest.raises(CtcNoValidPathError):
-        ctc_loss(Tensor(np.zeros((2, 3))), [1, 1])  # repeat needs a blank
+        _ctc1(Tensor(np.zeros((2, 3))), [1, 1])  # repeat needs a blank
 
 
 def test_ctc_rejects_blank_in_target():
     with pytest.raises(CtcError, match="blank"):
-        ctc_loss(Tensor(np.zeros((3, 3))), [1, 0])
+        _ctc1(Tensor(np.zeros((3, 3))), [1, 0])
 
 
 def test_ctc_rejects_out_of_range_token():
     with pytest.raises(CtcError, match="out of range"):
-        ctc_loss(Tensor(np.zeros((3, 3))), [5])
+        _ctc1(Tensor(np.zeros((3, 3))), [5])
 
 
 def test_ctc_empty_target_is_all_blank_path():
     logits = np.log(np.array([[0.7, 0.3], [0.6, 0.4]]))
-    loss = ctc_loss(Tensor(logits), [])
+    loss = _ctc1(Tensor(logits), [])
     assert float(loss.data) == pytest.approx(-math.log(0.7 * 0.6), abs=1e-12)
 
 
@@ -74,7 +90,7 @@ def test_ctc_exhaustive_grid_matches_enumeration():
                     logits = rng.normal(size=(T, K))
                     brute = ctc_path_enumeration(logits, target)
                     try:
-                        loss = float(ctc_loss(Tensor(logits), target).data)
+                        loss = float(_ctc1(Tensor(logits), target).data)
                     except CtcNoValidPathError:
                         assert brute == 0.0
                         continue
@@ -92,7 +108,7 @@ def test_ctc_gradient_matches_finite_differences():
         x = rng.normal(size=(T, K))
         try:
             worst = max(worst, finite_difference_check(
-                lambda t: ctc_loss(t, target), Tensor(x)))
+                lambda t: _ctc1(t, target), Tensor(x)))
         except CtcNoValidPathError:
             continue
     assert worst < 1e-4
@@ -100,7 +116,7 @@ def test_ctc_gradient_matches_finite_differences():
 
 def test_ctc_fault_injection_hook_breaks_the_oracle(short_extended_labels):
     logits = np.random.default_rng(3).normal(size=(4, 3))
-    bad = float(ctc_loss(Tensor(logits), [1, 2]).data)
+    bad = float(_ctc1(Tensor(logits), [1, 2]).data)
     assert abs(math.exp(-bad) - ctc_path_enumeration(logits, [1, 2])) > 1e-6
 
 
@@ -153,10 +169,10 @@ def test_batched_ctc_is_the_mean_of_single_utterance_calls(batch):
     logits, targets, lengths = batch
     B = len(targets)
     batched, single = Tensor(logits.copy()), Tensor(logits.copy())
-    loss = ctc_loss(batched, targets, lengths)
+    loss = _head(batched, targets, lengths)
     backward(loss)
-    mean = _mean([ctc_loss(single[b, :lengths[b]], targets[b])
-                  for b in range(B)])
+    mean = _mean([_head(single[b:b + 1, :lengths[b]], targets[b:b + 1],
+                        lengths[b:b + 1]) for b in range(B)])
     backward(mean)
     assert abs(float(loss.data) - float(mean.data)) <= \
         1e-12 * max(1.0, abs(float(mean.data)))
@@ -169,7 +185,7 @@ def test_batched_ctc_is_the_mean_of_single_utterance_calls(batch):
 def test_batched_ctc_gives_padded_frames_zero_gradient(batch):
     logits, targets, lengths = batch
     leaf = Tensor(logits)
-    backward(ctc_loss(leaf, targets, lengths))
+    backward(_head(leaf, targets, lengths))
     g = grad_of(leaf)
     for b, Tb in enumerate(lengths):
         assert not g[b, Tb:].any()
@@ -184,15 +200,15 @@ def test_batched_ctc_names_the_infeasible_batch_element(batch, data):
     targets = [list(t) for t in targets]
     targets[bad] = [1] * (logits.shape[1] + 1)  # never fits in T frames
     with pytest.raises(CtcNoValidPathError, match=f"batch element {bad}:"):
-        ctc_loss(Tensor(logits), targets, lengths)
+        _head(Tensor(logits), targets, lengths)
 
 
 def test_batched_ctc_rejects_mismatched_batch_arguments():
     logits = np.zeros((2, 3, 3))
     with pytest.raises(CtcError, match="one target and one length"):
-        ctc_loss(Tensor(logits), [[1]], [3, 3])
+        _head(Tensor(logits), [[1]], [3, 3])
     with pytest.raises(CtcError, match="lengths"):
-        ctc_loss(Tensor(logits), [[1], [2]], [3, 4])
+        _head(Tensor(logits), [[1], [2]], [3, 4])
 
 
 @st.composite
@@ -223,7 +239,7 @@ def test_multi_head_ctc_equals_one_call_per_head_bit_for_bit(batch):
     assert list(losses) == list(logits)
     for name, x in logits.items():
         alone = Tensor(x.copy())
-        loss = ctc_loss(alone, targets[name], lengths)
+        loss = _head(alone, targets[name], lengths)
         backward(loss)
         backward(losses[name])
         assert float(losses[name].data) == float(loss.data)
@@ -255,7 +271,25 @@ def test_multi_head_ctc_rejects_heads_of_other_frames():
     with pytest.raises(CtcError, match="shared by every head"):
         ctc_loss({"a": Tensor(np.zeros((2, 3, 3))),
                   "b": Tensor(np.zeros((2, 4, 3)))},
-                 {"a": [[1], [2]], "b": [[1], [2]]})
+                 {"a": [[1], [2]], "b": [[1], [2]]}, [3, 3])
+
+
+def test_ctc_rejects_a_bare_tensor_and_names_the_dict_form():
+    with pytest.raises(CtcError, match="dicts by head name"):
+        ctc_loss(Tensor(np.zeros((1, 3, 3))), [[1]], [3])
+
+
+def test_losses_reject_a_single_utterance_and_name_the_batch_form():
+    with pytest.raises(CtcError, match="B x T x K"):
+        ctc_loss({"h": Tensor(np.zeros((3, 3)))}, {"h": [[1]]}, [3])
+    with pytest.raises(ValueError, match="B x L x K"):
+        attention_ce_loss(Tensor(np.zeros((2, 4))), [1, 3], [2])
+
+
+@pytest.mark.parametrize("loss", [ctc_loss, attention_ce_loss, align_loss])
+def test_loss_lengths_are_required(loss):
+    lengths = inspect.signature(loss).parameters["lengths"]
+    assert lengths.default is inspect.Parameter.empty
 
 
 # ----------------------------------------------------------------------
@@ -280,14 +314,14 @@ def test_oracle_suites_surface_unexpected_ctc_errors(monkeypatch, suite):
 
 
 def test_attention_ce_uniform():
-    loss = attention_ce_loss(Tensor(np.zeros((1, 4))), [2])
+    loss = _ce1(Tensor(np.zeros((1, 4))), [2])
     assert float(loss.data) == pytest.approx(math.log(4), abs=1e-12)
 
 
 def test_attention_ce_concentrated_limit():
     logits = np.zeros((2, 4))
     logits[0, 1] = logits[1, 3] = 60.0
-    loss = attention_ce_loss(Tensor(logits), [1, 3])
+    loss = _ce1(Tensor(logits), [1, 3])
     assert float(loss.data) < 1e-12
 
 
@@ -300,13 +334,13 @@ def test_attention_ce_matches_direct_computation():
         row = logits[i]
         expected -= row[t] - math.log(np.exp(row - row.max()).sum()) - row.max()
     expected /= 3
-    loss = attention_ce_loss(Tensor(logits), target)
+    loss = _ce1(Tensor(logits), target)
     assert float(loss.data) == pytest.approx(expected, abs=1e-10)
 
 
 def test_attention_ce_length_mismatch():
     with pytest.raises(ValueError):
-        attention_ce_loss(Tensor(np.zeros((2, 3))), [1])
+        attention_ce_loss(Tensor(np.zeros((1, 2, 3))), [[1]], [2])
 
 
 def test_attention_ce_gradient():
@@ -315,7 +349,7 @@ def test_attention_ce_gradient():
         L, K = int(rng.integers(1, 5)), int(rng.integers(2, 6))
         target = rng.integers(0, K, size=L)
         err = finite_difference_check(
-            lambda t: attention_ce_loss(t, target),
+            lambda t: _ce1(t, target),
             Tensor(rng.normal(size=(L, K))))
         assert err < 1e-4
 
@@ -333,7 +367,7 @@ def test_batched_attention_ce_gradient_with_ragged_lengths():
 @pytest.mark.parametrize("target", [[0, -1], [0, 4], [7, 1]])
 def test_attention_ce_rejects_out_of_range_targets(target):
     with pytest.raises(ValueError, match="batch element 0: target"):
-        attention_ce_loss(Tensor(np.zeros((2, 4))), target)
+        _ce1(Tensor(np.zeros((2, 4))), target)
 
 
 def test_attention_ce_names_the_element_with_a_bad_target_or_length():
@@ -369,7 +403,8 @@ def test_batched_attention_ce_is_the_mean_of_single_utterance_calls(batch):
     batched, single = Tensor(logits.copy()), Tensor(logits.copy())
     loss = attention_ce_loss(batched, targets, lengths)
     backward(loss)
-    mean = _mean([attention_ce_loss(single[b, :n], targets[b, :n])
+    mean = _mean([attention_ce_loss(single[b:b + 1, :n],
+                                    targets[b:b + 1, :n], [n])
                   for b, n in enumerate(lengths)])
     backward(mean)
     _assert_close(loss.data, mean.data)
@@ -494,7 +529,7 @@ def test_align_loss_zero_when_local_distribution_equals_positives():
         vis[0, i] = 2 if i % 2 == 0 else 4
     cfg = LossConfig(window_w=1, tau=1.0)  # window 1: only the diagonal
     loss = float(align_loss(Tensor(V[None]), Tensor(P[None]), vis, pho,
-                            INV, cfg).data)
+                            INV, cfg, [T]).data)
     assert loss == pytest.approx(0.0, abs=1e-12)
 
 
@@ -502,7 +537,8 @@ def test_align_loss_no_active_rows_is_zero():
     rng = np.random.default_rng(2)
     cfg, V, P, _, pho = _random_instance(rng)
     vis = np.zeros((2, 6), dtype=int)  # all blank: no positives anywhere
-    loss = float(align_loss(Tensor(V), Tensor(P), vis, pho, INV, cfg).data)
+    loss = float(align_loss(Tensor(V), Tensor(P), vis, pho, INV, cfg,
+                            [6, 6]).data)
     assert loss == 0.0
 
 
@@ -526,19 +562,22 @@ def test_align_loss_is_nonnegative():
     rng = np.random.default_rng(77)
     for _ in range(30):
         cfg, V, P, vis, pho = _random_instance(rng)
-        loss = float(align_loss(Tensor(V), Tensor(P), vis, pho, INV, cfg).data)
+        loss = float(align_loss(Tensor(V), Tensor(P), vis, pho, INV, cfg,
+                                [6, 6]).data)
         assert loss >= 0.0
 
 
 def test_align_loss_row_scale_invariance():
     rng = np.random.default_rng(8)
     cfg, V, P, vis, pho = _random_instance(rng)
-    base = float(align_loss(Tensor(V), Tensor(P), vis, pho, INV, cfg).data)
+    base = float(align_loss(Tensor(V), Tensor(P), vis, pho, INV, cfg,
+                            [6, 6]).data)
     V2 = V.copy()
     V2[0, 3] *= 7.3
     P2 = P.copy()
     P2[1, 2] *= 0.02
-    scaled = float(align_loss(Tensor(V2), Tensor(P2), vis, pho, INV, cfg).data)
+    scaled = float(align_loss(Tensor(V2), Tensor(P2), vis, pho, INV, cfg,
+                              [6, 6]).data)
     assert abs(base - scaled) < 1e-10
 
 
@@ -550,10 +589,11 @@ def test_align_loss_permutation_invariant_with_full_window():
     P = rng.normal(size=(B, T, C))
     vis = rng.integers(0, INV.num_visemes, size=(B, T))
     pho = rng.integers(0, INV.num_phonemes, size=(B, T))
-    base = float(align_loss(Tensor(V), Tensor(P), vis, pho, INV, cfg).data)
+    base = float(align_loss(Tensor(V), Tensor(P), vis, pho, INV, cfg,
+                            [T]).data)
     sigma = rng.permutation(T)
     perm = float(align_loss(Tensor(V[:, sigma]), Tensor(P[:, sigma]),
-                            vis[:, sigma], pho[:, sigma], INV, cfg).data)
+                            vis[:, sigma], pho[:, sigma], INV, cfg, [T]).data)
     assert base == pytest.approx(perm, abs=1e-10)
 
 
@@ -572,7 +612,7 @@ def test_align_loss_temperature_monotonicity_on_argmax_positive():
     for tau in (1.0, 0.5, 0.1):
         cfg = LossConfig(window_w=3, tau=tau)
         losses.append(float(align_loss(Tensor(V), Tensor(P), vis, pho,
-                                       INV, cfg).data))
+                                       INV, cfg, [T]).data))
     assert losses[0] > losses[1] > losses[2]
 
 
@@ -583,7 +623,7 @@ def test_align_loss_gradient_reaches_both_feature_sets():
     vis = np.full((2, 6), 2)
     pho = np.full((2, 6), INV.phonemes_of_viseme(2)[0])
     tv, tp = Tensor(V), Tensor(P)
-    loss = align_loss(tv, tp, vis, pho, INV, cfg)
+    loss = align_loss(tv, tp, vis, pho, INV, cfg, [6, 6])
     assert float(loss.data) > 0
     backward(loss)
     assert np.abs(grad_of(tv)).max() > 0
@@ -595,7 +635,7 @@ def test_align_loss_gradient_matches_finite_differences():
     for _ in range(10):
         cfg, V, P, vis, pho = _random_instance(rng, B=1, T=5, C=4)
         err = finite_difference_check(
-            lambda t: align_loss(t, Tensor(P), vis, pho, INV, cfg),
+            lambda t: align_loss(t, Tensor(P), vis, pho, INV, cfg, [5]),
             Tensor(V))
         assert err < 1e-4
 
@@ -604,7 +644,7 @@ def test_align_loss_shape_validation():
     cfg = LossConfig()
     with pytest.raises(ValueError):
         align_loss(Tensor(np.ones((1, 2, 3))), Tensor(np.ones((1, 2, 4))),
-                   np.ones((1, 2)), np.ones((1, 2)), INV, cfg)
+                   np.ones((1, 2)), np.ones((1, 2)), INV, cfg, [2])
 
 
 @pytest.mark.parametrize("lengths", [[4, -2], [4, 6]])
@@ -648,7 +688,7 @@ def test_batched_align_loss_is_the_mean_of_single_utterance_calls(batch):
     sv, sp = Tensor(V.copy()), Tensor(P.copy())
     mean = _mean([
         align_loss(sv[b:b + 1, :n], sp[b:b + 1, :n], vis[b:b + 1, :n],
-                   pho[b:b + 1, :n], INV, cfg) if n else Tensor(0.0)
+                   pho[b:b + 1, :n], INV, cfg, [n]) if n else Tensor(0.0)
         for b, n in enumerate(lengths)])
     backward(mean)
     _assert_close(loss.data, mean.data)
@@ -693,7 +733,7 @@ def test_align_loss_guards_all_zero_feature_rows():
     V, P = rng.normal(size=(1, 4, 3)), rng.normal(size=(1, 4, 3))
     V[0, 1] = P[0, 2] = 0.0
     tv, tp = Tensor(V), Tensor(P)
-    loss = align_loss(tv, tp, vis, pho, INV, cfg)
+    loss = align_loss(tv, tp, vis, pho, INV, cfg, [4])
     backward(loss)
     assert np.isfinite(float(loss.data))
     assert np.all(np.isfinite(grad_of(tv))) and np.all(np.isfinite(grad_of(tp)))

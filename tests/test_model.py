@@ -171,7 +171,8 @@ def test_gradients_reach_branch_and_trunk(model):
     rng = np.random.default_rng(6)
     feats, lengths, dec_in = batch(rng)
     out = model.forward_train(feats, lengths, dec_in, np.random.default_rng(0))
-    loss = ctc_loss(out.phoneme_logits[0], [1, 2])
+    loss = ctc_loss({"phoneme": out.phoneme_logits[:1]},
+                    {"phoneme": [[1, 2]]}, lengths[:1])["phoneme"]
     backward(loss)
     branch_w = model.params["phoneme/layer0_attn_wq"]
     trunk_w = model.params["trunk/in_proj_w"]
@@ -186,7 +187,8 @@ def test_char_loss_reaches_trunk_through_fusion(model):
     rng = np.random.default_rng(7)
     feats, lengths, dec_in = batch(rng)
     out = model.forward_train(feats, lengths, dec_in, np.random.default_rng(0))
-    backward(ctc_loss(out.char_ctc_logits[0], [4, 5]))
+    backward(ctc_loss({"char": out.char_ctc_logits[:1]}, {"char": [[4, 5]]},
+                      lengths[:1])["char"])
     assert np.abs(grad_of(model.params["trunk/in_proj_w"])).max() > 0
 
 
@@ -509,6 +511,25 @@ def test_checkpoint_load_names_a_config_key_at_fault(tmp_path, model, edit,
     np.savez(path, **{**arrays, "__config__": np.array(json.dumps(values))})
     with pytest.raises(CheckpointError,
                        match=re.escape(f"{path}: {message}")):
+        Model.load(path)
+
+
+@pytest.mark.parametrize("config, message", [
+    (None, "{path} lacks section __config__"),
+    ("{not json", "{path}: section __config__ is not JSON"),
+    ("[1, 2]", "{path}: section __config__ is not a JSON object"),
+], ids=["missing", "not-json", "not-an-object"])
+def test_checkpoint_load_names_a_corrupt_config_section(tmp_path, model,
+                                                        config, message):
+    path = tmp_path / "model.npz"
+    model.save(path)
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files if k != "__config__"}
+    if config is not None:
+        arrays["__config__"] = np.array(config)
+    np.savez(path, **arrays)
+    with pytest.raises(CheckpointError,
+                       match=re.escape(message.format(path=path))):
         Model.load(path)
 
 

@@ -182,6 +182,15 @@ def test_manifest_names_a_missing_inventory_or_lexicon(tmp_path, small_corpus,
         read_manifest(tmp_path / "m")
 
 
+def test_manifest_names_a_missing_feature_blob(tmp_path, small_corpus):
+    _, lex, corpus = small_corpus
+    write_manifest(tmp_path / "m", corpus[:2], INV, lex)
+    (tmp_path / "m" / "features.bin").unlink()
+    with pytest.raises(ManifestError, match=re.escape(
+            f"no features.bin under {tmp_path / 'm'}")):
+        read_manifest(tmp_path / "m")
+
+
 def test_manifest_rejects_bad_version(tmp_path, small_corpus):
     _, lex, corpus = small_corpus
     write_manifest(tmp_path / "m", corpus[:2], INV, lex)

@@ -244,6 +244,23 @@ def test_state_load_of_a_model_file_names_the_path(tmp_path):
         TrainState.load(path)
 
 
+@pytest.mark.parametrize("train, message", [
+    ("{not json", "{path}: section __train__ is not JSON"),
+    ('{"rng_state": {}}', "{path}: section __train__ lacks key 'step'"),
+    ('{"step": 3}', "{path}: section __train__ lacks key 'rng_state'"),
+], ids=["not-json", "no-step", "no-rng-state"])
+def test_state_load_names_a_corrupt_train_section(tmp_path, train, message):
+    _, _, mcfg, tcfg = tiny_setup()
+    path = tmp_path / "state.npz"
+    TrainState.new(tcfg, mcfg).save(path)
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    np.savez(path, **{**arrays, "__train__": np.array(train)})
+    with pytest.raises(TrainingError,
+                       match=re.escape(message.format(path=path))):
+        TrainState.load(path)
+
+
 def test_a_new_state_has_zero_moments_for_every_parameter():
     _, _, mcfg, tcfg = tiny_setup()
     state = TrainState.new(tcfg, mcfg)
