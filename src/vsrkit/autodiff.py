@@ -22,6 +22,7 @@ array, so gradient arrays may be shared and are read-only.
 """
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -49,18 +50,13 @@ __all__ = [
     "finite_difference_check",
 ]
 
-_node_counter = 0
+# creation order; one next() is one C call, so threads never share an id
+_node_ids = itertools.count(1)
 _recording = ContextVar("recording", default=True)  # off in inference()
 
 
 class AutodiffError(RuntimeError):
     pass
-
-
-def _next_id():
-    global _node_counter
-    _node_counter += 1
-    return _node_counter
 
 
 class Tensor:
@@ -80,17 +76,13 @@ class Tensor:
         self._grad_fn = grad_fn if recording else None
         self.grad = None
         self.op = op
-        self.node_id = _next_id()
+        self.node_id = next(_node_ids)
         if recording and op != "leaf" and np.isnan(self.data).any():
             raise AutodiffError(f"NaN produced by node #{self.node_id} ({op})")
 
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
 
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.data.shape})"
@@ -240,16 +232,17 @@ def layer_norm(x, scale, bias, eps):
 
 def attention(q, k, v, heads, disallow=None):
     """Multi-head scaled dot-product attention of ``(B, T, heads * dh)``
-    inputs, computed on ``(B, heads, T, dh)`` and merged back. Scores where
-    the boolean ``disallow`` (broadcast to ``(B, Tq, Tk)``) is set become
-    -1e30 before the softmax. Batch axes broadcast as in numpy."""
+    inputs of one batch size B, computed on ``(B, heads, T, dh)`` and merged
+    back. Scores where the boolean ``disallow`` (broadcast to ``(B, Tq, Tk)``)
+    is set get -1e30 added. Every query must keep a key: its disallowed
+    probabilities, and so their score gradients, are then exactly 0."""
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
 
-    def split(a):  # (..., T, heads * dh) -> (..., heads, T, dh)
+    def split(a):  # (B, T, heads * dh) -> (B, heads, T, dh)
         return a.reshape(*a.shape[:-1], heads, -1).swapaxes(-2, -3)
 
-    def merge(g, a, ah):  # gradient for ``a`` from one on its split ``ah``
-        return _unbroadcast(g, ah.shape).swapaxes(-2, -3).reshape(a.data.shape)
+    def merge(g, a):  # gradient for ``a`` from one on its split
+        return g.swapaxes(-2, -3).reshape(a.data.shape)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scale = 1.0 / np.sqrt(qh.shape[-1])
@@ -257,8 +250,7 @@ def attention(q, k, v, heads, disallow=None):
     p = qh @ kh.swapaxes(-1, -2)  # softmax in place on the scores
     p *= scale
     if disallow is not None:
-        disallow = np.asarray(disallow, dtype=bool)[..., None, :, :]
-        p = np.where(disallow, -1e30, p)
+        p += np.where(disallow, -1e30, 0.0)[..., None, :, :]
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= (p @ ones)[..., None]
@@ -269,12 +261,9 @@ def attention(q, k, v, heads, disallow=None):
         gs = go @ vh.swapaxes(-1, -2)
         gs -= ((gs * p) @ ones)[..., None]
         gs *= p
-        if disallow is not None:
-            gs = np.where(disallow, 0.0, gs)
         gs *= scale
-        return (merge(gs @ kh, q, qh),
-                merge(gs.swapaxes(-1, -2) @ qh, k, kh),
-                merge(p.swapaxes(-1, -2) @ go, v, vh))
+        return (merge(gs @ kh, q), merge(gs.swapaxes(-1, -2) @ qh, k),
+                merge(p.swapaxes(-1, -2) @ go, v))
 
     merged = out.swapaxes(-2, -3)
     return Tensor(merged.reshape(*merged.shape[:-2], -1), (q, k, v), grad_fn,
@@ -324,23 +313,15 @@ class Tape:
 
 
 def trace(output):
-    """Build the tape for ``output``: parents always precede their consumers."""
-    order = []
-    seen = set()
-    stack = [(output, False)]
+    """The tape for ``output``: the nodes reachable from it in creation
+    order, in which every parent precedes its consumers."""
+    reached, stack = {id(output): output}, [output]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:
-            if id(p) not in seen:
-                stack.append((p, False))
-    return Tape(order)
+        for p in stack.pop().parents:
+            if id(p) not in reached:
+                reached[id(p)] = p
+                stack.append(p)
+    return Tape(sorted(reached.values(), key=lambda n: n.node_id))
 
 
 def backward(output):

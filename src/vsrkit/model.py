@@ -6,12 +6,12 @@ All compute runs on autodiff Tensors; parameters are named with
 group prefixes (trunk/phoneme/viseme/fusion/char_encoder/char_decoder/heads)
 so checkpoints can verify which branches exist.
 
-Every method takes and returns padded ``(B, T, ·)`` arrays, and the decoder
-runs on them; only the memory that ``char_forward`` returns is packed.
-Given a ``valid`` mask, the trunk, the branches and the character encoder
-compute on its packed ``(N, C)`` rows; only attention and the depthwise
-conv unpack, inside the block. Padded rows of their outputs are exactly
-zero. With ``valid=None`` nothing is packed.
+Every method takes and returns padded ``(B, T, ·)`` arrays but one: the
+memory that ``char_forward`` returns is packed, and its caller runs the
+decoder and the CTC head on it. Given a ``valid`` mask, the trunk, the
+branches and the character encoder compute on its packed ``(N, C)`` rows;
+only attention and the depthwise conv unpack, inside the block. Padded rows
+of their outputs are exactly zero. With ``valid=None`` nothing is packed.
 
 There is one checkpoint file layout, written by ``Model.save`` and read by
 ``Model.load``: a ``.npz`` with ``__version__`` ("vsrkit-checkpoint v3"),
@@ -276,12 +276,10 @@ class Model:
 
     def _attention(self, x_q, x_kv, prefix, key_valid=None, causal=False,
                    cache=None):
-        """Pre-norm multi-head attention plus residual. ``x_q`` is B_q x T_q
-        x C; ``x_kv`` is B_k x T_k x C, or None for self-attention. B_q and
-        B_k broadcast as numpy batch axes (a batch-1 token row may attend
-        into a batch-2 memory) and the result has the broadcast batch size.
-        ``key_valid`` (B_k x T_k) hides padded keys; ``causal`` (self-attention
-        only) hides keys after each query. A 2-D ``x_q`` holds the packed
+        """Pre-norm multi-head attention plus residual. ``x_q`` is B x T_q x C;
+        ``x_kv`` is B x T_k x C, or None for self-attention. ``key_valid``
+        (B x T_k) hides padded keys; ``causal`` hides later keys in a
+        self-attention without ``key_valid``. A 2-D ``x_q`` holds the packed
         ``key_valid`` rows of a self-attention, and so does the result.
         ``cache`` keeps keys and values by ``prefix`` (``decoder_forward``)."""
         rows = key_valid if x_q.data.ndim == 2 else None
@@ -300,8 +298,7 @@ class Model:
         # query i is position i + T_k - T_q; a lone query sees every key
         if causal and xq.data.shape[-2] > 1:
             Tq, Tk = xq.data.shape[-2], k.data.shape[-2]
-            future = np.triu(np.ones((Tq, Tk), dtype=bool), k=Tk - Tq + 1)
-            disallow = future if disallow is None else disallow | future
+            disallow = np.triu(np.ones((Tq, Tk), dtype=bool), k=Tk - Tq + 1)
         heads = ad.attention(self._linear(xq, prefix, "q"), k, v,
                              self.cfg.attention_heads, disallow)
         return ad.add(x_q, self._linear(ad.pack(heads, rows), prefix, "o"))
@@ -364,10 +361,10 @@ class Model:
         mv = (rng.random((batch_size, 1, 1)) < keep).astype(np.float64)
         return mp, mv
 
-    def char_forward(self, fused, valid=None, decoder_inputs=None):
-        """Character encoder over fused features; returns the memory (its
-        packed valid rows when ``valid`` is given) and, when teacher-forced
-        inputs are given, the attention logits. Callers run the CTC head."""
+    def char_forward(self, fused, valid=None):
+        """Character encoder over fused features; returns the memory, its
+        packed valid rows when ``valid`` is given. Callers run the decoder
+        and the CTC head on it."""
         cfg = self.cfg
         x = self._norm(ad.pack(fused, valid), "fusion/norm")
         for i in range(cfg.char_encoder_layers):
@@ -376,32 +373,22 @@ class Model:
                                 key_valid=valid)
             x = self._depthwise_conv(x, f"char_encoder/layer{i}_conv", valid)
             x = self._ffn(x, f"char_encoder/layer{i}_ffn2")
-        memory = self._norm(x, "char_encoder/out_norm")
-        attn_logits = None
-        if decoder_inputs is not None:
-            attn_logits = self.decoder_forward(ad.unpack(memory, valid),
-                                               decoder_inputs,
-                                               memory_valid=valid)
-        return memory, attn_logits
+        return self._norm(x, "char_encoder/out_norm")
 
     def decoder_forward(self, F_mem, tokens, memory_valid=None, cache=None):
         """Teacher-forced decoder: causal self-attention over the token
         prefix and cross-attention into the encoder memory. With a ``cache``
-        dict (inference only, empty at first), ``tokens`` must extend the last
-        call's by one token, and only that newest position is computed."""
+        dict (inference only, empty at first), ``tokens`` are the tokens
+        after the cached positions, and only their positions are computed."""
         cfg = self.cfg
         tokens = np.asarray(tokens, dtype=np.int64)
         _, L = tokens.shape
-        if L > cfg.max_decode_len + 1:
+        start = 0 if not cache else \
+            cache["char_decoder/layer0_self"][0].data.shape[-2]  # cached keys
+        if start + L > cfg.max_decode_len + 1:
             raise ValueError("decoder input longer than max_decode_len")
-        start = 0
-        if cache is not None:
-            seen = cache.get("tokens", tokens[:, :0])
-            if not np.array_equal(tokens[:, :-1], seen):
-                raise ValueError("tokens must extend the cached ones by one")
-            cache["tokens"], start = tokens, L - 1
-        x = ad.add(self.params["char_decoder/embed"][tokens[:, start:]],
-                   self.params["char_decoder/pos"][start:L])
+        x = ad.add(self.params["char_decoder/embed"][tokens],
+                   self.params["char_decoder/pos"][start:start + L])
         for i in range(cfg.char_decoder_layers):
             x = self._attention(x, None, f"char_decoder/layer{i}_self",
                                 causal=True, cache=cache)
@@ -418,7 +405,11 @@ class Model:
         built without them fuses the trunk features alone."""
         features = as_tensor(features)
         B, T, _ = features.data.shape
-        valid = np.arange(T)[None, :] < np.asarray(lengths)[:, None]
+        lengths = np.asarray(lengths)
+        if lengths.shape != (B,) or not np.all((lengths >= 1) & (lengths <= T)):
+            raise ValueError(f"lengths must be {B} values in [1, {T}], "
+                             f"got {lengths.tolist()}")
+        valid = np.arange(T)[None, :] < lengths[:, None]
         out = ForwardOutputs()
         out.F = self.trunk_forward(features, valid)
         if self.with_branches:
@@ -428,8 +419,9 @@ class Model:
             fused = self.fuse(out.F, out.P, out.V, out.drop_masks)
         else:
             fused = self.fuse(out.F, None, None)
-        mem, out.char_attn_logits = self.char_forward(fused, valid,
-                                                      decoder_inputs)
+        mem = self.char_forward(fused, valid)
+        out.char_attn_logits = self.decoder_forward(
+            ad.unpack(mem, valid), decoder_inputs, memory_valid=valid)
         out.char_ctc_logits = ad.unpack(self._head(mem, "heads/char_ctc"), valid)
         return out
 
@@ -446,18 +438,17 @@ class Model:
         """
         if decode not in DECODE_MODES:
             raise ValueError(f"unknown decode mode {decode!r}")
-        features = as_tensor(features)
-        if features.data.shape[1:] != (self.cfg.input_dim,):
+        x = as_tensor(features).data
+        if x.shape[1:] != (self.cfg.input_dim,) or not len(x):
             raise ValueError(
                 f"forward_infer takes one T x {self.cfg.input_dim} "
-                f"utterance, got shape {features.data.shape}")
-        features = Tensor(features.data[None])
+                f"utterance with T >= 1, got shape {x.shape}")
         if (act.use_phoneme or act.use_viseme) and not self.with_branches:
             raise CheckpointError(
                 f"activation {act.name!r} requests a branch absent from "
                 f"the checkpoint"
             )
-        F = self.trunk_forward(features)
+        F = self.trunk_forward(x[None])
         P = V = None
         branch_frames = {}
         if act.use_phoneme:
@@ -466,7 +457,7 @@ class Model:
         if act.use_viseme:
             V, v_logits = self.branch_forward(F, "viseme")
             branch_frames["viseme"] = v_logits.data[0].argmax(axis=-1).tolist()
-        F_mem, _ = self.char_forward(self.fuse(F, P, V))
+        F_mem = self.char_forward(self.fuse(F, P, V))
 
         def finite(logits):
             if not np.isfinite(logits).all():
@@ -483,10 +474,10 @@ class Model:
             tokens, score = (list(hyps[0].tokens), hyps[0].score) if hyps \
                 else ([], 0.0)
         else:
-            cache = {}  # this utterance's decoder state; prefixes grow by one
+            cache = {}  # decoder state: each step feeds the newest token
             tokens = attention_greedy_decode(
                 lambda prefix: finite(self.decoder_forward(
-                    F_mem, [[SOS_ID, *prefix]], cache=cache).data[0, -1]),
+                    F_mem, [prefix[-1:] or [SOS_ID]], cache=cache).data[0, -1]),
                 self.cfg.max_decode_len, EOS_ID)
             score = 0.0
         return Hypothesis(tokens=tuple(tokens), score=score,

@@ -139,11 +139,19 @@ class TrainState:
         check_arrays(path, "moment", moments,
                      {f"{kind}::{k}": p.data for kind in "mv"
                       for k, p in model.params.items()}, TrainingError)
+        step = meta["step"]
+        if type(step) is not int or step < 0:  # a bool is not a step
+            raise TrainingError(f"{path}: section __train__ key 'step' is "
+                                f"not a non-negative int: {step!r}")
         rng = np.random.default_rng(0)
-        rng.bit_generator.state = meta["rng_state"]
+        try:
+            rng.bit_generator.state = meta["rng_state"]
+        except (ValueError, TypeError, KeyError, OverflowError) as e:
+            raise TrainingError(f"{path}: section __train__ key 'rng_state' "
+                                f"is not a PCG64 state ({e!r})") from None
         m, v = ({k: moments[f"{kind}::{k}"] for k in model.params}
                 for kind in "mv")
-        return cls(model=model, opt_m=m, opt_v=v, rng=rng, step=meta["step"])
+        return cls(model=model, opt_m=m, opt_v=v, rng=rng, step=step)
 
 
 def _char_tokens(utt):

@@ -1,3 +1,4 @@
+import sys
 import threading
 import warnings
 import zlib
@@ -75,9 +76,9 @@ B5 = RNG.normal(size=5)
 LN_SCALE = RNG.normal(size=4)
 LN_BIAS = RNG.normal(size=4)
 KV = RNG.normal(size=(2, 5, 4))
-KV1 = RNG.normal(size=(1, 5, 4))
-# the second utterance has no valid key: its rows pass no score gradient
-KEY_MASK = np.arange(5)[None, None, :] >= np.array([2, 0])[:, None, None]
+# every query keeps a key; the second utterance keeps only its first, so
+# its rows pass no score gradient
+KEY_MASK = np.arange(5)[None, None, :] >= np.array([2, 1])[:, None, None]
 CAUSAL = np.triu(np.ones((3, 3), dtype=bool), k=1)
 CONV_W = RNG.normal(size=(3, 4))
 # ragged rows: the first utterance has 2 of 3 frames, the second all 3
@@ -98,10 +99,6 @@ for _name, _op, _args, _out in (
          (2, 3, 4)),
         ("attention_causal", _attention_with(CAUSAL), (X3, X3, X3),
          (2, 3, 4)),
-        ("attention_memory_broadcast", _attention_with(KEY_MASK[:1]),
-         (X3, KV1, KV1), (2, 3, 4)),
-        ("attention_query_broadcast", _attention_with(None),
-         (X3[:1], KV, KV), (2, 3, 4)),
         ("depthwise_conv", ad.depthwise_conv, (X3, CONV_W), (2, 3, 4)),
         ("pack", lambda x: ad.pack(x, ROWS), (X3,), (5, 4)),
         ("unpack", lambda x: ad.unpack(x, ROWS), (X3[ROWS],), (2, 3, 4))):
@@ -269,9 +266,8 @@ def _attention_reference(q, k, v, heads, disallow=None):
     def split(a):
         return a.reshape(*a.shape[:-1], heads, -1).swapaxes(-2, -3)
 
-    def merge(g, a, ah):
-        return ad._unbroadcast(g, ah.shape).swapaxes(-2, -3).reshape(
-            a.data.shape)
+    def merge(g, a):
+        return g.swapaxes(-2, -3).reshape(a.data.shape)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scale = 1.0 / np.sqrt(qh.shape[-1])
@@ -290,9 +286,9 @@ def _attention_reference(q, k, v, heads, disallow=None):
         if disallow is not None:
             gs = np.where(disallow, 0.0, gs)
         gs *= scale
-        return (merge(gs @ kh, q, qh),
-                merge(gs.swapaxes(-1, -2) @ qh, k, kh),
-                merge(p.swapaxes(-1, -2) @ go, v, vh))
+        return (merge(gs @ kh, q),
+                merge(gs.swapaxes(-1, -2) @ qh, k),
+                merge(p.swapaxes(-1, -2) @ go, v))
 
     merged = out.swapaxes(-2, -3)
     return Tensor(merged.reshape(*merged.shape[:-2], -1), (q, k, v), grad_fn,
@@ -301,7 +297,8 @@ def _attention_reference(q, k, v, heads, disallow=None):
 
 def _assert_same_op(op, reference, arrays, seed):
     """``op`` and ``reference`` agree to 1e-12 relative (absolute below
-    1) in the output and in the gradient of every argument."""
+    1) in the output and in the gradient of every argument; returns
+    ``op``'s output and gradients."""
     g = None
     results = []
     for fn in (op, reference):
@@ -315,6 +312,7 @@ def _assert_same_op(op, reference, arrays, seed):
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <=
                       1e-12 * np.maximum(1.0, np.abs(want)))
+    return results[0]
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -332,23 +330,24 @@ def test_linear_matches_its_reference(lead, n_out, bias, seed):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 6), st.integers(1, 6),
        st.sampled_from([1, 2, 4]), st.sampled_from([None, "keys", "causal"]),
-       st.booleans(), st.integers(0, 2**32 - 1))
-def test_attention_matches_its_reference(B, Tq, Tk, heads, mask,
-                                         broadcast_memory, seed):
+       st.integers(0, 2**32 - 1))
+def test_attention_matches_its_reference(B, Tq, Tk, heads, mask, seed):
+    # the reference also zeroes the score gradient of disallowed keys
     rng = np.random.default_rng(seed)
-    Bk = 1 if broadcast_memory else B
-    q = rng.normal(size=(B, Tq, 2 * heads))
-    k, v = (rng.normal(size=(Bk, Tk, 2 * heads)) for _ in range(2))
+    q, k, v = (rng.normal(size=(B, T, 2 * heads)) for T in (Tq, Tk, Tk))
     disallow = None
     if mask == "keys":  # every query keeps at least its first key
-        disallow = rng.random((Bk, 1, Tk)) < 0.4
+        disallow = rng.random((B, 1, Tk)) < 0.4
         disallow[..., 0] = False
     elif mask == "causal":
         disallow = np.triu(np.ones((Tq, Tk), dtype=bool), k=Tk - Tq + 1)
         disallow[:, 0] = False
-    _assert_same_op(lambda *t: ad.attention(*t, heads, disallow),
-                    lambda *t: _attention_reference(*t, heads, disallow),
-                    [q, k, v], seed)
+    _, _, gk, gv = _assert_same_op(
+        lambda *t: ad.attention(*t, heads, disallow),
+        lambda *t: _attention_reference(*t, heads, disallow), [q, k, v], seed)
+    if mask == "keys":  # padded keys, which no query sees
+        padded = disallow[:, 0]
+        assert np.all(gk[padded] == 0.0) and np.all(gv[padded] == 0.0)
 
 
 def test_backward_sum_gives_ones():
@@ -386,6 +385,94 @@ def test_tape_is_topologically_ordered_and_visited_once():
     for node in tape.nodes:
         for parent in node.parents:
             assert pos[id(parent)] < pos[id(node)]
+
+
+def _reachable(output):
+    """Every node reachable from ``output``, by recursive DFS."""
+    seen = {}
+
+    def visit(node):
+        if id(node) not in seen:
+            seen[id(node)] = node
+            for p in node.parents:
+                visit(p)
+    visit(output)
+    return seen
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(1, 3),
+       st.lists(st.tuples(st.sampled_from(["add", "mul"]),
+                          st.integers(0, 99), st.integers(0, 99)),
+                min_size=1, max_size=12),
+       st.integers(0, 99), st.integers(0, 2**32 - 1))
+def test_tape_holds_the_reachable_nodes_in_creation_order(n_leaves, ops,
+                                                          hub, seed):
+    rng = np.random.default_rng(seed)
+    nodes = [Tensor(rng.uniform(-1.5, 1.5, size=3)) for _ in range(n_leaves)]
+    for name, i, j in ops:
+        nodes.append(getattr(ad, name)(nodes[i % len(nodes)],
+                                       nodes[j % len(nodes)]))
+    # one node feeds three more, and the last of them feeds the output
+    h = nodes[hub % len(nodes)]
+    for name in ("mul", "add", "mul"):
+        nodes.append(getattr(ad, name)(nodes[-1], h))
+    weights = rng.normal(size=3)
+    out = weighted_sum(nodes[-1], weights)
+
+    tape = backward(out)
+    reached = _reachable(out)
+    assert {id(n) for n in tape.nodes} == set(reached)
+    assert len(tape.nodes) == len(reached)
+    ids = [n.node_id for n in tape.nodes]
+    assert all(a < b for a, b in zip(ids, ids[1:]))
+
+    # reference: each node's adjoint, summed over its consumers in order of
+    # decreasing depth, which is a reverse topological order too
+    depth = {}
+
+    def depth_of(node):
+        if id(node) not in depth:
+            depth[id(node)] = 1 + max(map(depth_of, node.parents), default=0)
+        return depth[id(node)]
+    adjoint = {id(nodes[-1]): weights}
+    for node in sorted(reached.values(), key=depth_of, reverse=True):
+        if node is out or node.op == "leaf" or id(node) not in adjoint:
+            continue
+        g = adjoint[id(node)]
+        a, b = node.parents
+        for parent, pg in ((a, g if node.op == "add" else g * b.data),
+                           (b, g if node.op == "add" else g * a.data)):
+            adjoint[id(parent)] = adjoint.get(id(parent), 0.0) + pg
+    for leaf in nodes[:n_leaves]:
+        want = adjoint.get(id(leaf), np.zeros(3))
+        got = grad_of(leaf) if id(leaf) in reached else np.zeros(3)
+        assert np.all(np.abs(got - want) <=
+                      1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def test_threads_building_graphs_never_share_a_node_id():
+    # more threads than cores, switching as often as the interpreter allows
+    ids = [[] for _ in range(4)]
+    x = Tensor(np.ones(2))
+
+    def build(out):
+        for _ in range(10000):
+            out.append(ad.add(x, x).node_id)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=build, args=(out,))
+                   for out in ids]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert len(set().union(*ids)) == 40000
 
 
 def test_forward_replay_is_bit_identical():

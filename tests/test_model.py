@@ -197,7 +197,7 @@ def test_decoder_causality(model):
     feats, lengths, _ = batch(rng)
     F = model.trunk_forward(Tensor(feats))
     fused = model.fuse(F, None, None)
-    F_mem, _ = model.char_forward(fused)
+    F_mem = model.char_forward(fused)
     a = np.array([[1, 4, 5, 6]])
     b = np.array([[1, 4, 5, 9]])  # change only the last position
     la = model.decoder_forward(F_mem, a).data
@@ -224,14 +224,15 @@ def test_padded_batch_matches_per_utterance_forwards(sizes, seed):
     V, v_logits = model.branch_forward(F, "viseme", valid)
     unit = np.ones((len(sizes), 1, 1))
     fused = model.fuse(F, P, V, (unit, unit))
-    rows, attn = model.char_forward(fused, valid, tokens)
-    mem = ad.unpack(rows, valid)
+    mem = ad.unpack(model.char_forward(fused, valid), valid)
+    attn = model.decoder_forward(mem, tokens, memory_valid=valid)
     for b, (t, n) in enumerate(sizes):
         F1 = model.trunk_forward(feats[b:b + 1, :t])
         P1, p1 = model.branch_forward(F1, "phoneme")
         V1, v1 = model.branch_forward(F1, "viseme")
         fused1 = model.fuse(F1, P1, V1, (unit[:1], unit[:1]))
-        mem1, attn1 = model.char_forward(fused1, None, tokens[b:b + 1, :n])
+        mem1 = model.char_forward(fused1)
+        attn1 = model.decoder_forward(mem1, tokens[b:b + 1, :n])
         for batched, single in ((F, F1), (P, P1), (p_logits, p1), (V, V1),
                                 (v_logits, v1), (fused, fused1), (mem, mem1)):
             assert np.abs(batched.data[b, :t] - single.data[0]).max() <= 1e-10
@@ -253,7 +254,7 @@ def test_padded_rows_of_block_outputs_are_zero(model):
 def test_unpadded_forward_records_no_layout_nodes(model):
     # no padding: no pack, no unpack and no mask multiply on the tape
     F = model.trunk_forward(Tensor(np.ones((1, 5, CFG.input_dim))))
-    F_mem, _ = model.char_forward(model.fuse(F, None, None))
+    F_mem = model.char_forward(model.fuse(F, None, None))
     ops = {n.op for n in ad.trace(weighted_sum(F_mem)).nodes}
     assert "depthwise_conv" in ops and not ops & {"pack", "unpack", "mul"}
 
@@ -262,22 +263,27 @@ def test_unpadded_forward_records_no_layout_nodes(model):
 @given(st.integers(1, 12), st.sampled_from([1, 2]),
        st.lists(st.integers(0, CFG.char_vocab - 1),
                 max_size=CFG.max_decode_len),
+       st.lists(st.booleans(), min_size=CFG.max_decode_len,
+                max_size=CFG.max_decode_len),
        st.integers(0, 2**32 - 1))
 def test_incremental_decoder_steps_match_teacher_forcing(T, layers, prefix,
-                                                         seed):
-    # step i feeds token i alone, against the cached keys and values of
-    # tokens 0..i-1 and of the memory; a 1-row GEMM may round differently
+                                                         cuts, seed):
+    # each call feeds only the tokens after the cached positions (one, or a
+    # run of them), against the cached keys and values of the earlier
+    # tokens and of the memory; a 1-row GEMM may round differently
     model = Model(replace(CFG, char_decoder_layers=layers), seed=seed % 97)
     F_mem = Tensor(np.random.default_rng(seed).normal(
         size=(1, T, CFG.model_dim)))
     tokens = [SOS_ID, *prefix]
     forced = model.decoder_forward(F_mem, [tokens]).data[0]
+    bounds = [0, *(i for i in range(1, len(tokens)) if cuts[i - 1]),
+              len(tokens)]
     cache = {}
     with ad.inference():
-        for i in range(1, len(tokens) + 1):
-            step = model.decoder_forward(F_mem, [tokens[:i]], cache=cache)
-            assert step.data.shape == (1, 1, CFG.char_vocab)
-            assert np.abs(step.data[0, 0] - forced[i - 1]).max() <= 1e-12
+        for lo, hi in zip(bounds, bounds[1:]):
+            step = model.decoder_forward(F_mem, [tokens[lo:hi]], cache=cache)
+            assert step.data.shape == (1, hi - lo, CFG.char_vocab)
+            assert np.abs(step.data[0] - forced[lo:hi]).max() <= 1e-12
 
 
 def test_cached_attention_decode_matches_full_recompute(model):
@@ -293,7 +299,7 @@ def test_cached_attention_decode_matches_full_recompute(model):
                 else None
             V = model.branch_forward(F, "viseme")[0] if act.use_viseme \
                 else None
-            F_mem, _ = model.char_forward(model.fuse(F, P, V))
+            F_mem = model.char_forward(model.fuse(F, P, V))
             want = attention_greedy_decode(
                 lambda p: model.decoder_forward(
                     F_mem, [[SOS_ID, *p]]).data[0, -1],
@@ -303,18 +309,17 @@ def test_cached_attention_decode_matches_full_recompute(model):
     assert max(lengths) > 1
 
 
-def test_decoder_cache_refuses_a_prefix_that_skips_or_repeats(model):
+def test_decoder_cache_refuses_a_position_past_max_decode_len(model):
     F_mem = Tensor(np.random.default_rng(14).normal(size=(1, 5,
                                                           CFG.model_dim)))
     cache = {}
     with ad.inference():
-        model.decoder_forward(F_mem, [[SOS_ID]], cache=cache)
         model.decoder_forward(F_mem, [[SOS_ID, 4]], cache=cache)
-        for bad in ([[SOS_ID, 4]], [[SOS_ID, 4, 5, 6]], [[SOS_ID, 5, 6]],
-                    [[SOS_ID]]):
-            with pytest.raises(ValueError, match="extend the cached"):
-                model.decoder_forward(F_mem, bad, cache=cache)
-        model.decoder_forward(F_mem, [[SOS_ID, 4, 5]], cache=cache)
+        with pytest.raises(ValueError, match="longer than max_decode_len"):
+            model.decoder_forward(F_mem, [[4] * CFG.max_decode_len],
+                                  cache=cache)
+        model.decoder_forward(F_mem, [[4] * (CFG.max_decode_len - 1)],
+                              cache=cache)
 
 
 # ----------------------------------------------------------------------
@@ -374,8 +379,8 @@ def test_infer_builds_no_graph_and_restores_recording(model, monkeypatch):
     monkeypatch.setattr(model, "char_forward", spy)
     feats = np.random.default_rng(15).normal(size=(5, CFG.input_dim))
     model.forward_infer(feats, ALL_ACTIVATIONS[3], "attention", 8)
-    F_mem, attn = seen[0]
-    assert F_mem.parents == () and F_mem._grad_fn is None and attn is None
+    F_mem = seen[0]
+    assert F_mem.parents == () and F_mem._grad_fn is None
     x = Tensor(np.ones(2))
     assert ad.add(x, x).parents == (x, x)
 
@@ -425,11 +430,20 @@ def test_attention_decoding_never_runs_the_char_ctc_head(model, monkeypatch):
 
 @pytest.mark.parametrize("shape", [(2, 5, CFG.input_dim),
                                    (5, CFG.input_dim + 1),
-                                   (CFG.input_dim,)])
+                                   (CFG.input_dim,),
+                                   (0, CFG.input_dim)])
 def test_infer_takes_exactly_one_utterance(model, shape):
     with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
         model.forward_infer(np.zeros(shape), ActivationConfig(False, False),
                             "ctc_greedy", 8)
+
+
+@pytest.mark.parametrize("lengths", [[0, 7], [7, 8], [-1, 7], [7]])
+def test_forward_train_rejects_lengths_outside_the_frames(model, lengths):
+    feats, _, dec_in = batch(np.random.default_rng(18))
+    with pytest.raises(ValueError, match=re.escape(
+            f"lengths must be 2 values in [1, 7], got {lengths}")):
+        model.forward_train(feats, lengths, dec_in, np.random.default_rng(0))
 
 
 def test_branchless_model_rejects_branch_activation():

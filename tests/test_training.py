@@ -261,6 +261,25 @@ def test_state_load_names_a_corrupt_train_section(tmp_path, train, message):
         TrainState.load(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("step", "x"), ("step", -3), ("step", 1.5), ("step", True),
+    ("rng_state", {}), ("rng_state", "x"),
+    ("rng_state", {"bit_generator": "PCG64"}),
+], ids=["step-str", "step-negative", "step-float", "step-bool",
+        "rng-empty", "rng-str", "rng-no-state"])
+def test_state_load_checks_train_section_values(tmp_path, key, value):
+    _, _, mcfg, tcfg = tiny_setup()
+    path = tmp_path / "state.npz"
+    TrainState.new(tcfg, mcfg).save(path)
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    train = {**json.loads(str(arrays["__train__"])), key: value}
+    np.savez(path, **{**arrays, "__train__": np.array(json.dumps(train))})
+    with pytest.raises(TrainingError, match=re.escape(
+            f"{path}: section __train__ key {key!r}")):
+        TrainState.load(path)
+
+
 def test_a_new_state_has_zero_moments_for_every_parameter():
     _, _, mcfg, tcfg = tiny_setup()
     state = TrainState.new(tcfg, mcfg)
