@@ -80,10 +80,6 @@ class Tensor:
         if recording and op != "leaf" and np.isnan(self.data).any():
             raise AutodiffError(f"NaN produced by node #{self.node_id} ({op})")
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.data.shape})"
 

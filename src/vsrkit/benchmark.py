@@ -1,7 +1,7 @@
 """The standard synthetic benchmark: fixed data/model/training recipes.
-Its ``VARIANTS`` are the paper's ablation (``full``, ``no_align``,
-``no_branches``); ``vsrkit train --disable-align`` / ``--disable-branches``
-runs the same switches from the command line.
+Its ``VARIANTS`` are ``full`` and ``no_align`` (``[loss] lambda1 = 0``, as
+``vsrkit train --disable-align``); the paper's branch ablation is the model
+config ``[model] with_branches = false`` (``--disable-branches``).
 
 A benchmark seed fully determines the train and held-out corpora (which
 share a phoneme codebook and lexicon), the model init, and the data order.
@@ -24,7 +24,7 @@ __all__ = [
     "VARIANTS",
 ]
 
-VARIANTS = ("full", "no_align", "no_branches")
+VARIANTS = ("full", "no_align")
 
 _TRAIN_UTTERANCES = 144
 _TEST_UTTERANCES = 48
@@ -74,7 +74,6 @@ def benchmark_train_config(seed, variant="full"):
         warmup_steps=8,
         seed=seed,
         loss=LossConfig() if variant == "full" else LossConfig(lambda1=0.0),
-        disable_branches=variant == "no_branches",
     )
 
 

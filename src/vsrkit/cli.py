@@ -216,11 +216,11 @@ def cmd_train(args):
         train_kw["seed"] = args.seed
     if args.disable_align:
         loss_kw["lambda1"] = 0.0
-    if args.disable_branches:
-        train_kw["disable_branches"] = True
     tcfg = _config("train", TrainConfig,
                    loss=_config("loss", LossConfig, **loss_kw), **train_kw)
     mcfg = _model_config_from_data(cp, corpus, inv, lexicon)
+    if args.disable_branches:
+        mcfg = dataclasses.replace(mcfg, with_branches=False)
 
     out = Path(args.out)
     _write_effective(args, {
@@ -350,7 +350,7 @@ def _build_parser():
     t.add_argument("--disable-align", action="store_true",
                    help="ablation: drop the alignment loss")
     t.add_argument("--disable-branches", action="store_true",
-                   help="ablation: single-stage model without branches")
+                   help="single-stage ablation: [model] with_branches = false")
     t.add_argument("--resume", help="continue from a saved training state")
 
     e = sub.add_parser("eval", help="evaluate a checkpoint per activation")

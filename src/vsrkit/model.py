@@ -3,8 +3,8 @@ encoders with class heads, stochastic branch-drop fusion, and a character
 encoder/decoder pair producing CTC and attention logits from one memory.
 
 All compute runs on autodiff Tensors; parameters are named with
-group prefixes (trunk/phoneme/viseme/fusion/char_encoder/char_decoder/heads)
-so checkpoints can verify which branches exist.
+group prefixes (trunk/phoneme/viseme/fusion/char_encoder/char_decoder/heads);
+the phoneme and viseme groups exist iff ``ModelConfig.with_branches``.
 
 Every method takes and returns padded ``(B, T, ·)`` arrays but one: the
 memory that ``char_forward`` returns is packed, and its caller runs the
@@ -14,7 +14,7 @@ only attention and the depthwise conv unpack, inside the block. Padded rows
 of their outputs are exactly zero. With ``valid=None`` nothing is packed.
 
 There is one checkpoint file layout, written by ``Model.save`` and read by
-``Model.load``: a ``.npz`` with ``__version__`` ("vsrkit-checkpoint v3"),
+``Model.load``: a ``.npz`` with ``__version__`` ("vsrkit-checkpoint v4"),
 ``__config__`` (the model config JSON) and ``param::<name>`` arrays. A
 training state is the same file with extra sections that ``Model.load``
 ignores: ``__train__`` (the step and the rng state) and the optimizer
@@ -52,7 +52,7 @@ __all__ = [
     "CHAR_OFFSET",
 ]
 
-CHECKPOINT_VERSION = "vsrkit-checkpoint v3"
+CHECKPOINT_VERSION = "vsrkit-checkpoint v4"
 
 # character token layout shared by both char heads
 BLANK_ID = 0
@@ -87,6 +87,7 @@ class ModelConfig:
     max_decode_len: int = 16
     max_frames: int = 256
     head_hidden_mult: int = 4  # head hidden width = mult * vocab size
+    with_branches: bool = True  # False: the single-stage ablation
 
     def __post_init__(self):
         counts = (self.char_vocab, self.phoneme_vocab, self.input_dim,
@@ -158,15 +159,14 @@ def droppath_sum(F, P, V, mask_p, mask_v, p_drop):
 
 
 class Model:
-    def __init__(self, cfg: ModelConfig, seed=0, with_branches=True):
+    def __init__(self, cfg: ModelConfig, seed=0):
         self.cfg = cfg
-        self.with_branches = with_branches
-        self.params = self._init_params(seed, with_branches)
+        self.params = self._init_params(seed)
 
     # ------------------------------------------------------------------
     # parameters
 
-    def _init_params(self, seed, with_branches):
+    def _init_params(self, seed):
         cfg = self.cfg
         rng = np.random.default_rng([seed, 7_000_001])
         params = {}
@@ -212,7 +212,7 @@ class Model:
             ffn(f"trunk/ffn{i}")
         attn("trunk/attn")
 
-        if with_branches:
+        if cfg.with_branches:
             for branch in ("phoneme", "viseme"):
                 for i in range(cfg.branch_layers):
                     attn(f"{branch}/layer{i}_attn")
@@ -404,6 +404,10 @@ class Model:
         and fuses them under branch-drop masks sampled from ``rng``; a model
         built without them fuses the trunk features alone."""
         features = as_tensor(features)
+        if features.data.ndim != 3 or \
+                features.data.shape[-1] != self.cfg.input_dim:
+            raise ValueError(f"features must be B x T x {self.cfg.input_dim}, "
+                             f"got {features.data.shape}")
         B, T, _ = features.data.shape
         lengths = np.asarray(lengths)
         if lengths.shape != (B,) or not np.all((lengths >= 1) & (lengths <= T)):
@@ -412,7 +416,7 @@ class Model:
         valid = np.arange(T)[None, :] < lengths[:, None]
         out = ForwardOutputs()
         out.F = self.trunk_forward(features, valid)
-        if self.with_branches:
+        if self.cfg.with_branches:
             out.P, out.phoneme_logits = self.branch_forward(out.F, "phoneme", valid)
             out.V, out.viseme_logits = self.branch_forward(out.F, "viseme", valid)
             out.drop_masks = self.sample_drop_masks(rng, B)
@@ -443,7 +447,7 @@ class Model:
             raise ValueError(
                 f"forward_infer takes one T x {self.cfg.input_dim} "
                 f"utterance with T >= 1, got shape {x.shape}")
-        if (act.use_phoneme or act.use_viseme) and not self.with_branches:
+        if (act.use_phoneme or act.use_viseme) and not self.cfg.with_branches:
             raise CheckpointError(
                 f"activation {act.name!r} requests a branch absent from "
                 f"the checkpoint"
@@ -470,9 +474,8 @@ class Model:
             tokens = ctc_greedy_decode(ctc)
             score = float(log_probs(ctc).max(axis=-1).sum())
         elif decode == "ctc_beam":
-            hyps = ctc_beam_decode(ctc, beam_width)
-            tokens, score = (list(hyps[0].tokens), hyps[0].score) if hyps \
-                else ([], 0.0)
+            best = ctc_beam_decode(ctc, beam_width)[0]
+            tokens, score = best.tokens, best.score
         else:
             cache = {}  # decoder state: each step feeds the newest token
             tokens = attention_greedy_decode(
@@ -500,8 +503,8 @@ class Model:
     @classmethod
     def load(cls, path):
         """Read a model or training-state checkpoint: check the version, then
-        give the model of ``__config__`` (with branches iff ``phoneme/``
-        arrays exist) its ``param::`` arrays, matched by name and shape."""
+        give the model of ``__config__`` its ``param::`` arrays, matched by
+        name and shape."""
         with np.load(path, allow_pickle=False) as z:
             version = str(z["__version__"]) if "__version__" in z else None
             if version != CHECKPOINT_VERSION:
@@ -516,8 +519,7 @@ class Model:
             kind = "unknown" if bad[0] in values else "missing"
             raise CheckpointError(
                 f"{path}: {kind} ModelConfig key {bad[0]!r}")
-        model = cls(ModelConfig(**values), with_branches=any(
-            k.startswith("phoneme/") for k in loaded))
+        model = cls(ModelConfig(**values))
         check_arrays(path, "parameter", loaded,
                      {k: p.data for k, p in model.params.items()},
                      CheckpointError)

@@ -1,6 +1,5 @@
 """Deterministic training loop: two-phase length curriculum, decoupled
-weight-decay adaptive-moment optimizer, cosine schedule with warmup, the
-branch ablation switch (``lambda1 = 0`` drops the alignment loss), and
+weight-decay adaptive-moment optimizer, cosine schedule with warmup, and
 ``evaluate``, the one writer of the eval report. A training state is the
 weights, both moments of every parameter, the rng and the step count;
 the step count alone places a resumed state in the caller's schedule.
@@ -66,7 +65,6 @@ class TrainConfig:
     warmup_steps: int = 8
     seed: int = 0
     loss: LossConfig = field(default_factory=LossConfig)
-    disable_branches: bool = False
 
     def __post_init__(self):
         if self.batch_size < 1 or self.phase1_max_frames < 1:
@@ -106,8 +104,7 @@ class TrainState:
 
     @classmethod
     def new(cls, cfg: TrainConfig, model_cfg: ModelConfig):
-        model = Model(model_cfg, seed=cfg.seed,
-                      with_branches=not cfg.disable_branches)
+        model = Model(model_cfg, seed=cfg.seed)
         rng = np.random.default_rng([cfg.seed, _TRAIN_STREAM])
         m, v = ({k: np.zeros_like(p.data) for k, p in model.params.items()}
                 for _ in range(2))
@@ -200,7 +197,7 @@ def _batch_losses(cfg: TrainConfig, state: TrainState, utts, inv,
     heads = {"char": out.char_ctc_logits}
     targets = {"char": [_char_tokens(u) for u in utts]}
     align = None
-    if model.with_branches:
+    if model.cfg.with_branches:
         heads.update(phoneme=out.phoneme_logits, viseme=out.viseme_logits)
         targets.update(phoneme=[u.labels.phonemes for u in utts],
                        viseme=[u.labels.visemes for u in utts])
@@ -261,7 +258,8 @@ def train(cfg: TrainConfig, corpus, inv: LinguisticInventory,
     phase 2 sees the full corpus with time-mask augmentation. The schedule
     is one list of epochs, phase 1's then phase 2's; a state resumed from
     ``resume`` skips the leading epochs whose steps add up to its step
-    count. Every step stops on a non-finite loss component, then hands
+    count, and ``model_cfg`` must equal its saved config field for field.
+    Every step stops on a non-finite loss component, then hands
     ``log_fn`` a record of all loss components, the global gradient norm
     and the clip scale applied to it.
     """
@@ -271,15 +269,16 @@ def train(cfg: TrainConfig, corpus, inv: LinguisticInventory,
         # parameters, moments, rng and step come from the checkpoint;
         # the schedule being continued is the caller's
         state = TrainState.load(resume)
-        saved = not state.model.with_branches
-        if saved != cfg.disable_branches:
-            raise TrainingError(
-                f"{resume} was trained with disable_branches={saved}; cannot "
-                f"resume it with disable_branches={cfg.disable_branches}")
+        saved, want = asdict(state.model.cfg), asdict(model_cfg)
+        for key in saved:
+            if saved[key] != want[key]:
+                raise TrainingError(f"{resume} holds a model with {key} = "
+                                    f"{saved[key]!r}; cannot resume it with "
+                                    f"{key} = {want[key]!r}")
     else:
         state = TrainState.new(cfg, model_cfg)
     vocab = state.model.cfg.phoneme_vocab
-    if state.model.with_branches and vocab != inv.num_phonemes:
+    if state.model.cfg.with_branches and vocab != inv.num_phonemes:
         raise TrainingError(
             f"model config phoneme_vocab = {vocab}, but the inventory has "
             f"{inv.num_phonemes} phonemes")

@@ -26,7 +26,7 @@ from .losses import (
     total_loss,
 )
 from .metrics import cer
-from .model import CHAR_OFFSET, Model, ModelConfig
+from .model import CHAR_OFFSET, EOS_ID, SOS_ID, Model, ModelConfig
 
 __all__ = [
     "ctc_path_enumeration",
@@ -357,8 +357,8 @@ def gradient_suite(instances, model_instances):
         lengths = [T, int(rng.integers(2, T + 1))]
         chars = [rng.integers(CHAR_OFFSET, model.cfg.char_vocab, size=2)
                  for _ in range(B)]
-        dec_in = np.asarray([[1, c[0], c[1]] for c in chars])
-        target = [np.asarray([c[0], c[1], 2]) for c in chars]
+        dec_in = np.asarray([[SOS_ID, c[0], c[1]] for c in chars])
+        target = [np.asarray([c[0], c[1], EOS_ID]) for c in chars]
         cfg = LossConfig(window_w=3)
         names = list(model.params)
         picks = rng.choice(len(names), size=min(_MODEL_PARAMS, len(names)),

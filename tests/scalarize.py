@@ -7,6 +7,7 @@ from vsrkit.autodiff import Tensor
 
 def weighted_sum(x, weights=1.0):
     """``sum(x * weights)``; ``weights`` broadcasts to the shape of ``x``."""
-    w = np.broadcast_to(np.asarray(weights, dtype=np.float64), x.shape)
+    w = np.broadcast_to(np.asarray(weights, dtype=np.float64),
+                        x.data.shape)
     return Tensor(np.float64((x.data * w).sum()), (x,), lambda g: (g * w,),
                   op="weighted_sum")

@@ -118,6 +118,47 @@ def test_train_disable_align_flag(tmp_path, cfg_file):
     assert "lambda1 = 0.0" in (flag / "effective_config.ini").read_text()
 
 
+def test_train_disable_branches_flag(tmp_path, cfg_file):
+    # the flag is [model] with_branches = false: same records, same config
+    data = _manifest(tmp_path, cfg_file)
+    off = tmp_path / "off.ini"
+    off.write_text(f"{CFG_TEXT}with_branches = false\n", encoding="utf-8")
+    flag, conf = tmp_path / "flag", tmp_path / "conf"
+    assert run("--config", cfg_file, "--out", str(flag), "--quiet", "train",
+               "--data", str(data), "--disable-branches") == 0
+    assert run("--config", str(off), "--out", str(conf), "--quiet", "train",
+               "--data", str(data)) == 0
+    first = json.loads((flag / "metrics.jsonl").read_text().splitlines()[0])
+    assert "phoneme_ctc" not in first and "viseme_ctc" not in first
+    for name in ("metrics.jsonl", "effective_config.ini"):
+        assert (flag / name).read_bytes() == (conf / name).read_bytes(), name
+    ini = configparser.ConfigParser()
+    ini.read_string((flag / "effective_config.ini").read_text())
+    assert ini["model"]["with_branches"] == "False"
+    assert "with_branches" not in ini["train"]
+
+
+def test_train_resume_with_a_changed_model_key_exits_two_naming_it(
+        tmp_path, cfg_file, capsys):
+    data = _manifest(tmp_path, cfg_file)
+    short = tmp_path / "short.ini"
+    short.write_text(CFG_TEXT.replace("epochs_phase2 = 1", "epochs_phase2 = 0"),
+                     encoding="utf-8")
+    first, rest = tmp_path / "first", tmp_path / "rest"
+    assert run("--config", str(short), "--out", str(first), "--quiet",
+               "train", "--data", str(data)) == 0
+    wide = tmp_path / "wide.ini"
+    wide.write_text(CFG_TEXT.replace("model_dim = 16", "model_dim = 32"),
+                    encoding="utf-8")
+    ck = first / "checkpoints" / "epoch_p1e1.npz"
+    capsys.readouterr()
+    assert run("--config", str(wide), "--out", str(rest), "--quiet", "train",
+               "--data", str(data), "--resume", str(ck)) == 2
+    assert f"{ck} holds a model with model_dim = 16; cannot resume it with " \
+        f"model_dim = 32" in capsys.readouterr().err
+    assert not (rest / "final.npz").exists()
+
+
 def test_train_resume_flag(tmp_path, cfg_file):
     data = tmp_path / "data"
     run("--config", cfg_file, "--out", str(data), "--quiet", "gen")

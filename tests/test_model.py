@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -67,12 +67,13 @@ def test_forward_shapes(model):
     feats, lengths, dec_in = batch(rng)
     out = model.forward_train(feats, lengths, dec_in, np.random.default_rng(1))
     B, T = feats.shape[:2]
-    assert out.F.shape == (B, T, CFG.model_dim)
-    assert out.P.shape == out.V.shape == (B, T, CFG.model_dim)
-    assert out.phoneme_logits.shape == (B, T, CFG.phoneme_vocab)
-    assert out.viseme_logits.shape == (B, T, NUM_VISEMES)
-    assert out.char_ctc_logits.shape == (B, T, CFG.char_vocab)
-    assert out.char_attn_logits.shape == (B, dec_in.shape[1], CFG.char_vocab)
+    assert out.F.data.shape == (B, T, CFG.model_dim)
+    assert out.P.data.shape == out.V.data.shape == (B, T, CFG.model_dim)
+    assert out.phoneme_logits.data.shape == (B, T, CFG.phoneme_vocab)
+    assert out.viseme_logits.data.shape == (B, T, NUM_VISEMES)
+    assert out.char_ctc_logits.data.shape == (B, T, CFG.char_vocab)
+    assert out.char_attn_logits.data.shape == (B, dec_in.shape[1],
+                                               CFG.char_vocab)
 
 
 def test_forward_is_deterministic(model):
@@ -446,8 +447,18 @@ def test_forward_train_rejects_lengths_outside_the_frames(model, lengths):
         model.forward_train(feats, lengths, dec_in, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("shape", [(5, CFG.input_dim), (2, 7),
+                                   (2, 7, CFG.input_dim + 1)])
+def test_forward_train_names_a_bad_features_shape(model, shape):
+    _, lengths, dec_in = batch(np.random.default_rng(19))
+    with pytest.raises(ValueError, match=re.escape(
+            f"features must be B x T x {CFG.input_dim}, got {shape}")):
+        model.forward_train(np.zeros(shape), lengths, dec_in,
+                            np.random.default_rng(0))
+
+
 def test_branchless_model_rejects_branch_activation():
-    m = Model(CFG, seed=0, with_branches=False)
+    m = Model(replace(CFG, with_branches=False), seed=0)
     feats = np.zeros((4, CFG.input_dim))
     m.forward_infer(feats, ActivationConfig(False, False), "ctc_greedy", 8)
     with pytest.raises(CheckpointError):
@@ -502,7 +513,7 @@ def test_checkpoint_roundtrip(tmp_path, model):
 def test_checkpoint_version_check(tmp_path, model):
     path = tmp_path / "model.npz"
     for version in ("bogus v9", "vsrkit-checkpoint v1",
-                    "vsrkit-checkpoint v2", None):
+                    "vsrkit-checkpoint v2", "vsrkit-checkpoint v3", None):
         header = {} if version is None else {"__version__": np.array(version)}
         np.savez(path, __config__=np.array(model.cfg.to_json()), **header)
         with pytest.raises(CheckpointError, match=re.escape(f"{version!r} in {path}")):
@@ -575,12 +586,41 @@ def test_checkpoint_load_checks_parameter_names_and_shapes(tmp_path, model,
         Model.load(path)
 
 
+def test_checkpoint_roundtrip_keeps_every_config_field(tmp_path):
+    changed = {"char_vocab": 9, "phoneme_vocab": 7, "input_dim": 3,
+               "model_dim": 12, "trunk_layers": 1, "branch_layers": 2,
+               "char_encoder_layers": 1, "char_decoder_layers": 2,
+               "attention_heads": 3, "p_drop": 0.3, "max_decode_len": 5,
+               "max_frames": 20, "head_hidden_mult": 3, "with_branches": False}
+    assert set(changed) == {f.name for f in fields(ModelConfig)}
+    cfg = ModelConfig(**changed)
+    assert all(getattr(cfg, f.name) != f.default for f in fields(ModelConfig)
+               if f.default is not MISSING)
+    path = tmp_path / "model.npz"
+    Model(cfg, seed=2).save(path)
+    assert Model.load(path).cfg == cfg
+
+
+def test_checkpoint_config_decides_the_branches(tmp_path, model):
+    path = tmp_path / "model.npz"
+    model.save(path)
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    config = replace(model.cfg, with_branches=False).to_json()
+    np.savez(path, **{**arrays, "__config__": np.array(config)})
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"{path} holds unexpected parameter phoneme/")):
+        Model.load(path)
+
+
 def test_branchless_checkpoint_keeps_branch_absence(tmp_path):
-    m = Model(CFG, seed=1, with_branches=False)
+    m = Model(replace(CFG, with_branches=False), seed=1)
     path = tmp_path / "nb.npz"
     m.save(path)
     again = Model.load(path)
-    assert not again.with_branches
+    assert not again.cfg.with_branches
+    assert not any(k.startswith(("phoneme/", "viseme/", "heads/phoneme",
+                                 "heads/viseme")) for k in again.params)
     with pytest.raises(CheckpointError):
         again.forward_infer(np.zeros((3, CFG.input_dim)),
                             ActivationConfig(True, True), "ctc_greedy", 8)

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ def logged(*args, **kwargs):
     return records, state
 
 
-def tiny_setup(seed=1, n=12, disable_align=False, disable_branches=False,
+def tiny_setup(seed=1, n=12, disable_align=False, with_branches=True,
                epochs=(1, 1)):
     lex = make_lexicon(INV, 16, seed=seed)
     scfg = SynthConfig(seed=seed, num_utterances=n, char_vocab_size=16,
@@ -39,13 +40,13 @@ def tiny_setup(seed=1, n=12, disable_align=False, disable_branches=False,
                        model_dim=16, trunk_layers=1, branch_layers=1,
                        char_encoder_layers=1, char_decoder_layers=1,
                        attention_heads=2, max_decode_len=6,
-                       max_frames=40, head_hidden_mult=2)
+                       max_frames=40, head_hidden_mult=2,
+                       with_branches=with_branches)
     tcfg = TrainConfig(epochs_phase1=epochs[0], epochs_phase2=epochs[1],
                        phase1_max_frames=20, batch_size=4, seed=seed,
                        warmup_steps=2,
                        loss=LossConfig(lambda1=0.0) if disable_align
-                       else LossConfig(),
-                       disable_branches=disable_branches)
+                       else LossConfig())
     return corpus, lex, mcfg, tcfg
 
 
@@ -117,7 +118,7 @@ def test_lambda_zero_total_equals_hybrid():
 
 
 def test_disable_branches_removes_branch_losses_from_log():
-    corpus, _, mcfg, tcfg = tiny_setup(disable_branches=True)
+    corpus, _, mcfg, tcfg = tiny_setup(with_branches=False)
     for rec in logged(tcfg, corpus, INV, mcfg)[0]:
         assert "phoneme_ctc" not in rec
         assert "viseme_ctc" not in rec
@@ -197,14 +198,35 @@ def test_resume_at_a_step_inside_an_epoch_names_path_and_step(tmp_path):
 
 @pytest.mark.parametrize("saved", [False, True])
 def test_resume_rejects_a_different_branch_setting(tmp_path, saved):
-    corpus, _, mcfg, tcfg = tiny_setup(epochs=(1, 0), disable_branches=saved)
+    corpus, _, mcfg, tcfg = tiny_setup(epochs=(1, 0), with_branches=saved)
     ck = tmp_path / "ck.npz"
     train(tcfg, corpus, INV, mcfg).save(ck)
-    other = TrainConfig(**{**tcfg.__dict__, "disable_branches": not saved})
+    other = replace(mcfg, with_branches=not saved)
     with pytest.raises(TrainingError, match=re.escape(
-            f"{ck} was trained with disable_branches={saved}; cannot resume "
-            f"it with disable_branches={not saved}")):
-        train(other, corpus, INV, mcfg, resume=ck)
+            f"{ck} holds a model with with_branches = {saved}; cannot resume "
+            f"it with with_branches = {not saved}")):
+        train(tcfg, corpus, INV, other, resume=ck)
+
+
+_CHANGED_MODEL_FIELDS = {
+    "char_vocab": 30, "phoneme_vocab": 30, "input_dim": 9, "model_dim": 32,
+    "trunk_layers": 2, "branch_layers": 2, "char_encoder_layers": 2,
+    "char_decoder_layers": 2, "attention_heads": 4, "p_drop": 0.2,
+    "max_decode_len": 7, "max_frames": 41, "head_hidden_mult": 3,
+    "with_branches": False}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(ModelConfig)])
+def test_resume_names_a_model_config_field_that_differs(tmp_path, name):
+    corpus, _, mcfg, tcfg = tiny_setup(epochs=(1, 0))
+    ck = tmp_path / "ck.npz"
+    TrainState.new(tcfg, mcfg).save(ck)
+    other = replace(mcfg, **{name: _CHANGED_MODEL_FIELDS[name]})
+    assert getattr(other, name) != getattr(mcfg, name)
+    with pytest.raises(TrainingError, match=re.escape(
+            f"{ck} holds a model with {name} = {getattr(mcfg, name)!r}; "
+            f"cannot resume it with {name} = {getattr(other, name)!r}")):
+        train(tcfg, corpus, INV, other, resume=ck)
 
 
 def test_state_roundtrip(tmp_path):
