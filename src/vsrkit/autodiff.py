@@ -344,8 +344,6 @@ def backward(output):
             continue
         grads = node._grad_fn(node.grad)
         for parent, g in zip(node.parents, grads):
-            if g is None:
-                continue
             parent.grad = g if parent.grad is None else parent.grad + g
     return tape
 

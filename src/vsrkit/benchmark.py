@@ -1,7 +1,7 @@
 """The standard synthetic benchmark: fixed data/model/training recipes.
-Its ``VARIANTS`` are ``full`` and ``no_align`` (``[loss] lambda1 = 0``, as
-``vsrkit train --disable-align``); the paper's branch ablation is the model
-config ``[model] with_branches = false`` (``--disable-branches``).
+Its one training variant is ``full``; the paper's ablations are
+``vsrkit train --disable-align`` (``[loss] lambda1 = 0``) and
+``--disable-branches`` (``[model] with_branches = false``).
 
 A benchmark seed fully determines the train and held-out corpora (which
 share a phoneme codebook and lexicon), the model init, and the data order.
@@ -21,10 +21,7 @@ __all__ = [
     "benchmark_model_config",
     "benchmark_train_config",
     "make_benchmark_data",
-    "VARIANTS",
 ]
-
-VARIANTS = ("full", "no_align")
 
 _TRAIN_UTTERANCES = 144
 _TEST_UTTERANCES = 48
@@ -51,9 +48,7 @@ def benchmark_model_config(lexicon_size):
         input_dim=16,
         model_dim=64,
         trunk_layers=2,
-        branch_layers=1,
         char_encoder_layers=2,
-        char_decoder_layers=1,
         attention_heads=4,
         p_drop=0.1,
         max_decode_len=8,
@@ -62,7 +57,7 @@ def benchmark_model_config(lexicon_size):
 
 
 def benchmark_train_config(seed, variant="full"):
-    if variant not in VARIANTS:
+    if variant != "full":
         raise ValueError(f"unknown benchmark variant {variant!r}")
     return TrainConfig(
         epochs_phase1=6,
@@ -73,7 +68,7 @@ def benchmark_train_config(seed, variant="full"):
         lr_phase2=1e-4,
         warmup_steps=8,
         seed=seed,
-        loss=LossConfig() if variant == "full" else LossConfig(lambda1=0.0),
+        loss=LossConfig(),
     )
 
 

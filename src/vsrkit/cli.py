@@ -3,8 +3,10 @@
 Configuration is an INI-style file with [synth], [model], [loss], [train]
 and [eval] sections; command-line flags override file values and the
 effective configuration is echoed so any run can be reproduced from it;
-values are literal (no ``%`` interpolation). ``eval`` echoes one line per
-activation; ``training.evaluate`` writes its report.
+values are literal (no ``%`` interpolation). A refused ``train`` leaves
+``--out`` as it was. ``eval`` runs the activations asked for, else every
+one the checkpoint has, and echoes a line for each; ``training.evaluate``
+writes its report.
 Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
 from __future__ import annotations
@@ -223,21 +225,29 @@ def cmd_train(args):
         mcfg = dataclasses.replace(mcfg, with_branches=False)
 
     out = Path(args.out)
-    _write_effective(args, {
-        "train": _dc_dict(tcfg),
-        "loss": _dc_dict(tcfg.loss),
-        "model": _dc_dict(mcfg),
-    })
     log_path = out / "metrics.jsonl"
-    if not args.resume:
-        log_path.unlink(missing_ok=True)
+    started = False
+
+    def start():
+        # ``train`` has accepted the run: only now may its files change
+        nonlocal started
+        started = True
+        _write_effective(args, {"train": _dc_dict(tcfg),
+                                "loss": _dc_dict(tcfg.loss),
+                                "model": _dc_dict(mcfg)})
+        if not args.resume:
+            log_path.unlink(missing_ok=True)
 
     def log_fn(record):
+        if not started:
+            start()
         with open(log_path, "a", encoding="utf-8") as log:
             log.write(json.dumps(record) + "\n")
 
     state = train(tcfg, corpus, inv, mcfg, checkpoint_dir=out / "checkpoints",
                   resume=args.resume, log_fn=log_fn)
+    if not started:  # no step ran
+        start()
     state.save(out / "final.npz")
     _echo(args, f"trained {state.step} steps; state in {out / 'final.npz'}")
     return 0
@@ -259,8 +269,7 @@ def cmd_eval(args):
         raise UsageError(f"config key [eval] beam_width = {beam_width} is "
                          f"not >= 1")
     names = args.activate or \
-        [a.strip() for a in eval_kw.get("activations", "").split(";") if a] or \
-        [a.name for a in ALL_ACTIVATIONS]
+        [a.strip() for a in eval_kw.get("activations", "").split(";") if a]
     try:
         activations = [ActivationConfig.from_name(n) for n in names]
     except ValueError as e:
@@ -269,6 +278,14 @@ def cmd_eval(args):
 
     corpus, inv, lexicon = read_manifest(args.data)
     model = Model.load(args.checkpoint)
+    present = ALL_ACTIVATIONS if model.cfg.with_branches else \
+        ALL_ACTIVATIONS[:1]  # "f" alone
+    absent = [n for n, a in zip(names, activations) if a not in present]
+    if absent:
+        raise UsageError(f"activation {absent[0]!r} requests a branch absent "
+                         f"from the checkpoint {args.checkpoint}")
+    if not names:
+        activations, names = present, [a.name for a in present]
 
     _write_effective(args, {"eval": {**eval_kw,
                                      "activations": ";".join(names)}})

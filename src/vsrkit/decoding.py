@@ -56,7 +56,7 @@ def ctc_beam_decode(logits, beam_width):
     by token sequence ascending. ``beam_width=math.inf`` disables pruning,
     in which case the scores are the exact label-sequence marginals.
     """
-    if beam_width != math.inf and beam_width < 1:
+    if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
     lp = log_probs(logits)
     T, K = lp.shape
@@ -84,7 +84,7 @@ def ctc_beam_decode(logits, beam_width):
                     bump(ext, pnb=pb + row[k])
                 else:
                     bump(ext, pnb=total + row[k])
-        if beam_width != math.inf and len(new) > beam_width:
+        if len(new) > beam_width:
             ranked = sorted(
                 new.items(),
                 key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0]),

@@ -5,6 +5,9 @@ encoder/decoder pair producing CTC and attention logits from one memory.
 All compute runs on autodiff Tensors; parameters are named with
 group prefixes (trunk/phoneme/viseme/fusion/char_encoder/char_decoder/heads);
 the phoneme and viseme groups exist iff ``ModelConfig.with_branches``.
+A branch is one attention and one FFN layer; the decoder is one causal
+self-attention, one cross-attention and one FFN layer. Only the trunk and
+the character encoder have a configured depth.
 
 Every method takes and returns padded ``(B, T, ·)`` arrays but one: the
 memory that ``char_forward`` returns is packed, and its caller runs the
@@ -14,7 +17,7 @@ only attention and the depthwise conv unpack, inside the block. Padded rows
 of their outputs are exactly zero. With ``valid=None`` nothing is packed.
 
 There is one checkpoint file layout, written by ``Model.save`` and read by
-``Model.load``: a ``.npz`` with ``__version__`` ("vsrkit-checkpoint v4"),
+``Model.load``: a ``.npz`` with ``__version__`` ("vsrkit-checkpoint v5"),
 ``__config__`` (the model config JSON) and ``param::<name>`` arrays. A
 training state is the same file with extra sections that ``Model.load``
 ignores: ``__train__`` (the step and the rng state) and the optimizer
@@ -52,7 +55,7 @@ __all__ = [
     "CHAR_OFFSET",
 ]
 
-CHECKPOINT_VERSION = "vsrkit-checkpoint v4"
+CHECKPOINT_VERSION = "vsrkit-checkpoint v5"
 
 # character token layout shared by both char heads
 BLANK_ID = 0
@@ -79,9 +82,7 @@ class ModelConfig:
     input_dim: int = 16
     model_dim: int = 64
     trunk_layers: int = 2
-    branch_layers: int = 1
     char_encoder_layers: int = 2
-    char_decoder_layers: int = 1
     attention_heads: int = 4
     p_drop: float = 0.1
     max_decode_len: int = 16
@@ -91,8 +92,7 @@ class ModelConfig:
 
     def __post_init__(self):
         counts = (self.char_vocab, self.phoneme_vocab, self.input_dim,
-                  self.model_dim, self.trunk_layers, self.branch_layers,
-                  self.char_encoder_layers, self.char_decoder_layers,
+                  self.model_dim, self.trunk_layers, self.char_encoder_layers,
                   self.attention_heads, self.max_decode_len, self.max_frames)
         if any(c < 1 for c in counts):
             raise ValueError("all sizes and layer counts must be positive")
@@ -135,14 +135,12 @@ ALL_ACTIVATIONS = (
 
 @dataclass
 class ForwardOutputs:
-    F: Tensor = None
     P: Tensor = None
     V: Tensor = None
     phoneme_logits: Tensor = None
     viseme_logits: Tensor = None
     char_ctc_logits: Tensor = None
     char_attn_logits: Tensor = None
-    drop_masks: tuple = None
 
 
 def droppath_sum(F, P, V, mask_p, mask_v, p_drop):
@@ -214,9 +212,8 @@ class Model:
 
         if cfg.with_branches:
             for branch in ("phoneme", "viseme"):
-                for i in range(cfg.branch_layers):
-                    attn(f"{branch}/layer{i}_attn")
-                    ffn(f"{branch}/layer{i}_ffn")
+                attn(f"{branch}/attn")
+                ffn(f"{branch}/ffn")
             head("heads/phoneme", cfg.phoneme_vocab)
             head("heads/viseme", NUM_VISEMES)
 
@@ -237,10 +234,9 @@ class Model:
           std=1.0 / np.sqrt(cfg.model_dim))
         params["char_decoder/pos"] = Tensor(
             0.02 * rng.normal(size=(cfg.max_decode_len + 1, cfg.model_dim)))
-        for i in range(cfg.char_decoder_layers):
-            attn(f"char_decoder/layer{i}_self")
-            attn(f"char_decoder/layer{i}_cross")
-            ffn(f"char_decoder/layer{i}_ffn")
+        attn("char_decoder/self")
+        attn("char_decoder/cross")
+        ffn("char_decoder/ffn")
         norm("char_decoder/out_norm")
 
         head("heads/char_ctc", cfg.char_vocab)
@@ -317,11 +313,6 @@ class Model:
         feed-forward stack with one self-attention layer."""
         cfg = self.cfg
         features = as_tensor(features)
-        if features.data.ndim != 3 or features.data.shape[-1] != cfg.input_dim:
-            raise ValueError(
-                f"features must be B x T x {cfg.input_dim}, "
-                f"got {features.data.shape}"
-            )
         T = features.data.shape[1]
         if T > cfg.max_frames:
             raise ValueError(f"sequence of {T} frames exceeds max_frames")
@@ -334,14 +325,11 @@ class Model:
         return ad.unpack(x, valid)
 
     def branch_forward(self, F, which, valid=None):
-        """One intermediate-representation branch: encoder layers plus the
-        class head. Returns (representation, framewise logits)."""
-        if which not in ("phoneme", "viseme"):
-            raise ValueError(f"unknown branch {which!r}")
+        """Branch ``which`` ("phoneme" or "viseme"): one attention and one FFN
+        layer plus the class head. Returns (representation, framewise logits)."""
         x = ad.pack(F, valid)
-        for i in range(self.cfg.branch_layers):
-            x = self._attention(x, None, f"{which}/layer{i}_attn", key_valid=valid)
-            x = self._ffn(x, f"{which}/layer{i}_ffn")
+        x = self._attention(x, None, f"{which}/attn", key_valid=valid)
+        x = self._ffn(x, f"{which}/ffn")
         logits = self._head(x, f"heads/{which}")
         return ad.unpack(x, valid), ad.unpack(logits, valid)
 
@@ -376,25 +364,23 @@ class Model:
         return self._norm(x, "char_encoder/out_norm")
 
     def decoder_forward(self, F_mem, tokens, memory_valid=None, cache=None):
-        """Teacher-forced decoder: causal self-attention over the token
-        prefix and cross-attention into the encoder memory. With a ``cache``
+        """Teacher-forced one-layer decoder: causal self-attention over the
+        prefix, cross-attention into the encoder memory, FFN. With a ``cache``
         dict (inference only, empty at first), ``tokens`` are the tokens
         after the cached positions, and only their positions are computed."""
-        cfg = self.cfg
         tokens = np.asarray(tokens, dtype=np.int64)
         _, L = tokens.shape
         start = 0 if not cache else \
-            cache["char_decoder/layer0_self"][0].data.shape[-2]  # cached keys
-        if start + L > cfg.max_decode_len + 1:
+            cache["char_decoder/self"][0].data.shape[-2]  # cached keys
+        if start + L > self.cfg.max_decode_len + 1:
             raise ValueError("decoder input longer than max_decode_len")
         x = ad.add(self.params["char_decoder/embed"][tokens],
                    self.params["char_decoder/pos"][start:start + L])
-        for i in range(cfg.char_decoder_layers):
-            x = self._attention(x, None, f"char_decoder/layer{i}_self",
-                                causal=True, cache=cache)
-            x = self._attention(x, F_mem, f"char_decoder/layer{i}_cross",
-                                key_valid=memory_valid, cache=cache)
-            x = self._ffn(x, f"char_decoder/layer{i}_ffn")
+        x = self._attention(x, None, "char_decoder/self", causal=True,
+                            cache=cache)
+        x = self._attention(x, F_mem, "char_decoder/cross",
+                            key_valid=memory_valid, cache=cache)
+        x = self._ffn(x, "char_decoder/ffn")
         return self._head(self._norm(x, "char_decoder/out_norm"),
                           "heads/char_attn")
 
@@ -415,14 +401,14 @@ class Model:
                              f"got {lengths.tolist()}")
         valid = np.arange(T)[None, :] < lengths[:, None]
         out = ForwardOutputs()
-        out.F = self.trunk_forward(features, valid)
+        F = self.trunk_forward(features, valid)
         if self.cfg.with_branches:
-            out.P, out.phoneme_logits = self.branch_forward(out.F, "phoneme", valid)
-            out.V, out.viseme_logits = self.branch_forward(out.F, "viseme", valid)
-            out.drop_masks = self.sample_drop_masks(rng, B)
-            fused = self.fuse(out.F, out.P, out.V, out.drop_masks)
+            out.P, out.phoneme_logits = self.branch_forward(F, "phoneme", valid)
+            out.V, out.viseme_logits = self.branch_forward(F, "viseme", valid)
+            drop_masks = self.sample_drop_masks(rng, B)
+            fused = self.fuse(F, out.P, out.V, drop_masks)
         else:
-            fused = self.fuse(out.F, None, None)
+            fused = self.fuse(F, None, None)
         mem = self.char_forward(fused, valid)
         out.char_attn_logits = self.decoder_forward(
             ad.unpack(mem, valid), decoder_inputs, memory_valid=valid)

@@ -241,11 +241,9 @@ def cer_suite(pairs=1000):
 
 def _tiny_model(rng):
     cfg = ModelConfig(char_vocab=9, phoneme_vocab=7, input_dim=4,
-                      model_dim=8, trunk_layers=1,
-                      branch_layers=1, char_encoder_layers=1,
-                      char_decoder_layers=1, attention_heads=2,
-                      p_drop=0.0, max_decode_len=6, max_frames=16,
-                      head_hidden_mult=2)
+                      model_dim=8, trunk_layers=1, char_encoder_layers=1,
+                      attention_heads=2, p_drop=0.0, max_decode_len=6,
+                      max_frames=16, head_hidden_mult=2)
     return Model(cfg, seed=int(rng.integers(1 << 30)))
 
 

@@ -15,6 +15,7 @@ from vsrkit.cli import _CONFIG_SECTIONS, _EVAL_KEYS, _TYPES_BY_NAME, \
     _effective_ini, _section_values, main
 from vsrkit.linguistics import Lexicon, LexiconEntry, default_inventory, \
     load_inventory, save_inventory
+from vsrkit.model import Model
 from vsrkit.synth import SynthConfig, generate_corpus, make_lexicon, \
     read_manifest, write_manifest
 
@@ -159,6 +160,39 @@ def test_train_resume_with_a_changed_model_key_exits_two_naming_it(
     assert not (rest / "final.npz").exists()
 
 
+def _files(root):
+    return {p.relative_to(root): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("probe", ["resume-without-disable-branches",
+                                   "fresh-with-a-wrong-phoneme-vocab"])
+def test_a_refused_train_leaves_its_run_directory_as_it_was(
+        tmp_path, cfg_file, capsys, probe):
+    data = _manifest(tmp_path, cfg_file)
+    short = tmp_path / "short.ini"
+    short.write_text(CFG_TEXT.replace("epochs_phase2 = 1", "epochs_phase2 = 0"),
+                     encoding="utf-8")
+    rd = tmp_path / "run"
+    assert run("--config", str(short), "--out", str(rd), "--quiet", "train",
+               "--data", str(data), "--disable-branches") == 0
+    before = _files(rd)
+    assert {"effective_config.ini", "metrics.jsonl", "final.npz"} <= \
+        {str(name) for name in before}
+    if probe == "resume-without-disable-branches":
+        config, extra = short, ["--resume", str(rd / "final.npz")]
+        message = "with with_branches = True"
+    else:
+        config, extra = tmp_path / "vocab.ini", []
+        config.write_text(f"{CFG_TEXT}phoneme_vocab = 5\n", encoding="utf-8")
+        message = "phoneme_vocab = 5, but the inventory has 38 phonemes"
+    capsys.readouterr()
+    assert run("--config", str(config), "--out", str(rd), "--quiet", "train",
+               "--data", str(data), *extra) == 2
+    assert message in capsys.readouterr().err
+    assert _files(rd) == before
+
+
 def test_train_resume_flag(tmp_path, cfg_file):
     data = tmp_path / "data"
     run("--config", cfg_file, "--out", str(data), "--quiet", "gen")
@@ -231,6 +265,51 @@ def test_eval_single_activation(tmp_path, cfg_file):
                for ln in (ed / "report.jsonl").read_text().splitlines()]
     assert all(r.get("activation", "f") == "f" for r in records
                if r["kind"] == "utterance")
+
+
+def _branchless_run(tmp_path, cfg_file):
+    data = _manifest(tmp_path, cfg_file)
+    rd = tmp_path / "run"
+    assert run("--config", cfg_file, "--out", str(rd), "--quiet", "train",
+               "--data", str(data), "--disable-branches") == 0
+    return data, rd / "final.npz"
+
+
+def test_eval_of_a_branchless_checkpoint_runs_f_by_default(tmp_path,
+                                                           cfg_file):
+    data, ck = _branchless_run(tmp_path, cfg_file)
+    ed = tmp_path / "eval"
+    assert run("--config", cfg_file, "--out", str(ed), "--quiet", "eval",
+               "--checkpoint", str(ck), "--data", str(data)) == 0
+    assert set(json.loads((ed / "timings.json").read_text())) == {"f"}
+    assert "activations = f\n" in \
+        (ed / "effective_config.ini").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_eval_names_a_branch_activation_the_checkpoint_lacks(
+        tmp_path, cfg_file, capsys, monkeypatch, how):
+    data, ck = _branchless_run(tmp_path, cfg_file)
+    cfg = tmp_path / "eval.ini"
+    if how == "flag":
+        cfg.write_text(CFG_TEXT, encoding="utf-8")
+        extra = ["--activate", "f", "--activate", "f+v"]
+    else:
+        cfg.write_text(f"{CFG_TEXT}\n[eval]\nactivations = f; f+v\n",
+                       encoding="utf-8")
+        extra = []
+
+    def decode(*args, **kwargs):
+        raise AssertionError("decoded before the activations were checked")
+
+    monkeypatch.setattr(Model, "forward_infer", decode)
+    ed = tmp_path / "eval"
+    capsys.readouterr()
+    assert run("--config", str(cfg), "--out", str(ed), "--quiet", "eval",
+               "--checkpoint", str(ck), "--data", str(data), *extra) == 1
+    assert f"activation 'f+v' requests a branch absent from the checkpoint " \
+        f"{ck}" in capsys.readouterr().err
+    assert not ed.exists()
 
 
 def _edited_state(tmp_path, cfg_file, edit):

@@ -158,16 +158,28 @@ def dataclass_fields(source):
     return found
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+
+
 def attributes_loaded(source):
-    """Attribute names a module reads as ``x.name`` (not assignments)."""
-    return {n.attr for n in ast.walk(ast.parse(source))
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    """Attribute names a module reads as ``x.name`` (not assignments). A
+    scope (the module, a function, a class body or a lambda) that also
+    assigns ``.name`` reads back what it stored there, so its loads of
+    ``.name`` are not reads."""
+    read = set()
+    for scope in ast.walk(ast.parse(source)):
+        if isinstance(scope, (ast.Module, *_SCOPES)):
+            attrs = [n for n in _own_nodes(scope)
+                     if isinstance(n, ast.Attribute)]
+            read |= {a.attr for a in attrs if isinstance(a.ctx, ast.Load)} \
+                - {a.attr for a in attrs if not isinstance(a.ctx, ast.Load)}
+    return read
 
 
 def unread_dataclass_fields(sources, readers=()):
     """``{module: fields}`` of the dataclass fields in ``sources`` (a
     ``{module: source}`` map) that no module in ``sources`` and no source
-    in ``readers`` reads as an attribute."""
+    in ``readers`` reads as an attribute outside a scope assigning it."""
     read = set().union(*map(attributes_loaded, [*sources.values(), *readers]))
     unread = {m: [f for f in dataclass_fields(s)
                   if f.split(".")[1] not in read]
@@ -190,6 +202,12 @@ def test_unread_dataclass_fields_sees_attribute_loads_only():
         "a": ["Cfg.stored", "Cfg.by_name", "Out.x"]}
     assert unread_dataclass_fields(sources, ["print(out.x)\n"]) == {
         "a": ["Cfg.stored", "Cfg.by_name"]}
+    # a function that assigns a field and reads it back is not its reader;
+    # a nested function or a lambda is a scope of its own
+    assert unread_dataclass_fields(sources, [
+        "def g(o):\n    o.x = 1\n    o.stored = o.x\n    return o.stored\n"
+        "\ndef h(o):\n    o.by_name = 1\n"
+        "    return lambda: o.by_name\n"]) == {"a": ["Cfg.stored", "Out.x"]}
 
 
 def test_package_dataclass_fields_have_readers_outside_tests():
@@ -198,15 +216,14 @@ def test_package_dataclass_fields_have_readers_outside_tests():
     assert unread_dataclass_fields(sources, readers) == {}
 
 
-def _own_nodes(function):
-    """Nodes of a function's body outside its nested functions and
-    classes, which bind names of their own."""
-    stack = list(function.body)
+def _own_nodes(scope):
+    """Nodes of a scope (a module, function, class or lambda) outside its
+    nested functions, classes and lambdas, which bind names of their own."""
+    stack = list(ast.iter_child_nodes(scope))
     while stack:
         node = stack.pop()
         yield node
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef, ast.Lambda)):
+        if not isinstance(node, _SCOPES):
             stack.extend(ast.iter_child_nodes(node))
 
 

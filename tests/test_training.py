@@ -37,8 +37,7 @@ def tiny_setup(seed=1, n=12, disable_align=False, with_branches=True,
                        sentence_len=(1, 2), feature_dim=8)
     corpus = generate_corpus(scfg, INV, lex)
     mcfg = ModelConfig(char_vocab=len(lex) + CHAR_OFFSET, input_dim=8,
-                       model_dim=16, trunk_layers=1, branch_layers=1,
-                       char_encoder_layers=1, char_decoder_layers=1,
+                       model_dim=16, trunk_layers=1, char_encoder_layers=1,
                        attention_heads=2, max_decode_len=6,
                        max_frames=40, head_hidden_mult=2,
                        with_branches=with_branches)
@@ -210,10 +209,9 @@ def test_resume_rejects_a_different_branch_setting(tmp_path, saved):
 
 _CHANGED_MODEL_FIELDS = {
     "char_vocab": 30, "phoneme_vocab": 30, "input_dim": 9, "model_dim": 32,
-    "trunk_layers": 2, "branch_layers": 2, "char_encoder_layers": 2,
-    "char_decoder_layers": 2, "attention_heads": 4, "p_drop": 0.2,
-    "max_decode_len": 7, "max_frames": 41, "head_hidden_mult": 3,
-    "with_branches": False}
+    "trunk_layers": 2, "char_encoder_layers": 2, "attention_heads": 4,
+    "p_drop": 0.2, "max_decode_len": 7, "max_frames": 41,
+    "head_hidden_mult": 3, "with_branches": False}
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(ModelConfig)])
