@@ -6,18 +6,23 @@ effective configuration is echoed so any run can be reproduced from it;
 values are literal (no ``%`` interpolation). A refused ``train`` leaves
 ``--out`` as it was. ``eval`` runs the activations asked for, else every
 one the checkpoint has, and echoes a line for each; ``training.evaluate``
-writes its report.
+writes its report. A command runs with one OpenBLAS thread, because GEMMs
+split over threads round differently and a run's bits would follow the
+machine's core count.
 Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
 import dataclasses
 import json
 import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .linguistics import (
     default_inventory,
@@ -249,7 +254,9 @@ def cmd_train(args):
     if not started:  # no step ran
         start()
     state.save(out / "final.npz")
-    _echo(args, f"trained {state.step} steps; state in {out / 'final.npz'}")
+    threads = args.blas_threads or "unpinned"
+    _echo(args, f"trained {state.step} steps with BLAS threads: {threads}; "
+                f"state in {out / 'final.npz'}")
     return 0
 
 
@@ -402,9 +409,31 @@ _COMMANDS = {
 }
 
 
+def _set_blas_threads(n):
+    """Set the OpenBLAS that numpy bundles to ``n`` threads and return the
+    count it had, or None if numpy bundles none."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))  # already loaded: the same library
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"),
+                               ("openblas", "")):
+            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            if get is None:
+                continue
+            put = getattr(handle, f"{prefix}_set_num_threads{suffix}")
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            had = get()
+            put(n)
+            return had
+    return None
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    had = _set_blas_threads(1)  # an in-process caller gets its count back
+    args.blas_threads = None if had is None else 1
     try:
         return _COMMANDS[args.command](args)
     except UsageError as e:
@@ -413,6 +442,9 @@ def main(argv=None):
     except Exception as e:
         print(f"vsrkit: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
+    finally:
+        if had is not None:
+            _set_blas_threads(had)
 
 
 if __name__ == "__main__":

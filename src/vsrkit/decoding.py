@@ -1,8 +1,9 @@
-"""Sequence decoders: CTC greedy collapse, CTC prefix beam search, and
-autoregressive greedy decoding for the attention head."""
+"""Sequence decoders: CTC greedy collapse, CTC prefix beam search (Hannun et
+al. 2014, arXiv:1408.2873), and autoregressive greedy decoding for the
+attention head. The CTC decoders are array code run once per frame; the beam
+search's scores are bit-identical to summing its terms one at a time."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,13 +41,7 @@ def ctc_greedy_decode(logits):
     if logits.ndim != 2 or logits.shape[1] < 2:
         raise ValueError("logits must be T x K with K >= 2")
     best = logits.argmax(axis=1)
-    out = []
-    prev = -1
-    for c in best:
-        if c != prev and c != BLANK:
-            out.append(int(c))
-        prev = c
-    return out
+    return best[(best != BLANK) & (np.diff(best, prepend=-1) != 0)].tolist()
 
 
 def ctc_beam_decode(logits, beam_width):
@@ -55,50 +50,49 @@ def ctc_beam_decode(logits, beam_width):
     Returns hypotheses sorted by score descending; equal scores are ordered
     by token sequence ascending. ``beam_width=math.inf`` disables pruning,
     in which case the scores are the exact label-sequence marginals.
+
+    Per frame, the n held prefixes' next entries form (n, K) arrays: the
+    blank's column stays, column k grows by label k. A growth that is a
+    held prefix merges into its stay, so no entry sums more than two terms,
+    and a two-term ``np.logaddexp`` is symmetric: prefix order changes no bit.
     """
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
     lp = log_probs(logits)
-    T, K = lp.shape
+    _, K = lp.shape
+    prefixes = [()]
+    pb, pnb, total = np.zeros(1), np.full(1, -np.inf), np.zeros(1)
+    for row in lp:
+        last = np.array([p[-1] if p else BLANK for p in prefixes])
+        # growing by k takes pb where k repeats the last label, else total
+        new_pnb = np.where(np.arange(K) == last[:, None], pb[:, None],
+                           total[:, None]) + row
+        new_pnb[:, BLANK] = pnb + row[last]  # -inf for the empty prefix
+        new_pb = np.full(new_pnb.shape, -np.inf)
+        new_pb[:, BLANK] = total + row[BLANK]
+        held = {p: i for i, p in enumerate(prefixes)}
+        for j, p in enumerate(prefixes):
+            if p and p[:-1] in held:
+                i, k = held[p[:-1]], p[-1]
+                new_pnb[j, BLANK] = np.logaddexp(new_pnb[j, BLANK], new_pnb[i, k])
+                new_pnb[i, k] = -np.inf
+        score = np.logaddexp(new_pb, new_pnb).ravel()
+        keep = np.flatnonzero(score > -np.inf)
 
-    NEG = -math.inf
-    beams = {(): (0.0, NEG)}  # prefix -> (log p ending blank, ending non-blank)
-    for t in range(T):
-        row = lp[t]
-        new = {}
+        def tokens(c):
+            i, k = divmod(int(c), K)
+            return prefixes[i] if k == BLANK else prefixes[i] + (k,)
 
-        def bump(prefix, pb=NEG, pnb=NEG):
-            if pb == NEG and pnb == NEG:
-                return
-            old_pb, old_pnb = new.get(prefix, (NEG, NEG))
-            new[prefix] = (np.logaddexp(old_pb, pb), np.logaddexp(old_pnb, pnb))
-
-        for prefix, (pb, pnb) in beams.items():
-            total = np.logaddexp(pb, pnb)
-            bump(prefix, pb=total + row[BLANK])
-            if prefix:
-                bump(prefix, pnb=pnb + row[prefix[-1]])
-            for k in range(1, K):
-                ext = prefix + (k,)
-                if prefix and k == prefix[-1]:
-                    bump(ext, pnb=pb + row[k])
-                else:
-                    bump(ext, pnb=total + row[k])
-        if len(new) > beam_width:
-            ranked = sorted(
-                new.items(),
-                key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0]),
-            )
-            new = dict(ranked[: int(beam_width)])
-        beams = new
-
-    hyps = [
-        Hypothesis(tokens=prefix, score=float(np.logaddexp(pb, pnb)))
-        for prefix, (pb, pnb) in beams.items()
-        if np.logaddexp(pb, pnb) > NEG
-    ]
-    hyps.sort(key=lambda h: (-h.score, h.tokens))
-    return hyps
+        if len(keep) > beam_width:  # sort only what reaches the cut score
+            cut = len(keep) - int(beam_width)
+            keep = keep[score[keep] >= np.partition(score[keep], cut)[cut]]
+            keep = sorted(keep, key=lambda c: (-score[c], tokens(c)))
+            keep = keep[: int(beam_width)]
+        prefixes = [tokens(c) for c in keep]
+        pb, pnb, total = (a.ravel()[keep] for a in (new_pb, new_pnb, score))
+    hyps = [Hypothesis(tokens=p, score=float(s))
+            for p, s in zip(prefixes, total)]
+    return sorted(hyps, key=lambda h: (-h.score, h.tokens))
 
 
 def attention_greedy_decode(step_fn, max_len, eos_id):

@@ -3,6 +3,9 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vsrkit.cli import _CONFIG_SECTIONS, _EVAL_KEYS, _TYPES_BY_NAME, \
-    _effective_ini, _section_values, main
+    _effective_ini, _section_values, _set_blas_threads, main
 from vsrkit.linguistics import Lexicon, LexiconEntry, default_inventory, \
     load_inventory, save_inventory
 from vsrkit.model import Model
@@ -99,6 +102,50 @@ def test_train_smoke_and_determinism(tmp_path, cfg_file):
         (r2 / "metrics.jsonl").read_bytes()
     assert (r1 / "final.npz").exists()
     assert (r1 / "effective_config.ini").exists()
+
+
+def test_train_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the default 64-wide model multiplies matrices large enough for
+    # OpenBLAS to split them over every core it is allowed
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[synth]\nnum_utterances = 16\nsentence_len = 3,4\n"
+                   "[train]\nepochs_phase1 = 0\nepochs_phase2 = 2\n",
+                   encoding="utf-8")
+    data = tmp_path / "data"
+    assert run("--config", str(cfg), "--out", str(data), "--quiet", "gen") == 0
+    src = Path(__file__).resolve().parents[1] / "src"
+    logs = []
+    for threads in (None, "1"):
+        env = {k: v for k, v in os.environ.items() if k not in
+               ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")]))
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"run-{threads}"
+        subprocess.run([sys.executable, "-m", "vsrkit", "--config", str(cfg),
+                        "--out", str(out), "--quiet", "train",
+                        "--data", str(data)], env=env, check=True)
+        logs.append((out / "metrics.jsonl").read_bytes())
+    assert logs[0] == logs[1]
+
+
+def test_train_echo_names_the_blas_thread_count(tmp_path, cfg_file, capsys):
+    data = tmp_path / "data"
+    assert run("--config", cfg_file, "--out", str(data), "--quiet", "gen") == 0
+    assert run("--config", cfg_file, "--out", str(tmp_path / "r"), "train",
+               "--data", str(data)) == 0
+    assert "with BLAS threads: 1;" in capsys.readouterr().out.splitlines()[-1]
+
+
+def test_main_gives_an_in_process_caller_its_blas_thread_count_back(capsys):
+    before = _set_blas_threads(2)
+    try:
+        two = _set_blas_threads(2)  # 2, or the library's cap
+        assert run("g2p", "妈") == 0
+        assert _set_blas_threads(2) == two
+    finally:
+        _set_blas_threads(before)
 
 
 def test_train_disable_align_flag(tmp_path, cfg_file):

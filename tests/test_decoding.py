@@ -3,31 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import reference_beam
 from vsrkit.decoding import attention_greedy_decode, ctc_beam_decode, \
     ctc_greedy_decode
-
-
-def brute_force_marginals(logits):
-    """Sum path probabilities per collapsed label sequence."""
-    logits = np.asarray(logits, dtype=np.float64)
-    T, K = logits.shape
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    p = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
-    scores = {}
-    for path in itertools.product(range(K), repeat=T):
-        out = []
-        prev = -1
-        for c in path:
-            if c != prev and c != 0:
-                out.append(c)
-            prev = c
-        pr = 1.0
-        for t, c in enumerate(path):
-            pr *= p[t, c]
-        key = tuple(out)
-        scores[key] = scores.get(key, 0.0) + pr
-    return scores
+from vsrkit.verify import ctc_path_enumeration
 
 
 def onehot_logits(classes, K, scale=10.0):
@@ -64,14 +47,44 @@ def test_full_width_beam_matches_exhaustive_marginalization():
         for K in (2, 3):
             logits = rng.normal(size=(T, K))
             hyps = ctc_beam_decode(logits, beam_width=math.inf)
-            brute = brute_force_marginals(logits)
-            assert len(hyps) == len(brute)
+            # every label sequence of at most T labels; a path reaches
+            # exactly those with a positive marginal
+            marginal = {seq: ctc_path_enumeration(logits, seq)
+                        for n in range(T + 1)
+                        for seq in itertools.product(range(1, K), repeat=n)}
+            reachable = {seq: p for seq, p in marginal.items() if p > 0}
+            assert sorted(h.tokens for h in hyps) == sorted(reachable)
             for h in hyps:
-                assert math.exp(h.score) == pytest.approx(brute[h.tokens],
+                assert math.exp(h.score) == pytest.approx(reachable[h.tokens],
                                                           abs=1e-12)
-            best = max(brute, key=lambda k: (brute[k], k))
-            assert hyps[0].tokens == max(brute, key=brute.get) or \
+            best = max(reachable, key=lambda k: (reachable[k], k))
+            assert hyps[0].tokens == max(reachable, key=reachable.get) or \
                 hyps[0].tokens == best
+
+
+@st.composite
+def _beam_inputs(draw):
+    """T x K logits, whole numbers in about half the draws so that scores
+    tie, and a beam width: 1 to 12, or unbounded when T and K are small."""
+    T, K = draw(st.integers(0, 14)), draw(st.integers(2, 9))
+    elements = (st.integers(-2, 2).map(float) if draw(st.booleans())
+                else st.floats(-6.0, 6.0))
+    logits = draw(hnp.arrays(np.float64, (T, K), elements=elements))
+    widths = st.integers(1, 12)
+    if T <= 5 and K <= 4:
+        widths = widths | st.just(math.inf)
+    return logits, draw(widths)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_beam_inputs())
+def test_beam_returns_the_reference_hypotheses_bit_for_bit(inputs):
+    logits, width = inputs
+    got = ctc_beam_decode(logits, width)
+    want = reference_beam.ctc_beam_decode(logits, width)
+    # tokens, scores compared with ==, and order
+    assert [(h.tokens, h.score) for h in got] == \
+        [(h.tokens, h.score) for h in want]
 
 
 def test_beam_scores_non_increasing():
