@@ -130,22 +130,22 @@ def mul(a, b):
 
 def linear(x, w, b=None):
     """``x @ w (+ b)`` over the last axis of ``x`` as one 2-D GEMM on its
-    rows (a 2-D ``x`` is not reshaped); the weight gradient is one 2-D GEMM
-    too, and the bias gradient a row of ones times the output gradient."""
+    rows (a view of a 2-D ``x``); the weight gradient is one 2-D GEMM too,
+    and the bias gradient a row of ones times the output gradient."""
     x, w = as_tensor(x), as_tensor(w)
     parents = (x, w) if b is None else (x, w, as_tensor(b))
-    x2 = x.data if x.data.ndim == 2 else x.data.reshape(-1, x.data.shape[-1])
+    x2 = x.data.reshape(-1, x.data.shape[-1])
     out = x2 @ w.data
     if b is not None:
         out += parents[2].data
 
     def grad_fn(g):
-        g2 = g if g.ndim == 2 else g.reshape(-1, g.shape[-1])
+        g2 = g.reshape(-1, g.shape[-1])
         grads = ((g2 @ w.data.T).reshape(x.data.shape), x2.T @ g2)
         return grads if b is None else (*grads, np.ones(len(g2)) @ g2)
 
-    return Tensor(out if x2 is x.data else out.reshape(*x.data.shape[:-1], -1),
-                  parents, grad_fn, op="linear")
+    return Tensor(out.reshape(*x.data.shape[:-1], -1), parents, grad_fn,
+                  op="linear")
 
 
 def slice_(a, key):

@@ -277,11 +277,15 @@ def cmd_eval(args):
                          f"not >= 1")
     names = args.activate or \
         [a.strip() for a in eval_kw.get("activations", "").split(";") if a]
+    given = "--activate" if args.activate else \
+        f"config key [eval] activations = {eval_kw.get('activations')!r}"
     try:
         activations = [ActivationConfig.from_name(n) for n in names]
     except ValueError as e:
-        raise UsageError(f"config key [eval] activations = "
-                         f"{eval_kw['activations']!r}: {e}") from None
+        raise UsageError(f"{given}: {e}") from None
+    repeated = [a for i, a in enumerate(activations) if a in activations[:i]]
+    if repeated:
+        raise UsageError(f"{given}: activation {repeated[0].name!r} repeats")
 
     corpus, inv, lexicon = read_manifest(args.data)
     model = Model.load(args.checkpoint)

@@ -4,28 +4,16 @@ attention head. The CTC decoders are array code run once per frame; the beam
 search's scores are bit-identical to summing its terms one at a time."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .linguistics import BLANK
 
 __all__ = [
-    "Hypothesis",
     "log_probs",
     "ctc_greedy_decode",
     "ctc_beam_decode",
     "attention_greedy_decode",
 ]
-
-
-@dataclass
-class Hypothesis:
-    """A decoded token sequence with its log-probability score."""
-
-    tokens: tuple
-    score: float
-    branch_frames: dict = field(default_factory=dict)
 
 
 def log_probs(logits):
@@ -47,9 +35,10 @@ def ctc_greedy_decode(logits):
 def ctc_beam_decode(logits, beam_width):
     """Prefix beam search over blank/non-blank probabilities.
 
-    Returns hypotheses sorted by score descending; equal scores are ordered
-    by token sequence ascending. ``beam_width=math.inf`` disables pruning,
-    in which case the scores are the exact label-sequence marginals.
+    Returns ``(tokens, score)`` pairs, a tuple and a float each, sorted by
+    score descending; equal scores are ordered by token sequence ascending.
+    ``beam_width=math.inf`` disables pruning, in which case the scores are
+    the exact label-sequence marginals.
 
     Per frame, the n held prefixes' next entries form (n, K) arrays: the
     blank's column stays, column k grows by label k. A growth that is a
@@ -90,9 +79,7 @@ def ctc_beam_decode(logits, beam_width):
             keep = keep[: int(beam_width)]
         prefixes = [tokens(c) for c in keep]
         pb, pnb, total = (a.ravel()[keep] for a in (new_pb, new_pnb, score))
-    hyps = [Hypothesis(tokens=p, score=float(s))
-            for p, s in zip(prefixes, total)]
-    return sorted(hyps, key=lambda h: (-h.score, h.tokens))
+    return sorted(zip(prefixes, total.tolist()), key=lambda h: (-h[1], h[0]))
 
 
 def attention_greedy_decode(step_fn, max_len, eos_id):

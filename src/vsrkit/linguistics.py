@@ -243,10 +243,8 @@ def load_lexicon(path, inv: LinguisticInventory) -> Lexicon:
     return Lexicon(entries)
 
 
-def default_lexicon(inv: LinguisticInventory | None = None) -> Lexicon:
-    """The bundled ~120-character lexicon."""
-    if inv is None:
-        inv = default_inventory()
+def default_lexicon(inv: LinguisticInventory) -> Lexicon:
+    """The bundled ~120-character lexicon, labelled with ``inv``."""
     with resources.as_file(_bundled("lexicon.tsv")) as p:
         return load_lexicon(p, inv)
 

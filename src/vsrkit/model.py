@@ -35,15 +35,16 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, as_tensor
-from .decoding import Hypothesis, attention_greedy_decode, ctc_beam_decode, \
-    ctc_greedy_decode, log_probs
-from .linguistics import NUM_VISEMES
+from .decoding import attention_greedy_decode, ctc_beam_decode, \
+    ctc_greedy_decode
+from .linguistics import BLANK, NUM_VISEMES
 
 __all__ = [
     "ModelConfig",
     "ActivationConfig",
     "ALL_ACTIVATIONS",
     "ForwardOutputs",
+    "Hypothesis",
     "Model",
     "CheckpointError",
     "check_arrays",
@@ -58,7 +59,7 @@ __all__ = [
 CHECKPOINT_VERSION = "vsrkit-checkpoint v5"
 
 # character token layout shared by both char heads
-BLANK_ID = 0
+BLANK_ID = BLANK
 SOS_ID = 1
 EOS_ID = 2
 CHAR_OFFSET = 3
@@ -141,6 +142,15 @@ class ForwardOutputs:
     viseme_logits: Tensor = None
     char_ctc_logits: Tensor = None
     char_attn_logits: Tensor = None
+
+
+@dataclass
+class Hypothesis:
+    """What ``Model.forward_infer`` returns: the decoded token ids, and the
+    framewise argmax classes of each active branch by branch name."""
+
+    tokens: tuple
+    branch_frames: dict
 
 
 def droppath_sum(F, P, V, mask_p, mask_v, p_drop):
@@ -454,23 +464,17 @@ class Model:
                 raise ad.AutodiffError(f"non-finite logits under {act.name!r}")
             return logits
 
-        ctc = None if decode == "attention" else \
-            finite(self._head(F_mem, "heads/char_ctc").data[0])
-        if decode == "ctc_greedy":
-            tokens = ctc_greedy_decode(ctc)
-            score = float(log_probs(ctc).max(axis=-1).sum())
-        elif decode == "ctc_beam":
-            best = ctc_beam_decode(ctc, beam_width)[0]
-            tokens, score = best.tokens, best.score
-        else:
+        if decode == "attention":
             cache = {}  # decoder state: each step feeds the newest token
             tokens = attention_greedy_decode(
                 lambda prefix: finite(self.decoder_forward(
                     F_mem, [prefix[-1:] or [SOS_ID]], cache=cache).data[0, -1]),
                 self.cfg.max_decode_len, EOS_ID)
-            score = 0.0
-        return Hypothesis(tokens=tuple(tokens), score=score,
-                          branch_frames=branch_frames)
+        else:
+            ctc = finite(self._head(F_mem, "heads/char_ctc").data[0])
+            tokens = ctc_greedy_decode(ctc) if decode == "ctc_greedy" else \
+                ctc_beam_decode(ctc, beam_width)[0][0]
+        return Hypothesis(tuple(tokens), branch_frames)
 
     # ------------------------------------------------------------------
     # checkpoints

@@ -307,8 +307,9 @@ def read_manifest(path):
     manifest's own lexicon and inventory. A ``ManifestError`` names the path
     of a missing file, a header other than v2 or an index without records,
     and the record of a repeated id, a malformed field, a negative T or
-    offset, a C below 1 or unlike the first record's, no characters, a
-    character outside the lexicon, or durations not >= 1 summing to T."""
+    offset, a C below 1 or unlike the first record's, a non-finite feature
+    value, no characters, a character outside the lexicon, or durations not
+    >= 1 summing to T."""
     path = Path(path)
     index = path / "index.tsv"
     if not index.exists():
@@ -351,7 +352,9 @@ def read_manifest(path):
                     f"feature blob truncated: record {uid} wants bytes "
                     f"[{off}, {off + nbytes}) of {blob_size}")
             blob.seek(off)
-            raw = blob.read(nbytes)
+            features = np.frombuffer(blob.read(nbytes), dtype="<f8")
+            if not np.isfinite(features).all():
+                raise ManifestError(f"record {uid}: non-finite feature value")
             chars = _parse_ints(uid, fields[4])
             if not chars:
                 raise ManifestError(f"record {uid}: no characters")
@@ -366,7 +369,7 @@ def read_manifest(path):
                 raise ManifestError(f"inconsistent durations for record {uid}")
             utterances.append(Utterance(
                 id=uid,
-                features=np.frombuffer(raw, dtype="<f8").reshape(T, C).copy(),
+                features=features.reshape(T, C).copy(),
                 labels=labels,
                 durations=durations,
             ))

@@ -1,16 +1,17 @@
 """Reference CTC prefix beam search: a dict of prefixes, updated one term
 at a time. ``vsrkit.decoding.ctc_beam_decode`` must return exactly its
-hypotheses; ``test_decoding.py`` checks that."""
+``(tokens, score)`` pairs; ``test_decoding.py`` checks that."""
 import math
 
 import numpy as np
 
-from vsrkit.decoding import Hypothesis, log_probs
+from vsrkit.decoding import log_probs
 from vsrkit.linguistics import BLANK
 
 
 def ctc_beam_decode(logits, beam_width):
-    """Hypotheses sorted by score descending, then by tokens ascending."""
+    """``(tokens, score)`` pairs sorted by score descending, then by tokens
+    ascending."""
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
     lp = log_probs(logits)
@@ -47,10 +48,8 @@ def ctc_beam_decode(logits, beam_width):
             new = dict(ranked[: int(beam_width)])
         beams = new
 
-    hyps = [
-        Hypothesis(tokens=prefix, score=float(np.logaddexp(pb, pnb)))
-        for prefix, (pb, pnb) in beams.items()
-        if np.logaddexp(pb, pnb) > NEG
-    ]
-    hyps.sort(key=lambda h: (-h.score, h.tokens))
+    hyps = [(prefix, float(np.logaddexp(pb, pnb)))
+            for prefix, (pb, pnb) in beams.items()
+            if np.logaddexp(pb, pnb) > NEG]
+    hyps.sort(key=lambda h: (-h[1], h[0]))
     return hyps

@@ -490,9 +490,11 @@ def test_unparsable_config_value_exits_one_naming_the_key(tmp_path, cfg_file,
 @pytest.mark.parametrize("key, value, shown", [
     ("decode", "bogus", "'bogus'"),
     ("activations", "f+x", "'f+x'"),
+    ("activations", "f+p; F+P", "'f+p; F+P': activation 'f+p' repeats"),
     ("beam_width", "0", "0"),
     ("beam_width", "-4", "-4"),
-], ids=["decode-bogus", "activations-f+x", "beam_width-0", "beam_width--4"])
+], ids=["decode-bogus", "activations-f+x", "activations-repeated",
+        "beam_width-0", "beam_width--4"])
 def test_bad_eval_setting_exits_one_before_reading_anything(tmp_path, capsys,
                                                             key, value, shown):
     cfg = tmp_path / "eval.ini"
@@ -504,6 +506,15 @@ def test_bad_eval_setting_exits_one_before_reading_anything(tmp_path, capsys,
                "--data", str(tmp_path / "none")) == 1
     err = capsys.readouterr().err
     assert f"[eval] {key} = {shown}" in err
+    assert not out.exists()
+
+
+def test_eval_refuses_a_repeated_activate_flag(tmp_path, capsys):
+    out = tmp_path / "report"
+    assert run("--out", str(out), "--quiet", "eval", "--activate", "f",
+               "--activate", "f", "--checkpoint", str(tmp_path / "none.npz"),
+               "--data", str(tmp_path / "none")) == 1
+    assert "--activate: activation 'f' repeats" in capsys.readouterr().err
     assert not out.exists()
 
 

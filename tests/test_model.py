@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vsrkit.model
 from vsrkit import autodiff as ad
 from vsrkit.autodiff import AutodiffError, Tensor, backward, grad_of
-from vsrkit.decoding import attention_greedy_decode
+from vsrkit.decoding import attention_greedy_decode, ctc_beam_decode, \
+    ctc_greedy_decode
 from vsrkit.linguistics import NUM_VISEMES
 from vsrkit.model import (
     ALL_ACTIVATIONS,
@@ -18,6 +20,7 @@ from vsrkit.model import (
     SOS_ID,
     ActivationConfig,
     CheckpointError,
+    Hypothesis,
     Model,
     ModelConfig,
     droppath_sum,
@@ -320,19 +323,47 @@ def test_decoder_cache_refuses_a_position_past_max_decode_len(model):
 # inference and activation
 
 
-def test_infer_f_only_ignores_branch_parameters(model):
+def test_infer_f_only_ignores_branch_parameters(model, monkeypatch):
+    # the char CTC head that forward_infer decodes, captured at the decoder
+    heads = []
+    monkeypatch.setattr(vsrkit.model, "ctc_greedy_decode",
+                        lambda ctc: heads.append(ctc) or [])
     rng = np.random.default_rng(9)
     feats = rng.normal(size=(5, CFG.input_dim))
-    base = model.forward_infer(feats, ActivationConfig(False, False),
-                               "ctc_greedy", 8)
+    model.forward_infer(feats, ActivationConfig(False, False), "ctc_greedy", 8)
     for k, p in model.params.items():
         if k.startswith(("phoneme/", "viseme/", "heads/phoneme",
                          "heads/viseme")):
             p.data = p.data + rng.normal(size=p.data.shape)
-    again = model.forward_infer(feats, ActivationConfig(False, False),
-                                "ctc_greedy", 8)
-    assert base.tokens == again.tokens
-    assert base.score == again.score
+    model.forward_infer(feats, ActivationConfig(False, False), "ctc_greedy", 8)
+    assert len(heads) == 2 and np.array_equal(heads[0], heads[1])
+
+
+@pytest.mark.parametrize("decode", ["ctc_greedy", "ctc_beam"])
+def test_ctc_infer_decodes_the_training_path_char_ctc_logits(decode,
+                                                             monkeypatch):
+    # with p_drop = 0, a branch-drop mask of 1 keeps a branch unscaled and
+    # a mask of 0 adds exactly zero, so forward_train fuses like inference
+    model = Model(replace(CFG, p_drop=0.0), seed=3)
+    lengths = []
+    for seed in range(6):
+        feats = np.random.default_rng(seed).normal(size=(4 + seed,
+                                                         CFG.input_dim))
+        for act in ALL_ACTIVATIONS:
+            got = model.forward_infer(feats, act, decode, 8)
+            masks = tuple(np.full((1, 1, 1), float(on))
+                          for on in (act.use_phoneme, act.use_viseme))
+            monkeypatch.setattr(model, "sample_drop_masks",
+                                lambda rng, B: masks)
+            ctc = model.forward_train(feats[None], [len(feats)],
+                                      np.array([[SOS_ID]]),
+                                      None).char_ctc_logits.data[0]
+            want = ctc_greedy_decode(ctc) if decode == "ctc_greedy" else \
+                ctc_beam_decode(ctc, 8)[0][0]
+            assert got.tokens == tuple(want)
+            lengths.append(len(want))
+    assert max(lengths) > 1
+    assert [f.name for f in fields(Hypothesis)] == ["tokens", "branch_frames"]
 
 
 def test_infer_full_matches_training_path_with_unit_masks(model):

@@ -243,6 +243,20 @@ def test_manifest_rejects_a_negative_duration(tmp_path, small_corpus):
             read_manifest(tmp_path / str(bad))
 
 
+def test_manifest_names_the_record_of_a_non_finite_feature(tmp_path,
+                                                           small_corpus):
+    _, lex, corpus = small_corpus
+    for bad in (np.nan, np.inf, -np.inf):
+        m = tmp_path / str(bad)
+        write_manifest(m, corpus[:2], INV, lex)
+        with open(m / "features.bin", "r+b") as blob:
+            blob.seek(corpus[0].features.nbytes + 8)  # in the second record
+            blob.write(np.array([bad], dtype="<f8").tobytes())
+        with pytest.raises(ManifestError,
+                           match=f"record {corpus[1].id}: non-finite"):
+            read_manifest(m)
+
+
 @pytest.mark.parametrize("value, message", [
     ("-1", "character id -1 outside [0, 30)"),
     ("30", "character id 30 outside [0, 30)"),
