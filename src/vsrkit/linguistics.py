@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 
 import numpy as np
 
@@ -276,10 +277,11 @@ def labels_of(chars, lexicon: Lexicon, inv: LinguisticInventory) -> LabelTriple:
     character's pronunciation in order, and each phoneme's viseme. Every
     ``LabelTriple`` is built here, so its phonemes and visemes always follow
     from its characters."""
-    chars = tuple(int(c) for c in chars)
-    phonemes = tuple(p for c in chars for p in lexicon.entries[c].phonemes)
+    chars = tuple(map(int, chars))
+    entries = lexicon.entries
+    phonemes = tuple(chain.from_iterable(entries[c].phonemes for c in chars))
     return LabelTriple(chars=chars, phonemes=phonemes, visemes=tuple(
-        inv.phoneme_to_viseme[p] for p in phonemes))
+        map(inv.phoneme_to_viseme.__getitem__, phonemes)))
 
 
 def text_to_labels(text: str, lexicon: Lexicon, inv: LinguisticInventory) -> LabelTriple:

@@ -83,8 +83,9 @@ class SynthConfig:
                     f"{name} must be two integers lo,hi, got {bounds!r}")
             if bounds[0] < 1 or bounds[0] > bounds[1]:
                 raise ValueError(f"bad {name} range {bounds}")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be nonnegative")
+        if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError(
+                f"noise_std must be finite and >= 0, got {self.noise_std}")
         for name, least in (("num_utterances", 1), ("feature_dim", 1),
                             ("char_vocab_size", 2 * _HOMOPHONE_PAIRS),
                             ("seed", 0), ("codebook_seed", 0)):
@@ -156,7 +157,7 @@ def make_lexicon(inv: LinguisticInventory, num_chars: int, seed: int) -> Lexicon
                 w = remaining.copy()
             if w.sum() == 0:
                 w = prior.copy()
-            v = int(rng.choice(len(w), p=w / w.sum()))
+            v = int(_categorical(w / w.sum())(rng))
             remaining[v] = max(0.0, remaining[v] - mult[c])
             choices = inv.phonemes_of_viseme(v)
             idxs.append(int(choices[rng.integers(len(choices))]))
@@ -179,19 +180,30 @@ def _char_sampling_weights(lexicon: Lexicon, inv: LinguisticInventory,
     inventory prior as closely as the lexicon allows (nonnegative least
     squares on the composition deficit)."""
     prior = np.asarray(inv.viseme_frequency)
-    counts = np.stack([
-        np.bincount(labels_of([c], lexicon, inv).visemes,
-                    minlength=inv.num_visemes) for c in range(vocab_size)],
-        axis=1).astype(np.float64)
+    p2v = inv.phoneme_to_viseme
+    counts = np.zeros((inv.num_visemes, vocab_size))
+    for c, entry in enumerate(lexicon.entries[:vocab_size]):
+        for p in entry.phonemes:
+            counts[p2v[p], c] += 1
     lens = counts.sum(axis=0)
     deficit = counts - prior[:, None] * lens[None, :]
     system = np.vstack([deficit, np.ones((1, vocab_size))])
     rhs = np.zeros(inv.num_visemes + 1)
     rhs[-1] = 1.0
     w, _ = nnls(system, rhs)
-    if w.sum() <= 0:
-        return np.full(vocab_size, 1.0 / vocab_size)
+    # at w = 0 the NNLS gradient is -system.T @ rhs = -1, so w.sum() > 0
     return w / w.sum()
+
+
+def _categorical(p):
+    """A draw ``(rng, size=None)`` of indices with probabilities ``p``,
+    made as ``Generator.choice(len(p), size, p=p)`` makes it: ``size``
+    uniforms searched (side right) in the cumulative sum of ``p`` over its
+    last entry. Building the draw once serves any number of calls."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return lambda rng, size=None: cdf.searchsorted(rng.random(size),
+                                                   side="right")
 
 
 def phoneme_codebook(cfg: SynthConfig, inv: LinguisticInventory) -> np.ndarray:
@@ -212,6 +224,12 @@ def generate_corpus(cfg: SynthConfig, inv: LinguisticInventory,
     Characters are drawn from the first ``char_vocab_size`` lexicon entries
     with weights that match the inventory's viseme prior. Each utterance
     also keeps its ground-truth durations.
+
+    Each sentence makes its draws in this order: its length (one
+    ``integers``), its characters (one uniform each, drawn as
+    ``Generator.choice(p=)`` draws them), its frames per phoneme (one
+    ``integers`` of that many) and, when ``noise_std > 0``, a T x C
+    ``normal``. A rewrite that keeps these keeps every corpus.
     """
     if len(lexicon) < cfg.char_vocab_size:
         raise ValueError(
@@ -219,22 +237,23 @@ def generate_corpus(cfg: SynthConfig, inv: LinguisticInventory,
         )
     rng = np.random.default_rng([cfg.seed, _CORPUS_STREAM])
     book = phoneme_codebook(cfg, inv)
-    weights = _char_sampling_weights(lexicon, inv, cfg.char_vocab_size)
+    draw_chars = _categorical(
+        _char_sampling_weights(lexicon, inv, cfg.char_vocab_size))
+    len_lo, len_hi = cfg.sentence_len
+    dur_lo, dur_hi = cfg.frames_per_phoneme
 
     utterances = []
     for u in range(cfg.num_utterances):
-        n_chars = int(rng.integers(cfg.sentence_len[0], cfg.sentence_len[1] + 1))
-        chars = rng.choice(cfg.char_vocab_size, size=n_chars, p=weights)
-        labels = labels_of(chars, lexicon, inv)
-        durations = rng.integers(cfg.frames_per_phoneme[0],
-                                 cfg.frames_per_phoneme[1] + 1,
-                                 size=len(labels.phonemes))
-        feats = book[np.repeat(labels.phonemes, durations)]
+        n_chars = int(rng.integers(len_lo, len_hi + 1))
+        labels = labels_of(draw_chars(rng, n_chars).tolist(), lexicon, inv)
+        durations = rng.integers(dur_lo, dur_hi + 1, size=len(labels.phonemes))
+        # a gathered copy of the codebook rows, so the noise adds in place
+        feats = book.take(np.repeat(labels.phonemes, durations), axis=0)
         if cfg.noise_std > 0:
-            feats = feats + cfg.noise_std * rng.normal(size=feats.shape)
+            feats += cfg.noise_std * rng.normal(size=feats.shape)
         utterances.append(Utterance(
             id=f"utt{u:05d}",
-            features=np.ascontiguousarray(feats, dtype=np.float64),
+            features=feats,
             labels=labels,
             durations=tuple(durations.tolist()),
         ))

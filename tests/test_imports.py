@@ -1,9 +1,9 @@
 """Static gates on the code's names: every module-level import in the
 package is used or re-exported, every private or public module-level name
 and every dataclass field has a reader, every local a function assigns is
-read, a label triple is built in one place and only ``Model.forward_infer``
-runs without a graph. They need only ``ast``, so they run wherever the
-tests run."""
+read, a label triple is built in one place, a weighted draw has one
+implementation and only ``Model.forward_infer`` runs without a graph. They
+need only ``ast``, so they run wherever the tests run."""
 import ast
 from pathlib import Path
 
@@ -214,6 +214,37 @@ def test_package_dataclass_fields_have_readers_outside_tests():
     sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
     readers = [p.read_text(encoding="utf-8") for p in PERFBENCH]
     assert unread_dataclass_fields(sources, readers) == {}
+
+
+def weighted_choice_calls(source):
+    """Line numbers of the ``choice`` calls (bare or as an attribute) that
+    pass weights, as ``p=`` or as the fourth positional argument."""
+    return sorted(
+        n.lineno for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call)
+        and getattr(n.func, "id", getattr(n.func, "attr", None)) == "choice"
+        and (len(n.args) >= 4 or any(k.arg == "p" for k in n.keywords)))
+
+
+def test_weighted_choice_calls_sees_weights_by_keyword_or_position():
+    source = (
+        "import numpy as np\nfrom random import choice\n\n"
+        "def f(rng, w):\n"
+        "    rng.choice(3, p=w)\n"
+        "    rng.choice(3, 2, True, w)\n"
+        "    rng.choice(3, size=2)\n"
+        "    choice([1, 2])\n"
+        "    return np.random.default_rng(0).choice(\n        3, p=w)\n"
+    )
+    assert weighted_choice_calls(source) == [5, 6, 9]
+
+
+def test_only_synth_categorical_draws_with_weights():
+    # a weighted draw goes through synth._categorical, which draws as
+    # Generator.choice(p=) draws
+    calls = {p.name: weighted_choice_calls(p.read_text(encoding="utf-8"))
+             for p in MODULES}
+    assert {name: lines for name, lines in calls.items() if lines} == {}
 
 
 def _own_nodes(scope):

@@ -159,7 +159,8 @@ def test_labels_roundtrip_viseme_invariant(inv, lexicon):
 
 
 def test_labels_of_concatenates_pronunciations_as_python_ints(inv, lexicon):
-    # generate_corpus hands it numpy ids; the triple holds plain ints
+    # a caller may pass numpy ids (generate_corpus passes Python ints);
+    # the triple holds plain ints either way
     ids = np.array([lexicon.char_index("妈"), lexicon.char_index("国")])
     t = labels_of(ids, lexicon, inv)
     assert t == text_to_labels("妈国", lexicon, inv)

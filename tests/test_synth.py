@@ -2,13 +2,17 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_synth
 from vsrkit.linguistics import Lexicon, LexiconEntry, default_inventory, \
     labels_of
 from vsrkit.synth import (
     ManifestError,
     SynthConfig,
     Utterance,
+    _categorical,
     filter_by_length,
     generate_corpus,
     make_lexicon,
@@ -32,7 +36,91 @@ def small_corpus():
 def test_generation_is_deterministic(small_corpus):
     cfg, lex, corpus = small_corpus
     again = generate_corpus(cfg, INV, lex)
+    assert len(again) == len(corpus) == cfg.num_utterances
     assert all(a == b for a, b in zip(corpus, again))
+
+
+class _Replay(np.random.Generator):
+    """A generator whose ``random`` hands out given uniforms in turn, so a
+    draw can be fed uniforms that fall exactly on a step of its CDF."""
+
+    def __init__(self, uniforms):
+        super().__init__(np.random.PCG64(0))
+        self.uniforms = list(uniforms)
+
+    def random(self, size=None):
+        n = 1 if size is None else int(np.prod(size))
+        out, self.uniforms = self.uniforms[:n], self.uniforms[n:]
+        return out[0] if size is None else np.reshape(out, size)
+
+
+@st.composite
+def _weights_and_uniforms(draw):
+    """Weights with zeros among them, normalized as ``make_lexicon`` does,
+    so their running sum may end an ulp off 1, and uniforms that include 0
+    and every step of that sum, before and after it is divided by its
+    last entry."""
+    weight = st.just(0.0) | st.floats(0.0, 10.0, allow_subnormal=False)
+    w = np.array(draw(st.lists(weight, min_size=1, max_size=8).filter(any)))
+    p = w / w.sum()
+    running = np.cumsum(p)
+    steps = st.sampled_from([0.0, *running[:-1], *(running / running[-1])[:-1]])
+    uniforms = draw(st.lists(steps | st.floats(0.0, 1.0, exclude_max=True),
+                             min_size=1, max_size=12))
+    return p, uniforms
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_weights_and_uniforms())
+def test_categorical_draws_as_generator_choice_draws(drawn):
+    p, uniforms = drawn
+    draw = _categorical(p)
+    want, got = _Replay(uniforms), _Replay(uniforms)
+    assert draw(got, len(uniforms)).tolist() == want.choice(
+        len(p), size=len(uniforms), p=p).tolist()
+    assert got.uniforms == want.uniforms == []
+    for u in uniforms:
+        assert int(draw(_Replay([u]))) == int(_Replay([u]).choice(len(p), p=p))
+
+
+@st.composite
+def _synth_configs(draw):
+    """A lexicon size and a config drawing from a prefix of that lexicon;
+    sizes down to 6, where ``make_lexicon`` runs out of quota."""
+    size = draw(st.integers(6, 48))
+    lo = draw(st.integers(1, 4))
+    frames_lo = draw(st.integers(1, 4))
+    return size, SynthConfig(
+        seed=draw(st.integers(0, 2**16)),
+        num_utterances=draw(st.integers(1, 20)),
+        char_vocab_size=draw(st.integers(6, size)),
+        sentence_len=(lo, lo + draw(st.integers(0, 4))),
+        frames_per_phoneme=(frames_lo, frames_lo + draw(st.integers(0, 3))),
+        feature_dim=draw(st.integers(1, 6)),
+        noise_std=draw(st.sampled_from([0.0, 0.5])
+                       | st.floats(0.0, 3.0, allow_subnormal=False)),
+        codebook_seed=draw(st.none() | st.integers(0, 50)),
+    )
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_synth_configs())
+def test_synthesis_matches_the_reference_byte_for_byte(drawn):
+    size, cfg = drawn
+    lex = make_lexicon(INV, size, seed=cfg.seed)
+    ref_lex = reference_synth.make_lexicon(INV, size, seed=cfg.seed)
+    assert [(e.character, e.phonemes) for e in lex.entries] == \
+        [(e.character, e.phonemes) for e in ref_lex.entries]
+    got = generate_corpus(cfg, INV, lex)
+    want = reference_synth.generate_corpus(cfg, INV, lex)
+    assert len(got) == len(want) == cfg.num_utterances
+    for u, r in zip(got, want):
+        assert u.id == r.id
+        assert u.features.dtype == r.features.dtype == np.float64
+        assert u.features.flags.c_contiguous and r.features.flags.c_contiguous
+        assert u.features.tobytes() == r.features.tobytes()
+        assert u.labels == r.labels
+        assert u.durations == r.durations
 
 
 def test_label_consistency(small_corpus):
@@ -303,6 +391,12 @@ def test_manifest_names_a_repeated_record_id(tmp_path, small_corpus):
     with pytest.raises(ManifestError, match=re.escape(
             f"record {corpus[0].id}: repeated id")):
         read_manifest(tmp_path / "m")
+
+
+@pytest.mark.parametrize("value", [-0.5, float("nan"), float("inf")])
+def test_synth_config_refuses_a_negative_or_non_finite_noise_std(value):
+    with pytest.raises(ValueError, match="noise_std"):
+        SynthConfig(noise_std=value)
 
 
 def test_manifest_requires_lexicon_coverage():
