@@ -77,10 +77,14 @@ class LossConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("lambda1 and lambda2 must be nonnegative")
+        if not (np.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"tau must be finite and positive, "
+                             f"got {self.tau}")
+        for name in ("lambda1", "lambda2"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, "
+                                 f"got {value}")
         if self.window_w < 1 or self.window_w % 2 == 0:
             raise ValueError(f"window_w must be odd and >= 1, got {self.window_w}")
 

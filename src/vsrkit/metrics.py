@@ -22,48 +22,36 @@ class CerReport:
 def cer(reference, hypothesis) -> CerReport:
     """Minimum-edit-distance error rate (S + D + I) / N with deterministic
     tie-breaking: substitution is preferred over a delete+insert pair, and
-    deletion over insertion.
+    deletion over insertion. The counts ride along in one row of the
+    distance table: each cell carries those of the neighbour this policy
+    takes from it, plus its own operation.
 
     The rate is not clamped, so hypotheses much longer than the reference
     can exceed 1. An empty reference is an error.
     """
     ref = list(reference)
     hyp = list(hypothesis)
-    n, h = len(ref), len(hyp)
+    n = len(ref)
     if n < 1:
         raise ValueError("reference must be nonempty")
 
-    d = [[0] * (h + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        d[i][0] = i
-    for j in range(1, h + 1):
-        d[0][j] = j
-    for i in range(1, n + 1):
-        ri = ref[i - 1]
-        for j in range(1, h + 1):
-            sub = d[i - 1][j - 1] + (ri != hyp[j - 1])
-            dele = d[i - 1][j] + 1
-            ins = d[i][j - 1] + 1
-            d[i][j] = min(sub, dele, ins)
+    # cell j of row i: (distance, S, D, I) from ref[:i] to hyp[:j]
+    row = [(j, 0, 0, j) for j in range(len(hyp) + 1)]
+    for i, r in enumerate(ref, 1):
+        left = (i, 0, i, 0)
+        new = [left]
+        for c, diag, up in zip(hyp, row, row[1:]):
+            cost = 1 if r != c else 0
+            sub = diag[0] + cost
+            if sub <= up[0] + 1 and sub <= left[0] + 1:
+                left = (sub, diag[1] + cost, diag[2], diag[3])
+            elif up[0] <= left[0]:
+                left = (up[0] + 1, up[1], up[2] + 1, up[3])
+            else:
+                left = (left[0] + 1, left[1], left[2], left[3] + 1)
+            new.append(left)
+        row = new
 
-    subs = dels = inss = 0
-    i, j = n, h
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and d[i][j] == d[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
-            if ref[i - 1] != hyp[j - 1]:
-                subs += 1
-            i, j = i - 1, j - 1
-        elif i > 0 and d[i][j] == d[i - 1][j] + 1:
-            dels += 1
-            i -= 1
-        else:
-            inss += 1
-            j -= 1
-
-    return CerReport(
-        substitutions=subs,
-        deletions=dels,
-        insertions=inss,
-        ref_len=n,
-        cer=(subs + dels + inss) / n,
-    )
+    _, subs, dels, inss = row[-1]
+    return CerReport(substitutions=subs, deletions=dels, insertions=inss,
+                     ref_len=n, cer=(subs + dels + inss) / n)

@@ -92,11 +92,12 @@ class ModelConfig:
     with_branches: bool = True  # False: the single-stage ablation
 
     def __post_init__(self):
-        counts = (self.char_vocab, self.phoneme_vocab, self.input_dim,
-                  self.model_dim, self.trunk_layers, self.char_encoder_layers,
-                  self.attention_heads, self.max_decode_len, self.max_frames)
-        if any(c < 1 for c in counts):
-            raise ValueError("all sizes and layer counts must be positive")
+        for name in ("char_vocab", "phoneme_vocab", "input_dim", "model_dim",
+                     "trunk_layers", "char_encoder_layers", "attention_heads",
+                     "max_decode_len", "max_frames", "head_hidden_mult"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, "
+                                 f"got {getattr(self, name)}")
         if not 0.0 <= self.p_drop < 1.0:
             raise ValueError(f"p_drop must be in [0, 1), got {self.p_drop}")
         if self.model_dim % self.attention_heads:

@@ -148,18 +148,18 @@ def make_lexicon(inv: LinguisticInventory, num_chars: int, seed: int) -> Lexicon
         quota[v] += 1
 
     remaining = quota.astype(np.float64)
+    phonemes = [inv.phonemes_of_viseme(v) for v in range(len(prior))]
     pronunciations = []
     for c in range(n_base):
         idxs = []
         for _ in range(int(lengths[c])):
             w = np.where(remaining >= mult[c], remaining, 0.0)
-            if w.sum() == 0:
-                w = remaining.copy()
-            if w.sum() == 0:
-                w = prior.copy()
+            if not w.any():
+                # a slot takes <= its mult, so remaining still sums to >= 1
+                w = remaining
             v = int(_categorical(w / w.sum())(rng))
             remaining[v] = max(0.0, remaining[v] - mult[c])
-            choices = inv.phonemes_of_viseme(v)
+            choices = phonemes[v]
             idxs.append(int(choices[rng.integers(len(choices))]))
         pronunciations.append(tuple(idxs))
 

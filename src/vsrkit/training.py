@@ -69,8 +69,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.phase1_max_frames < 1:
             raise ValueError("batch size and phase-1 threshold must be positive")
-        if self.lr_phase1 <= 0 or self.lr_phase2 <= 0:
-            raise ValueError("learning rates must be positive")
+        for name in ("lr_phase1", "lr_phase2"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {value}")
         for name in ("epochs_phase1", "epochs_phase2", "warmup_steps", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, "
@@ -282,6 +285,12 @@ def train(cfg: TrainConfig, corpus, inv: LinguisticInventory,
         raise TrainingError(
             f"model config phoneme_vocab = {vocab}, but the inventory has "
             f"{inv.num_phonemes} phonemes")
+    vocab = state.model.cfg.char_vocab
+    top = max(max(u.labels.chars, default=0) for u in corpus) + CHAR_OFFSET
+    if top >= vocab:
+        raise TrainingError(
+            f"model config char_vocab = {vocab}, but the corpus has "
+            f"character token {top}")
 
     phases = (
         (filter_by_length(corpus, cfg.phase1_max_frames), cfg.lr_phase1,

@@ -8,6 +8,7 @@ single-utterance check passes the losses a batch of one.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -62,14 +63,10 @@ _ALIGN_SEED = 4321
 _CER_SEED = 99
 _GRADIENT_SEED = 777
 
-_collapse_cache = {}
 
-
+@functools.cache
 def _collapse_groups(T, K):
     """All K^T framewise paths grouped by their collapsed label sequence."""
-    key = (T, K)
-    if key in _collapse_cache:
-        return _collapse_cache[key]
     groups = {}
     for path in itertools.product(range(K), repeat=T):
         out = []
@@ -79,10 +76,8 @@ def _collapse_groups(T, K):
                 out.append(c)
             prev = c
         groups.setdefault(tuple(out), []).append(path)
-    groups = {lab: np.asarray(paths, dtype=np.int64)
-              for lab, paths in groups.items()}
-    _collapse_cache[key] = groups
-    return groups
+    return {lab: np.asarray(paths, dtype=np.int64)
+            for lab, paths in groups.items()}
 
 
 def ctc_path_enumeration(logits, target):

@@ -596,6 +596,9 @@ def test_gen_setting_that_fails_validation_exits_one(tmp_path, capsys):
     ("train", "train", "epochs_phase1 = -1"),
     ("train", "train", "epochs_phase2 = -1"),
     ("train", "train", "warmup_steps = -2"),
+    ("train", "model", "head_hidden_mult = 0"),
+    ("train", "model", "head_hidden_mult = -1"),
+    ("train", "model", "trunk_layers = 0"),
 ])
 def test_out_of_range_setting_exits_one_naming_its_key(tmp_path, cfg_file,
                                                        capsys, command,
@@ -636,6 +639,19 @@ def test_train_names_a_phoneme_vocab_the_inventory_does_not_have(
                "--data", str(data)) == 2
     err = capsys.readouterr().err
     assert f"phoneme_vocab = {vocab}" in err and "38 phonemes" in err
+    assert not (out / "metrics.jsonl").exists()
+
+
+def test_train_names_a_char_vocab_the_corpus_outgrows(tmp_path, cfg_file,
+                                                     capsys):
+    data = _manifest(tmp_path, cfg_file)
+    cfg = tmp_path / "train.ini"
+    cfg.write_text(f"{CFG_TEXT}char_vocab = 6\n", encoding="utf-8")
+    out = tmp_path / "run"
+    assert run("--config", str(cfg), "--out", str(out), "--quiet", "train",
+               "--data", str(data)) == 2
+    err = capsys.readouterr().err
+    assert "char_vocab = 6" in err and "character token" in err
     assert not (out / "metrics.jsonl").exists()
 
 

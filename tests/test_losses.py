@@ -441,10 +441,17 @@ def test_hybrid_rejects_bad_alpha():
         LossConfig(alpha=1.5)
 
 
-@pytest.mark.parametrize("tau", [0.0, -0.5])
+@pytest.mark.parametrize("tau", [0.0, -0.5, math.nan, math.inf])
 def test_loss_config_rejects_non_positive_tau(tau):
     with pytest.raises(ValueError, match="tau"):
         LossConfig(tau=tau)
+
+
+@pytest.mark.parametrize("name", ["lambda1", "lambda2"])
+@pytest.mark.parametrize("value", [-0.5, math.nan, math.inf])
+def test_loss_config_rejects_a_negative_or_non_finite_lambda(name, value):
+    with pytest.raises(ValueError, match=name):
+        LossConfig(**{name: value})
 
 
 def test_total_loss_lambda_zero_reduces_to_hybrid():

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_cer
 from vsrkit.metrics import cer
 from vsrkit.verify import edit_distance_reference
 
@@ -78,3 +81,38 @@ def test_counts_are_deterministic():
     reps = {cer("abcab", "bcaba") for _ in range(5)}
     assert len(reps) == 1
 
+
+@st.composite
+def _cer_pairs(draw):
+    if draw(st.booleans()):
+        alphabet = "abcd"[:draw(st.integers(1, 4))]
+        return (draw(st.text(alphabet, min_size=1, max_size=12)),
+                draw(st.text(alphabet, max_size=12)))
+    symbols = st.integers(0, draw(st.integers(0, 3)))
+    pair = (draw(st.lists(symbols, min_size=1, max_size=12)),
+            draw(st.lists(symbols, max_size=12)))
+    # numpy elements too: the counts stay Python ints either way
+    return tuple(map(np.array, pair)) if draw(st.booleans()) else pair
+
+
+@settings(derandomize=True, max_examples=800, deadline=None)
+@given(_cer_pairs())
+def test_counts_equal_the_reference_walk(pair):
+    got = cer(*pair)
+    want = reference_cer.cer(*pair)
+    # every field, the rate included, compared with ==, and its type
+    for name in ("substitutions", "deletions", "insertions", "ref_len", "cer"):
+        assert getattr(got, name) == getattr(want, name)
+        assert type(getattr(got, name)) is type(getattr(want, name))
+
+
+@pytest.mark.parametrize("ref, hyp, counts", [
+    # two substitutions, not a deletion and an insertion around a match
+    ("ab", "ba", (2, 0, 0)),
+    # a cell where a deletion and an insertion cost the same
+    ([1, 0, 1], [0, 2, 1, 0], (0, 1, 2)),
+])
+def test_tie_break_cases(ref, hyp, counts):
+    rep = cer(ref, hyp)
+    assert (rep.substitutions, rep.deletions, rep.insertions) == counts
+    assert rep == reference_cer.cer(ref, hyp)

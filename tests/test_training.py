@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import fields, replace
 
@@ -53,6 +54,13 @@ def tiny_setup(seed=1, n=12, disable_align=False, with_branches=True,
 # schedule
 
 
+@pytest.mark.parametrize("name", ["lr_phase1", "lr_phase2"])
+@pytest.mark.parametrize("value", [0.0, -1e-3, math.nan, math.inf, -math.inf])
+def test_train_config_rejects_a_non_positive_or_non_finite_lr(name, value):
+    with pytest.raises(ValueError, match=name):
+        TrainConfig(**{name: value})
+
+
 def test_lr_schedule_endpoints():
     assert lr_schedule(0, 100, 1e-3, 10) == 0.0
     assert lr_schedule(10, 100, 1e-3, 10) == 1e-3
@@ -105,6 +113,18 @@ def test_non_finite_loss_component_stops_training_before_logging(
     with pytest.raises(TrainingError, match=re.escape(
             "non-finite loss component 'char_attn' at step 0")):
         train(tcfg, corpus, INV, mcfg, log_fn=records.append)
+    assert records == []
+
+
+def test_a_char_vocab_short_of_the_corpus_tokens_stops_before_any_step():
+    corpus, _, mcfg, tcfg = tiny_setup()
+    top = max(max(u.labels.chars) for u in corpus) + CHAR_OFFSET
+    records = []
+    with pytest.raises(TrainingError, match=re.escape(
+            f"model config char_vocab = {top}, but the corpus has character "
+            f"token {top}")):
+        train(tcfg, corpus, INV, replace(mcfg, char_vocab=top),
+              log_fn=records.append)
     assert records == []
 
 
