@@ -18,7 +18,6 @@ import configparser
 import ctypes
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -70,13 +69,10 @@ def _coerce(section, key, value: str, py_type):
                 value.strip().lower()]
         if py_type is tuple:
             return tuple(int(x) for x in value.split(","))
-        if py_type is float and not math.isfinite(float(value)):
-            raise ValueError
         return py_type(value)
     except (KeyError, ValueError):
-        kind = "finite float" if py_type is float else py_type.__name__
         raise UsageError(f"config key [{section}] {key} = {value!r} is not "
-                         f"a valid {kind}") from None
+                         f"a valid {py_type.__name__}") from None
 
 
 _TYPES_BY_NAME = {"int": int, "float": float, "bool": bool, "tuple": tuple}

@@ -36,7 +36,6 @@ __all__ = [
     "make_lexicon",
     "phoneme_codebook",
     "generate_corpus",
-    "time_mask",
     "write_manifest",
     "read_manifest",
     "filter_by_length",
@@ -258,20 +257,6 @@ def generate_corpus(cfg: SynthConfig, inv: LinguisticInventory,
             durations=tuple(durations.tolist()),
         ))
     return utterances
-
-
-def time_mask(features, rng, prob, max_width):
-    """With probability ``prob`` zero one contiguous span of at most
-    ``max_width`` frames; returns a copy either way."""
-    features = np.array(features, copy=True)
-    T = features.shape[0]
-    if max_width >= T:
-        raise ValueError(f"max_width {max_width} must be < sequence length {T}")
-    if prob > 0 and rng.random() < prob:
-        width = int(rng.integers(1, max_width + 1))
-        start = int(rng.integers(0, T - width + 1))
-        features[start:start + width] = 0.0
-    return features
 
 
 def filter_by_length(utterances, max_frames):

@@ -27,7 +27,7 @@ from .losses import (
 from .metrics import cer
 from .model import CHAR_OFFSET, EOS_ID, SOS_ID, Model, ModelConfig, \
     check_arrays, json_section
-from .synth import filter_by_length, time_mask
+from .synth import Utterance, filter_by_length
 
 __all__ = [
     "TrainConfig",
@@ -67,17 +67,17 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.phase1_max_frames < 1:
-            raise ValueError("batch size and phase-1 threshold must be positive")
+        for name, least in (("batch_size", 1), ("phase1_max_frames", 1),
+                            ("epochs_phase1", 0), ("epochs_phase2", 0),
+                            ("warmup_steps", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         for name in ("lr_phase1", "lr_phase2"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, "
                                  f"got {value}")
-        for name in ("epochs_phase1", "epochs_phase2", "warmup_steps", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative, "
-                                 f"got {getattr(self, name)}")
 
 
 def lr_schedule(step, total_steps, peak, warmup):
@@ -158,47 +158,40 @@ def _char_tokens(utt):
     return [c + CHAR_OFFSET for c in utt.labels.chars]
 
 
-def _pad_batch(utts, augment_rng=None):
-    feats = []
-    for u in utts:
-        f = u.features
-        if augment_rng is not None and _TIME_MASK_MAX_WIDTH < f.shape[0]:
-            f = time_mask(f, augment_rng, _TIME_MASK_PROB, _TIME_MASK_MAX_WIDTH)
-        feats.append(f)
-    lengths = [f.shape[0] for f in feats]
-    T = max(lengths)
-    C = feats[0].shape[1]
-    batch = np.zeros((len(feats), T, C))
-    for i, f in enumerate(feats):
-        batch[i, :lengths[i]] = f
-    return batch, lengths
-
-
-def _decoder_batch(utts, max_decode_len):
-    tok = [_char_tokens(u) for u in utts]
-    if any(len(t) > max_decode_len for t in tok):
-        raise TrainingError("an utterance exceeds max_decode_len characters")
-    L = max(len(t) for t in tok) + 1
-    dec_in = np.full((len(tok), L), EOS_ID, dtype=np.int64)
-    target = np.full((len(tok), L), EOS_ID, dtype=np.int64)
-    for i, t in enumerate(tok):
-        dec_in[i, 0] = SOS_ID
-        dec_in[i, 1:len(t) + 1] = t
+def _batch(utts, augment_rng=None):
+    """Padded features, frame counts, character tokens, decoder inputs and
+    targets of ``utts``, in one pass. An ``augment_rng`` draws, for each
+    utterance of more than ``_TIME_MASK_MAX_WIDTH`` frames in turn,
+    ``random()``, and below ``_TIME_MASK_PROB`` a width and then a start
+    with ``integers``, and zeroes that span of its row."""
+    lengths = [u.num_frames() for u in utts]
+    chars = [_char_tokens(u) for u in utts]
+    L = max(map(len, chars)) + 1
+    feats = np.zeros((len(utts), max(lengths), utts[0].features.shape[1]))
+    target = np.full((len(utts), L), EOS_ID, dtype=np.int64)
+    for i, (u, T, t) in enumerate(zip(utts, lengths, chars)):
+        feats[i, :T] = u.features
+        if (augment_rng is not None and _TIME_MASK_MAX_WIDTH < T
+                and augment_rng.random() < _TIME_MASK_PROB):
+            width = int(augment_rng.integers(1, _TIME_MASK_MAX_WIDTH + 1))
+            start = int(augment_rng.integers(0, T - width + 1))
+            feats[i, start:start + width] = 0.0
         target[i, :len(t)] = t
-    return dec_in, target
+    dec_in = np.insert(target[:, :-1], 0, SOS_ID, axis=1)
+    return feats, lengths, chars, dec_in, target
 
 
 def _batch_losses(cfg: TrainConfig, state: TrainState, utts, inv,
                   augment_rng=None):
     """One batch's loss components as ``total_loss`` returns them; an
-    ``augment_rng`` time-masks the features, None leaves them intact."""
+    ``augment_rng`` time-masks the features in ``_batch``'s draw order
+    (``random()``, width, start per utterance), None leaves them intact."""
     model = state.model
-    feats, lengths = _pad_batch(utts, augment_rng)
-    dec_in, target = _decoder_batch(utts, model.cfg.max_decode_len)
+    feats, lengths, chars, dec_in, target = _batch(utts, augment_rng)
     out = model.forward_train(feats, lengths, dec_in, state.rng)
 
     heads = {"char": out.char_ctc_logits}
-    targets = {"char": [_char_tokens(u) for u in utts]}
+    targets = {"char": chars}
     align = None
     if model.cfg.with_branches:
         heads.update(phoneme=out.phoneme_logits, viseme=out.viseme_logits)
@@ -211,7 +204,7 @@ def _batch_losses(cfg: TrainConfig, state: TrainState, utts, inv,
                                cfg.loss, lengths=lengths)
     ctc = ctc_loss(heads, targets, lengths)
     char_attn = attention_ce_loss(out.char_attn_logits, target,
-                                  [len(u.labels.chars) + 1 for u in utts])
+                                  [len(t) + 1 for t in chars])
 
     return total_loss(ctc["char"], char_attn, cfg.loss,
                       phoneme_ctc=ctc.get("phoneme"),
@@ -262,6 +255,7 @@ def train(cfg: TrainConfig, corpus, inv: LinguisticInventory,
     is one list of epochs, phase 1's then phase 2's; a state resumed from
     ``resume`` skips the leading epochs whose steps add up to its step
     count, and ``model_cfg`` must equal its saved config field for field.
+    Each utterance fed must fit ``max_frames`` and ``max_decode_len``.
     Every step stops on a non-finite loss component, then hands
     ``log_fn`` a record of all loss components, the global gradient norm
     and the clip scale applied to it.
@@ -297,6 +291,16 @@ def train(cfg: TrainConfig, corpus, inv: LinguisticInventory,
          cfg.epochs_phase1, False),
         (list(corpus), cfg.lr_phase2, cfg.epochs_phase2, True),
     )
+    fed = [u for data, _, epochs, _ in phases if epochs for u in data]
+    for name, unit, size in (("max_frames", "frames", Utterance.num_frames),
+                             ("max_decode_len", "characters",
+                              lambda u: len(u.labels.chars))):
+        limit = getattr(state.model.cfg, name)
+        over = next((u for u in fed if size(u) > limit), None)
+        if over is not None:
+            raise TrainingError(
+                f"model config {name} = {limit}, but utterance {over.id} "
+                f"has {size(over)} {unit}")
     # (phase, epoch in phase, data, peak lr, epochs in phase, augment)
     schedule = [(phase, epoch, *p)
                 for phase, p in enumerate(phases, 1) if p[0]

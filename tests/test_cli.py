@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -596,6 +597,8 @@ def test_gen_setting_that_fails_validation_exits_one(tmp_path, capsys):
     ("train", "train", "epochs_phase1 = -1"),
     ("train", "train", "epochs_phase2 = -1"),
     ("train", "train", "warmup_steps = -2"),
+    ("train", "train", "batch_size = 0"),
+    ("train", "train", "phase1_max_frames = 0"),
     ("train", "model", "head_hidden_mult = 0"),
     ("train", "model", "head_hidden_mult = -1"),
     ("train", "model", "trunk_layers = 0"),
@@ -653,6 +656,24 @@ def test_train_names_a_char_vocab_the_corpus_outgrows(tmp_path, cfg_file,
     err = capsys.readouterr().err
     assert "char_vocab = 6" in err and "character token" in err
     assert not (out / "metrics.jsonl").exists()
+
+
+@pytest.mark.parametrize("setting, unit", [("max_frames = 5", "frames"),
+                                           ("max_decode_len = 1",
+                                            "characters")])
+def test_train_names_an_utterance_past_a_model_bound(tmp_path, cfg_file,
+                                                    capsys, setting, unit):
+    data = _manifest(tmp_path, cfg_file)
+    cfg = tmp_path / "train.ini"
+    cfg.write_text(f"{CFG_TEXT}{setting}\n", encoding="utf-8")
+    out = tmp_path / "run"
+    assert run("--config", str(cfg), "--out", str(out), "--quiet", "train",
+               "--data", str(data)) == 2
+    err = capsys.readouterr().err
+    assert re.search(rf"model config {setting}, but utterance utt\d+ has "
+                     rf"\d+ {unit}", err), err
+    assert not (out / "metrics.jsonl").exists()
+    assert not (out / "checkpoints").exists()
 
 
 def test_train_takes_phoneme_vocab_from_the_manifest_inventory(tmp_path,

@@ -18,7 +18,6 @@ from vsrkit.synth import (
     make_lexicon,
     phoneme_codebook,
     read_manifest,
-    time_mask,
     viseme_frequencies,
     write_manifest,
 )
@@ -200,29 +199,6 @@ def test_curriculum_filter(small_corpus):
     subset = filter_by_length(corpus, 25)
     assert all(u.num_frames() <= 25 for u in subset)
     assert len(subset) < len(corpus)
-
-
-def test_time_mask_prob_zero_is_identity():
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(10, 4))
-    assert np.array_equal(time_mask(x, rng, 0.0, 3), x)
-
-
-def test_time_mask_zeroes_one_bounded_span():
-    rng = np.random.default_rng(1)
-    x = np.ones((10, 2))
-    y = time_mask(x, rng, 1.0, 2)
-    zero_rows = np.flatnonzero((y == 0).all(axis=1))
-    assert 1 <= len(zero_rows) <= 2
-    assert np.array_equal(np.diff(zero_rows), np.ones(len(zero_rows) - 1))
-    untouched = np.setdiff1d(np.arange(10), zero_rows)
-    assert np.array_equal(y[untouched], x[untouched])
-
-
-def test_time_mask_rejects_wide_masks():
-    rng = np.random.default_rng(2)
-    with pytest.raises(ValueError):
-        time_mask(np.ones((4, 2)), rng, 1.0, 4)
 
 
 def test_manifest_roundtrip(tmp_path, small_corpus):

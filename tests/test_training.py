@@ -5,13 +5,17 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_batch
 from vsrkit import training
 from vsrkit.autodiff import Tensor, grad_of
-from vsrkit.linguistics import default_inventory
+from vsrkit.linguistics import LabelTriple, default_inventory
 from vsrkit.losses import LossConfig
 from vsrkit.model import CHAR_OFFSET, ActivationConfig, Model, ModelConfig
-from vsrkit.synth import SynthConfig, generate_corpus, make_lexicon
+from vsrkit.synth import SynthConfig, Utterance, generate_corpus, \
+    make_lexicon
 from vsrkit.training import (
     TrainConfig,
     TrainState,
@@ -81,6 +85,83 @@ def test_lr_schedule_rejects_negative_step():
 
 
 # ----------------------------------------------------------------------
+# the batch
+
+
+def utterance(i, features, n_chars):
+    labels = LabelTriple(chars=tuple(range(i, i + n_chars)), phonemes=(),
+                         visemes=())
+    return Utterance(id=f"utt{i:05d}", features=features, labels=labels,
+                     durations=())
+
+
+@st.composite
+def batches(draw):
+    """1-8 utterances of 1-12 frames and 1-6 characters, all of one
+    feature width of 1-4, with nonzero features."""
+    width = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [utterance(i, rng.normal(size=(T, width)) + 10.0, n)
+            for i, (T, n) in enumerate(draw(st.lists(
+                st.tuples(st.integers(1, 12), st.integers(1, 6)),
+                min_size=1, max_size=8)))]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(utts=batches(), seed=st.integers(0, 2**32 - 1))
+def test_batch_equals_the_reference_pad_mask_and_decoder_batch(utts, seed):
+    seeded = (np.random.default_rng(seed), np.random.default_rng(seed))
+    for want_rng, got_rng in ((None, None), seeded):
+        want_feats, want_lengths = reference_batch._pad_batch(utts, want_rng)
+        want = reference_batch._decoder_batch(utts, 6)
+        feats, lengths, chars, *got = training._batch(utts, got_rng)
+        assert feats.dtype == want_feats.dtype
+        assert feats.shape == want_feats.shape
+        assert feats.tobytes() == want_feats.tobytes()
+        assert lengths == want_lengths
+        assert chars == [reference_batch._char_tokens(u) for u in utts]
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert seeded[1].bit_generator.state == seeded[0].bit_generator.state
+
+
+def test_batch_without_an_rng_pads_each_utterance_unchanged():
+    rng = np.random.default_rng(0)
+    utts = [utterance(i, rng.normal(size=(T, 4)), 2)
+            for i, T in enumerate((10, 4, 7))]
+    feats, lengths, *_ = training._batch(utts)
+    assert lengths == [10, 4, 7]
+    for row, u, T in zip(feats, utts, lengths):
+        assert np.array_equal(row[:T], u.features)
+        assert not row[T:].any()
+
+
+def test_a_masked_row_has_one_zeroed_span_of_one_to_three_frames():
+    utts = [utterance(i, np.ones((10, 2)), 1) for i in range(40)]
+    feats, *_ = training._batch(utts, np.random.default_rng(1))
+    masked = 0
+    for row in feats:
+        zero = np.flatnonzero((row == 0).all(axis=1))
+        if zero.size:
+            masked += 1
+            assert 1 <= zero.size <= training._TIME_MASK_MAX_WIDTH
+            assert np.array_equal(np.diff(zero), np.ones(zero.size - 1))
+        assert np.array_equal(row[(row != 0).any(axis=1)],
+                              np.ones((10 - zero.size, 2)))
+    assert 0 < masked < len(utts)
+
+
+def test_an_utterance_of_at_most_three_frames_is_never_masked():
+    rng = np.random.default_rng(2)
+    before = rng.bit_generator.state
+    utts = [utterance(i, np.ones((T, 3)), 1) for i, T in enumerate((1, 2, 3))]
+    feats, *_ = training._batch(utts, rng)
+    assert rng.bit_generator.state == before
+    for row, T in zip(feats, (1, 2, 3)):
+        assert np.array_equal(row[:T], np.ones((T, 3)))
+
+
+# ----------------------------------------------------------------------
 # the loop
 
 
@@ -126,6 +207,34 @@ def test_a_char_vocab_short_of_the_corpus_tokens_stops_before_any_step():
         train(tcfg, corpus, INV, replace(mcfg, char_vocab=top),
               log_fn=records.append)
     assert records == []
+
+
+@pytest.mark.parametrize("name, unit, size", [
+    ("max_frames", "frames", Utterance.num_frames),
+    ("max_decode_len", "characters", lambda u: len(u.labels.chars)),
+])
+def test_an_utterance_past_a_model_bound_stops_before_any_step(name, unit,
+                                                               size):
+    corpus, _, mcfg, tcfg = tiny_setup()
+    limit = max(map(size, corpus)) - 1
+    over = {f"utterance {u.id} has {size(u)} {unit}" for u in corpus
+            if size(u) > limit}
+    records = []
+    with pytest.raises(TrainingError) as err:
+        train(tcfg, corpus, INV, replace(mcfg, **{name: limit}),
+              log_fn=records.append)
+    head = f"model config {name} = {limit}, but "
+    assert str(err.value).startswith(head)
+    assert str(err.value)[len(head):] in over
+    assert records == []
+
+
+def test_long_utterances_that_no_phase_feeds_do_not_stop_training():
+    corpus, _, mcfg, tcfg = tiny_setup(epochs=(1, 0))
+    mcfg = replace(mcfg, max_frames=tcfg.phase1_max_frames)
+    assert max(u.num_frames() for u in corpus) > mcfg.max_frames
+    records, state = logged(tcfg, corpus, INV, mcfg)
+    assert len(records) == state.step > 0
 
 
 def test_lambda_zero_total_equals_hybrid():
