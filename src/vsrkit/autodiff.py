@@ -353,44 +353,48 @@ def grad_of(leaf):
     return leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
 
 
-def central_difference(f, x, indices=None, step=1e-4):
-    """Richardson-extrapolated central differences (4 D(h) - D(2h)) / 3 of
-    the scalar Tensor ``f()`` at flat ``indices`` (default all) of the array
-    ``x``, which ``f`` reads and which is perturbed in place. Cancelling the
-    h^2 error lets h be large enough to keep round-off near 1e-12."""
+def central_difference(f, xs, us, step=1e-4):
+    """Richardson-extrapolated central difference (4 D(h) - D(2h)) / 3 of
+    the scalar Tensor ``f()`` along the direction ``us``: each array of
+    ``xs``, which ``f`` reads, moves in place by +-h and +-2h times its
+    array of ``us`` and is then restored. This estimates the sum of
+    <grad, u> over the arrays; a unit direction probes one entry alone.
+    Cancelling the h^2 error keeps round-off near 1e-12 at this h."""
     if step <= 0:
         raise ValueError("step must be positive")
-    indices = range(x.size) if indices is None else indices
-    out = np.empty(len(indices))
-    for n, i in enumerate(indices):
-        orig = x.flat[i]
-        d = []
+    origs = [x.copy() for x in xs]
+    d = []
+    try:
         for h in (step, 2 * step):
-            x.flat[i] = orig + h
-            hi = float(f().data)
-            x.flat[i] = orig - h
-            lo = float(f().data)
-            if not (np.isfinite(hi) and np.isfinite(lo)):
+            at = []
+            for s in (h, -h):
+                for x, o, u in zip(xs, origs, us):
+                    x[...] = o + s * u
+                at.append(float(f().data))
+            if not np.isfinite(at).all():
                 raise AutodiffError(
                     "function returned non-finite value at probe point")
-            d.append((hi - lo) / (2 * h))
-        x.flat[i] = orig
-        out[n] = (4 * d[0] - d[1]) / 3
-    return out
+            d.append((at[0] - at[1]) / (2 * h))
+    finally:
+        for x, o in zip(xs, origs):
+            x[...] = o
+    return (4 * d[0] - d[1]) / 3
 
 
 def finite_difference_check(f, x, step=1e-4):
     """Max relative error between analytic and finite-difference gradients.
 
     ``f`` maps a leaf Tensor to a scalar Tensor. The analytic gradient comes
-    from one reverse pass, the numeric one from ``central_difference``;
-    relative errors use a floor of 1e-8.
+    from one reverse pass, the numeric one from ``central_difference`` along
+    each unit direction in turn; relative errors use a floor of 1e-8.
     """
     leaf = Tensor(np.array(as_tensor(x).data))
     backward(f(leaf))
     analytic = grad_of(leaf).ravel()
     base = leaf.data.copy()
-    numeric = central_difference(lambda: f(Tensor(base)), base, step=step)
+    units = np.eye(base.size).reshape(base.size, *base.shape)
+    numeric = [central_difference(lambda: f(Tensor(base)), [base], [u], step)
+               for u in units]
     err = np.abs(analytic - numeric) / np.maximum(
         np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(err.max(initial=0.0))

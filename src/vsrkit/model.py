@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 CHECKPOINT_VERSION = "vsrkit-checkpoint v5"
+# the JSON values a ``__config__`` key of each ``ModelConfig`` type takes
+_JSON_TYPES = {"bool": bool, "int": int, "float": (int, float)}
 
 # character token layout shared by both char heads
 BLANK_ID = BLANK
@@ -510,6 +512,12 @@ class Model:
             kind = "unknown" if bad[0] in values else "missing"
             raise CheckpointError(
                 f"{path}: {kind} ModelConfig key {bad[0]!r}")
+        for f in fields(ModelConfig):  # Python's bool is an int
+            v, want = values[f.name], _JSON_TYPES[f.type]
+            if isinstance(v, bool) != (f.type == "bool") or \
+                    not isinstance(v, want):
+                raise CheckpointError(f"{path}: ModelConfig key {f.name!r} "
+                                      f"must be {f.type}, got {v!r}")
         model = cls(ModelConfig(**values))
         check_arrays(path, "parameter", loaded,
                      {k: p.data for k, p in model.params.items()},

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .linguistics import (
     Lexicon,
@@ -178,6 +177,8 @@ def _char_sampling_weights(lexicon: Lexicon, inv: LinguisticInventory,
     """Character weights whose induced long-run viseme frequency matches the
     inventory prior as closely as the lexicon allows (nonnegative least
     squares on the composition deficit)."""
+    from scipy.optimize import nnls  # only synthesis pays for scipy
+
     prior = np.asarray(inv.viseme_frequency)
     p2v = inv.phoneme_to_viseme
     counts = np.zeros((inv.num_visemes, vocab_size))

@@ -8,6 +8,7 @@ parameter or moment array sees it change."""
 from __future__ import annotations
 
 import json
+import operator
 import time
 from dataclasses import asdict, dataclass, field
 from itertools import accumulate
@@ -181,6 +182,30 @@ def _batch(utts, augment_rng=None):
     return feats, lengths, chars, dec_in, target
 
 
+# what a model config field bounds in each utterance: the utterance's
+# size, its unit and whether the size fits the field's value
+_FITS = {
+    "max_frames": (Utterance.num_frames, "frames", operator.le),
+    "input_dim": (lambda u: u.features.shape[1], "features per frame",
+                  operator.eq),
+    "max_decode_len": (lambda u: len(u.labels.chars), "characters",
+                       operator.le),
+}
+
+
+def _check_fits(model_cfg, utts, *names):
+    """Raise a ``TrainingError`` naming the first field of ``names`` that
+    an utterance of ``utts`` does not fit, and the first such utterance."""
+    for name in names:
+        size, unit, fits = _FITS[name]
+        limit = getattr(model_cfg, name)
+        bad = next((u for u in utts if not fits(size(u), limit)), None)
+        if bad is not None:
+            raise TrainingError(
+                f"model config {name} = {limit}, but utterance {bad.id} "
+                f"has {size(bad)} {unit}")
+
+
 def _batch_losses(cfg: TrainConfig, state: TrainState, utts, inv,
                   augment_rng=None):
     """One batch's loss components as ``total_loss`` returns them; an
@@ -255,7 +280,8 @@ def train(cfg: TrainConfig, corpus, inv: LinguisticInventory,
     is one list of epochs, phase 1's then phase 2's; a state resumed from
     ``resume`` skips the leading epochs whose steps add up to its step
     count, and ``model_cfg`` must equal its saved config field for field.
-    Each utterance fed must fit ``max_frames`` and ``max_decode_len``.
+    Each utterance fed must fit ``max_frames``, ``input_dim`` and
+    ``max_decode_len``.
     Every step stops on a non-finite loss component, then hands
     ``log_fn`` a record of all loss components, the global gradient norm
     and the clip scale applied to it.
@@ -292,15 +318,7 @@ def train(cfg: TrainConfig, corpus, inv: LinguisticInventory,
         (list(corpus), cfg.lr_phase2, cfg.epochs_phase2, True),
     )
     fed = [u for data, _, epochs, _ in phases if epochs for u in data]
-    for name, unit, size in (("max_frames", "frames", Utterance.num_frames),
-                             ("max_decode_len", "characters",
-                              lambda u: len(u.labels.chars))):
-        limit = getattr(state.model.cfg, name)
-        over = next((u for u in fed if size(u) > limit), None)
-        if over is not None:
-            raise TrainingError(
-                f"model config {name} = {limit}, but utterance {over.id} "
-                f"has {size(over)} {unit}")
+    _check_fits(state.model.cfg, fed, *_FITS)
     # (phase, epoch in phase, data, peak lr, epochs in phase, augment)
     schedule = [(phase, epoch, *p)
                 for phase, p in enumerate(phases, 1) if p[0]
@@ -354,9 +372,11 @@ def evaluate(model: Model, corpus, activations, lexicon, decode, beam_width,
     utterance and activation, then a summary of each activation's summed
     edit counts, corpus and median CER and active parameters;
     ``timings.json`` holds each activation's wall-clock seconds. Returns
-    the summaries and those seconds."""
+    the summaries and those seconds. Every utterance must fit the model's
+    ``max_frames`` and ``input_dim`` (decoding caps its own length)."""
     if not corpus:
         raise TrainingError("corpus is empty")
+    _check_fits(model.cfg, corpus, "max_frames", "input_dim")
     records, summaries, seconds = [], [], {}
     for act in activations:
         t0 = time.perf_counter()

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from vsrkit import autodiff as ad
+from vsrkit import autodiff as ad, verify
 from vsrkit.autodiff import (
     AutodiffError,
     Tensor,
@@ -31,8 +31,9 @@ def check_primitive(make_scalar, shape, rng, cases=100, tol=1e-6):
         leaf = Tensor(x.copy())
         backward(make_scalar(leaf))
         analytic = grad_of(leaf)
-        numeric = central_difference(lambda: make_scalar(Tensor(x)),
-                                     x).reshape(x.shape)
+        numeric = np.reshape([
+            central_difference(lambda: make_scalar(Tensor(x)), [x], [u])
+            for u in np.eye(x.size).reshape(x.size, *shape)], shape)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4)
         worst = max(worst, float((np.abs(analytic - numeric) / denom).max()))
     assert worst < tol, worst
@@ -524,9 +525,43 @@ def test_finite_difference_check_flags_non_finite_probe():
 def test_central_difference_probes_in_place_and_restores():
     x = np.array([[1.0, 2.0], [3.0, 4.0]])
     before = x.copy()
-    cubes = central_difference(lambda: weighted_sum(ad.mul(ad.mul(
-        Tensor(x), Tensor(x)), Tensor(x))), x, indices=[1, 3])
-    assert np.allclose(cubes, 3 * before.ravel()[[1, 3]] ** 2, rtol=1e-10)
+
+    def cubes():
+        return weighted_sum(ad.mul(ad.mul(Tensor(x), Tensor(x)), Tensor(x)))
+
+    for i in (1, 3):
+        unit = np.zeros_like(x)
+        unit.flat[i] = 1.0
+        assert central_difference(cubes, [x], [unit]) == \
+            pytest.approx(3 * before.flat[i] ** 2, rel=1e-10)
+        assert np.array_equal(x, before)
+
+
+def test_central_difference_along_a_direction_over_arrays():
+    rng = np.random.default_rng(5)
+    x, y, u, v = (rng.normal(size=shape) for shape in ((2, 3), 4) * 2)
+    before = x.copy(), y.copy()
+
+    def f():  # sum(x^3) + sum(w * y)
+        cube = ad.mul(ad.mul(Tensor(x), Tensor(x)), Tensor(x))
+        return ad.add(weighted_sum(cube), weighted_sum(Tensor(y), OTHER[0]))
+
+    want = np.vdot(3 * x ** 2, u) + np.vdot(OTHER[0], v)
+    assert central_difference(f, [x, y], [u, v]) == \
+        pytest.approx(want, rel=1e-10)
+    assert np.array_equal(x, before[0]) and np.array_equal(y, before[1])
+
+
+def test_central_difference_restores_after_a_non_finite_probe():
+    x = np.array([1e-5, 2.0])
+    before = x.copy()
+
+    def reciprocal():  # infinite once the first entry reaches 0
+        with np.errstate(divide="ignore"):
+            return Tensor(np.float64((1.0 / x).sum()))
+
+    with pytest.raises(AutodiffError, match="non-finite"):
+        central_difference(reciprocal, [x], [np.ones(2)], step=1e-5)
     assert np.array_equal(x, before)
 
 
@@ -535,3 +570,51 @@ def test_gradient_suite_passes_at_full_loss_instance_count():
     # plain step-1e-5 central difference misses by 2e-4 relative
     result = gradient_suite(instances=50, model_instances=0)
     assert result["passed"], result
+
+
+MUTATION = 1 + 1e-3
+
+
+def _scaled_gradient(t):
+    """``t``'s value, passing back its gradient times ``MUTATION``."""
+    return Tensor(t.data, (t,), lambda g: (g * MUTATION,), op="mutant")
+
+
+def _mutate_layer_norm_bias(monkeypatch):
+    layer_norm = ad.layer_norm
+
+    def mutant(x, scale, bias, eps):
+        out = layer_norm(x, scale, bias, eps)
+        grad_fn = out._grad_fn
+
+        def scaled(g):
+            gx, gscale, gbias = grad_fn(g)
+            return gx, gscale, gbias * MUTATION
+        out._grad_fn = scaled
+        return out
+    monkeypatch.setattr(ad, "layer_norm", mutant)
+
+
+def _mutate_total_loss_terms(*names):
+    def mutate(monkeypatch):
+        total_loss = verify.total_loss
+
+        def mutant(char_ctc, char_attn, cfg, **terms):
+            for name in names:
+                terms[name] = _scaled_gradient(terms[name])
+            return total_loss(char_ctc, char_attn, cfg, **terms)
+        monkeypatch.setattr(verify, "total_loss", mutant)
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    _mutate_layer_norm_bias,
+    _mutate_total_loss_terms("align"),
+    _mutate_total_loss_terms("phoneme_ctc", "viseme_ctc"),
+], ids=["layer_norm_bias", "align_term", "lambda2_branch_ctc_term"])
+def test_gradient_suite_fails_on_a_gradient_off_by_a_tenth_of_a_percent(
+        monkeypatch, mutate):
+    assert gradient_suite(instances=0, model_instances=3)["passed"]
+    mutate(monkeypatch)
+    result = gradient_suite(instances=0, model_instances=3)
+    assert not result["passed"], result

@@ -412,6 +412,29 @@ def test_train_and_eval_name_an_empty_manifest(tmp_path, cfg_file, capsys):
             capsys.readouterr().err
 
 
+@pytest.mark.parametrize("decode", ["ctc_greedy", "attention"])
+def test_eval_names_an_utterance_longer_than_the_model_takes(
+        tmp_path, cfg_file, capsys, decode):
+    _, ck = _edited_state(tmp_path, cfg_file, lambda arrays: None)
+    limit = Model.load(ck).cfg.max_frames
+    long_cfg = tmp_path / "long.ini"
+    long_cfg.write_text(CFG_TEXT.replace("sentence_len = 1,2",
+                                         "sentence_len = 6,8")
+                        + f"[eval]\ndecode = {decode}\n", encoding="utf-8")
+    data = tmp_path / "long"
+    run("--config", str(long_cfg), "--out", str(data), "--quiet", "gen")
+    corpus, _, _ = read_manifest(data)
+    first = next(u for u in corpus if u.num_frames() > limit)
+    capsys.readouterr()
+    ed = tmp_path / "eval"
+    assert run("--config", str(long_cfg), "--out", str(ed), "--quiet",
+               "eval", "--checkpoint", str(ck), "--data", str(data)) == 2
+    assert (f"TrainingError: model config max_frames = {limit}, but "
+            f"utterance {first.id} has {first.num_frames()} frames") in \
+        capsys.readouterr().err
+    assert not (ed / "report.jsonl").exists()
+
+
 def test_eval_requires_arguments(cfg_file):
     assert run("--config", cfg_file, "--quiet", "eval") == 1
 

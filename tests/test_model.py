@@ -549,7 +549,19 @@ def test_checkpoint_version_check(tmp_path, model):
     ({"bogus": 1}, "unknown ModelConfig key 'bogus'"),
     ({"viseme_vocab": 16}, "unknown ModelConfig key 'viseme_vocab'"),
     ({"p_drop": None}, "missing ModelConfig key 'p_drop'"),
-], ids=["unknown", "removed", "missing"])
+    ({"with_branches": "no"},
+     "ModelConfig key 'with_branches' must be bool, got 'no'"),
+    ({"with_branches": 1},
+     "ModelConfig key 'with_branches' must be bool, got 1"),
+    ({"model_dim": "8"}, "ModelConfig key 'model_dim' must be int, got '8'"),
+    ({"model_dim": 8.0}, "ModelConfig key 'model_dim' must be int, got 8.0"),
+    ({"max_frames": True},
+     "ModelConfig key 'max_frames' must be int, got True"),
+    ({"p_drop": False}, "ModelConfig key 'p_drop' must be float, got False"),
+    ({"p_drop": "0.1"}, "ModelConfig key 'p_drop' must be float, got '0.1'"),
+], ids=["unknown", "removed", "missing", "bool-as-string", "bool-as-int",
+        "count-as-string", "count-as-float", "count-as-bool", "float-as-bool",
+        "float-as-string"])
 def test_checkpoint_load_names_a_config_key_at_fault(tmp_path, model, edit,
                                                      message):
     values = {**json.loads(model.cfg.to_json()), **edit}

@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -397,3 +401,22 @@ def test_codebook_seed_shares_features_across_corpora():
                     char_vocab_size=20)
     assert not np.array_equal(phoneme_codebook(a, INV),
                               phoneme_codebook(c, INV))
+
+
+def test_only_synthesis_imports_scipy():
+    script = (
+        "import sys\n"
+        "import vsrkit.cli, vsrkit.model, vsrkit.training\n"
+        "print('scipy' in sys.modules)\n"
+        "from vsrkit.linguistics import default_inventory\n"
+        "from vsrkit.synth import SynthConfig, generate_corpus, make_lexicon\n"
+        "inv = default_inventory()\n"
+        "generate_corpus(SynthConfig(num_utterances=1), inv,\n"
+        "                make_lexicon(inv, 48, seed=0))\n"
+        "print('scipy' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False", "True"]

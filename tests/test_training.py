@@ -211,6 +211,7 @@ def test_a_char_vocab_short_of_the_corpus_tokens_stops_before_any_step():
 
 @pytest.mark.parametrize("name, unit, size", [
     ("max_frames", "frames", Utterance.num_frames),
+    ("input_dim", "features per frame", lambda u: u.features.shape[1]),
     ("max_decode_len", "characters", lambda u: len(u.labels.chars)),
 ])
 def test_an_utterance_past_a_model_bound_stops_before_any_step(name, unit,
@@ -522,6 +523,24 @@ def test_evaluate_rejects_an_empty_corpus(tmp_path):
     with pytest.raises(TrainingError, match="corpus is empty"):
         evaluate(Model(mcfg), [], [ActivationConfig(True, True)], lex,
                  "ctc_greedy", 8, tmp_path)
+    assert not (tmp_path / "report.jsonl").exists()
+
+
+@pytest.mark.parametrize("name, unit, size", [
+    ("max_frames", "frames", Utterance.num_frames),
+    ("input_dim", "features per frame", lambda u: u.features.shape[1]),
+])
+def test_evaluate_names_an_utterance_the_model_cannot_take(tmp_path, name,
+                                                           unit, size):
+    corpus, lex, mcfg, _ = tiny_setup()
+    limit = max(map(size, corpus)) - 1
+    first = next(u for u in corpus if size(u) > limit)
+    with pytest.raises(TrainingError, match=re.escape(
+            f"model config {name} = {limit}, but utterance {first.id} "
+            f"has {size(first)} {unit}")):
+        evaluate(Model(replace(mcfg, **{name: limit})), corpus,
+                 [ActivationConfig(True, True)], lex, "attention", 8,
+                 tmp_path)
     assert not (tmp_path / "report.jsonl").exists()
 
 
