@@ -47,6 +47,7 @@ __all__ = [
     "inference",
     "trace",
     "central_difference",
+    "gradient_error",
     "finite_difference_check",
 ]
 
@@ -381,20 +382,28 @@ def central_difference(f, xs, us, step=1e-4):
     return (4 * d[0] - d[1]) / 3
 
 
+def gradient_error(analytic, numeric):
+    """||a - n||_inf / max(||a||_inf, ||n||_inf, 1e-8): the error of a
+    gradient, or of a directional derivative, scaled to the larger of the
+    two. Every entry is judged against the largest, so the round-off of an
+    entry far below it does not read as an error."""
+    a, n = np.ravel(analytic), np.ravel(numeric)
+    scale = max(np.abs(a).max(initial=0.0), np.abs(n).max(initial=0.0), 1e-8)
+    return float(np.abs(a - n).max(initial=0.0) / scale)
+
+
 def finite_difference_check(f, x, step=1e-4):
-    """Max relative error between analytic and finite-difference gradients.
+    """``gradient_error`` of the analytic gradient of ``f`` at ``x``: the
+    largest entry error scaled to the larger gradient's largest entry.
 
     ``f`` maps a leaf Tensor to a scalar Tensor. The analytic gradient comes
     from one reverse pass, the numeric one from ``central_difference`` along
-    each unit direction in turn; relative errors use a floor of 1e-8.
+    each unit direction in turn.
     """
     leaf = Tensor(np.array(as_tensor(x).data))
     backward(f(leaf))
-    analytic = grad_of(leaf).ravel()
     base = leaf.data.copy()
     units = np.eye(base.size).reshape(base.size, *base.shape)
     numeric = [central_difference(lambda: f(Tensor(base)), [base], [u], step)
                for u in units]
-    err = np.abs(analytic - numeric) / np.maximum(
-        np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float(err.max(initial=0.0))
+    return gradient_error(grad_of(leaf), numeric)

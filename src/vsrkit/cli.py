@@ -3,12 +3,12 @@
 Configuration is an INI-style file with [synth], [model], [loss], [train]
 and [eval] sections; command-line flags override file values and the
 effective configuration is echoed so any run can be reproduced from it;
-values are literal (no ``%`` interpolation). A refused ``train`` leaves
-``--out`` as it was. ``eval`` runs the activations asked for, else every
-one the checkpoint has, and echoes a line for each; ``training.evaluate``
-writes its report. A command runs with one OpenBLAS thread, because GEMMs
-split over threads round differently and a run's bits would follow the
-machine's core count.
+values are literal (no ``%`` interpolation). A refused ``gen``, ``train``
+or ``eval`` leaves ``--out`` as it was. ``eval`` runs the activations asked
+for, else every one the checkpoint has, and echoes a line for each;
+``training.evaluate`` writes its report. A command runs with one OpenBLAS
+thread, because GEMMs split over threads round differently and a run's bits
+would follow the machine's core count.
 Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
 from __future__ import annotations
@@ -186,8 +186,8 @@ def cmd_gen(args):
     else:
         lexicon = load_lexicon(source, inv)
 
-    _write_effective(args, {"synth": _dc_dict(scfg), "gen": gen_kw})
     corpus = generate_corpus(scfg, inv, lexicon)
+    _write_effective(args, {"synth": _dc_dict(scfg), "gen": gen_kw})
     write_manifest(args.out, corpus, inv, lexicon)
     _echo(args, f"wrote {len(corpus)} utterances to {args.out}")
     return 0
@@ -294,10 +294,10 @@ def cmd_eval(args):
     if not names:
         activations, names = present, [a.name for a in present]
 
-    _write_effective(args, {"eval": {**eval_kw,
-                                     "activations": ";".join(names)}})
     summaries, seconds = evaluate(model, corpus, activations, lexicon, decode,
                                   beam_width, args.out)
+    _write_effective(args, {"eval": {**eval_kw,
+                                     "activations": ";".join(names)}})
     for s in summaries:
         _echo(args, f"{s['activation']:>6}: corpus CER {s['corpus_cer']:.4f} "
                     f"median {s['median_cer']:.4f} "

@@ -518,7 +518,11 @@ class Model:
                     not isinstance(v, want):
                 raise CheckpointError(f"{path}: ModelConfig key {f.name!r} "
                                       f"must be {f.type}, got {v!r}")
-        model = cls(ModelConfig(**values))
+        try:
+            cfg = ModelConfig(**values)
+        except ValueError as e:
+            raise CheckpointError(f"{path}: ModelConfig {e}") from None
+        model = cls(cfg)
         check_arrays(path, "parameter", loaded,
                      {k: p.data for k, p in model.params.items()},
                      CheckpointError)

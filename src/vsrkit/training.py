@@ -368,12 +368,13 @@ def train(cfg: TrainConfig, corpus, inv: LinguisticInventory,
 def evaluate(model: Model, corpus, activations, lexicon, decode, beam_width,
              out):
     """Decode ``corpus`` under each ``ActivationConfig`` and write the eval
-    report into the directory ``out``: ``report.jsonl`` holds a record per
-    utterance and activation, then a summary of each activation's summed
-    edit counts, corpus and median CER and active parameters;
-    ``timings.json`` holds each activation's wall-clock seconds. Returns
-    the summaries and those seconds. Every utterance must fit the model's
-    ``max_frames`` and ``input_dim`` (decoding caps its own length)."""
+    report into the directory ``out``, made if missing: ``report.jsonl``
+    holds a record per utterance and activation, then a summary of each
+    activation's summed edit counts, corpus and median CER and active
+    parameters; ``timings.json`` holds each activation's wall-clock seconds.
+    Returns the summaries and those seconds. Every utterance must fit the
+    model's ``max_frames`` and ``input_dim`` (decoding caps its own
+    length); nothing is written until every activation has decoded."""
     if not corpus:
         raise TrainingError("corpus is empty")
     _check_fits(model.cfg, corpus, "max_frames", "input_dim")
@@ -405,6 +406,7 @@ def evaluate(model: Model, corpus, activations, lexicon, decode, beam_width,
             "median_cer": float(np.median([r.cer for r in reports])),
             "active_params": model.count_active_params(act),
         })
+    Path(out).mkdir(parents=True, exist_ok=True)
     with open(Path(out) / "report.jsonl", "w", encoding="utf-8") as fh:
         for rec in [*records, {"kind": "summary", "configs": summaries}]:
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")

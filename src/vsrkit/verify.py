@@ -1,7 +1,9 @@
 """Self-contained oracle suites: exhaustive CTC path enumeration, a dense
 re-implementation of the alignment loss, a reference edit-distance, and
 finite-difference gradient checks, entry by entry for each loss and along
-one random direction per parameter group for the whole model.
+one random direction per parameter group for the whole model. Each gradient
+check reads ``autodiff.gradient_error``: the largest error scaled to the
+larger gradient's largest entry.
 
 Everything here is deliberately independent of the taped implementations it
 checks: plain loops, no shared helpers beyond the inventory data. A
@@ -17,7 +19,12 @@ import time
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, central_difference, finite_difference_check
+from .autodiff import (
+    Tensor,
+    central_difference,
+    finite_difference_check,
+    gradient_error,
+)
 from .linguistics import default_inventory
 from .losses import (
     CtcNoValidPathError,
@@ -55,7 +62,7 @@ _CTC_MAX_T = 6
 _CTC_MAX_K = 4
 _CTC_MAX_L = 3
 _ORACLE_TOL = 1e-10
-_LOSS_GRAD_TOL = 1e-4
+_LOSS_GRAD_TOL = 1e-8
 _MODEL_GRAD_TOL = 1e-5
 _CTC_SEED = 1234
 _ALIGN_SEED = 4321
@@ -245,7 +252,9 @@ def gradient_suite(instances, model_instances):
     """Analytic gradients against central finite differences: each loss on
     ``instances`` random inputs, probed along every unit direction, and the
     whole training loss on ``model_instances`` tiny models, probed along one
-    random direction per parameter group (the name before the "/")."""
+    random direction per parameter group (the name before the "/"). Each
+    check reports its worst ``gradient_error``, the error scaled to the
+    larger gradient (for the model, the larger directional derivative)."""
     rng = np.random.default_rng(_GRADIENT_SEED)
     # the ragged-length instances draw from their own stream, so the
     # other instances stay the same
@@ -355,7 +364,7 @@ def gradient_suite(instances, model_instances):
             us = [rng.normal(size=p.data.shape) for p in params]
             a = sum(map(np.vdot, map(ad.grad_of, params), us))  # <g, u>
             n = central_difference(model_loss, [p.data for p in params], us)
-            worst = max(worst, abs(a - n) / max(abs(a), abs(n), 1e-8))
+            worst = max(worst, gradient_error(a, n))
     results["end_to_end"] = worst
 
     loss_worst = max(v for k, v in results.items() if k != "end_to_end")

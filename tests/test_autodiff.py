@@ -24,19 +24,11 @@ from vsrkit.verify import gradient_suite
 from scalarize import weighted_sum
 
 
-def check_primitive(make_scalar, shape, rng, cases=100, tol=1e-6):
-    worst = 0.0
-    for _ in range(cases):
-        x = rng.normal(size=shape)
-        leaf = Tensor(x.copy())
-        backward(make_scalar(leaf))
-        analytic = grad_of(leaf)
-        numeric = np.reshape([
-            central_difference(lambda: make_scalar(Tensor(x)), [x], [u])
-            for u in np.eye(x.size).reshape(x.size, *shape)], shape)
-        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4)
-        worst = max(worst, float((np.abs(analytic - numeric) / denom).max()))
-    assert worst < tol, worst
+def check_primitive(make_scalar, shape, rng, cases=100):
+    worst = max(finite_difference_check(make_scalar,
+                                        Tensor(rng.normal(size=shape)))
+                for _ in range(cases))
+    assert worst < 1e-8, worst
 
 
 RNG = np.random.default_rng(20240607)
@@ -575,9 +567,9 @@ def test_gradient_suite_passes_at_full_loss_instance_count():
 MUTATION = 1 + 1e-3
 
 
-def _scaled_gradient(t):
-    """``t``'s value, passing back its gradient times ``MUTATION``."""
-    return Tensor(t.data, (t,), lambda g: (g * MUTATION,), op="mutant")
+def _scaled_gradient(t, factor=MUTATION):
+    """``t``'s value, passing back its gradient times ``factor``."""
+    return Tensor(t.data, (t,), lambda g: (g * factor,), op="mutant")
 
 
 def _mutate_layer_norm_bias(monkeypatch):
@@ -618,3 +610,23 @@ def test_gradient_suite_fails_on_a_gradient_off_by_a_tenth_of_a_percent(
     mutate(monkeypatch)
     result = gradient_suite(instances=0, model_instances=3)
     assert not result["passed"], result
+
+
+@pytest.mark.parametrize("loss, check", [
+    ("ctc_loss", "ctc"),
+    ("attention_ce_loss", "attention_ce"),
+    ("align_loss", "align"),
+])
+def test_gradient_suite_fails_on_a_loss_gradient_off_by_a_millionth(
+        monkeypatch, loss, check):
+    real = getattr(verify, loss)
+
+    def mutant(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if isinstance(out, dict):  # ctc_loss: one loss per head
+            return {k: _scaled_gradient(v, 1 + 1e-6) for k, v in out.items()}
+        return _scaled_gradient(out, 1 + 1e-6)
+    monkeypatch.setattr(verify, loss, mutant)
+    result = gradient_suite(instances=50, model_instances=0)
+    assert not result["passed"], result
+    assert result[check] > verify._LOSS_GRAD_TOL, result

@@ -213,32 +213,56 @@ def _files(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-@pytest.mark.parametrize("probe", ["resume-without-disable-branches",
-                                   "fresh-with-a-wrong-phoneme-vocab"])
-def test_a_refused_train_leaves_its_run_directory_as_it_was(
-        tmp_path, cfg_file, capsys, probe):
+@pytest.mark.parametrize("probe", [
+    "gen-with-a-lexicon-too-small", "train-resume-without-disable-branches",
+    "train-fresh-with-a-wrong-phoneme-vocab", "eval-of-an-utterance-too-long"])
+def test_a_refused_command_leaves_out_as_it_was(tmp_path, cfg_file, capsys,
+                                                probe):
     data = _manifest(tmp_path, cfg_file)
-    short = tmp_path / "short.ini"
-    short.write_text(CFG_TEXT.replace("epochs_phase2 = 1", "epochs_phase2 = 0"),
-                     encoding="utf-8")
-    rd = tmp_path / "run"
-    assert run("--config", str(short), "--out", str(rd), "--quiet", "train",
-               "--data", str(data), "--disable-branches") == 0
-    before = _files(rd)
-    assert {"effective_config.ini", "metrics.jsonl", "final.npz"} <= \
-        {str(name) for name in before}
-    if probe == "resume-without-disable-branches":
-        config, extra = short, ["--resume", str(rd / "final.npz")]
-        message = "with with_branches = True"
+    config = tmp_path / "refused.ini"
+    if probe.startswith("gen"):
+        out, command = data, ["gen"]
+        config.write_text(CFG_TEXT.replace("char_vocab_size = 14",
+                                           "char_vocab_size = 200")
+                          + "[gen]\nlexicon = bundled\n", encoding="utf-8")
+        message = "ValueError: lexicon has 127 characters, need 200"
     else:
-        config, extra = tmp_path / "vocab.ini", []
+        short = tmp_path / "short.ini"
+        short.write_text(CFG_TEXT.replace("epochs_phase2 = 1",
+                                          "epochs_phase2 = 0"),
+                         encoding="utf-8")
+        out = tmp_path / "run"
+        assert run("--config", str(short), "--out", str(out), "--quiet",
+                   "train", "--data", str(data), "--disable-branches") == 0
+        ck = out / "final.npz"
+    if probe == "train-resume-without-disable-branches":
+        config, command = short, ["train", "--data", str(data), "--resume",
+                                  str(ck)]
+        message = "with with_branches = True"
+    elif probe == "train-fresh-with-a-wrong-phoneme-vocab":
+        command = ["train", "--data", str(data)]
         config.write_text(f"{CFG_TEXT}phoneme_vocab = 5\n", encoding="utf-8")
         message = "phoneme_vocab = 5, but the inventory has 38 phonemes"
+    elif probe.startswith("eval"):
+        out = tmp_path / "eval"
+        assert run("--config", cfg_file, "--out", str(out), "--quiet", "eval",
+                   "--checkpoint", str(ck), "--data", str(data)) == 0
+        # a decoder the successful run did not use: its config would differ
+        config.write_text(CFG_TEXT.replace("sentence_len = 1,2",
+                                           "sentence_len = 6,8")
+                          + "[eval]\ndecode = attention\n", encoding="utf-8")
+        long = tmp_path / "long"
+        assert run("--config", str(config), "--out", str(long), "--quiet",
+                   "gen") == 0
+        command = ["eval", "--checkpoint", str(ck), "--data", str(long)]
+        message = "TrainingError: model config max_frames = "
+    before = _files(out)
+    assert "effective_config.ini" in {str(name) for name in before}
     capsys.readouterr()
-    assert run("--config", str(config), "--out", str(rd), "--quiet", "train",
-               "--data", str(data), *extra) == 2
+    assert run("--config", str(config), "--out", str(out), "--quiet",
+               *command) == 2
     assert message in capsys.readouterr().err
-    assert _files(rd) == before
+    assert _files(out) == before
 
 
 def test_train_resume_flag(tmp_path, cfg_file):

@@ -1,9 +1,10 @@
 """Static gates on the code's names: every module-level import in the
 package is used or re-exported, every private or public module-level name
 and every dataclass field has a reader, every local a function assigns is
-read, a label triple is built in one place, a weighted draw has one
-implementation and only ``Model.forward_infer`` runs without a graph. They
-need only ``ast``, so they run wherever the tests run."""
+read, a label triple is built in one place, a weighted draw and a probe
+loop along unit directions each have one implementation and only
+``Model.forward_infer`` runs without a graph. They need only ``ast``, so
+they run wherever the tests run."""
 import ast
 from pathlib import Path
 
@@ -216,13 +217,18 @@ def test_package_dataclass_fields_have_readers_outside_tests():
     assert unread_dataclass_fields(sources, readers) == {}
 
 
+def _called(call):
+    """The name a call calls, bare or as an attribute."""
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
 def weighted_choice_calls(source):
     """Line numbers of the ``choice`` calls (bare or as an attribute) that
     pass weights, as ``p=`` or as the fourth positional argument."""
     return sorted(
         n.lineno for n in ast.walk(ast.parse(source))
         if isinstance(n, ast.Call)
-        and getattr(n.func, "id", getattr(n.func, "attr", None)) == "choice"
+        and _called(n) == "choice"
         and (len(n.args) >= 4 or any(k.arg == "p" for k in n.keywords)))
 
 
@@ -245,6 +251,46 @@ def test_only_synth_categorical_draws_with_weights():
     calls = {p.name: weighted_choice_calls(p.read_text(encoding="utf-8"))
              for p in MODULES}
     assert {name: lines for name, lines in calls.items() if lines} == {}
+
+
+def unit_direction_probes(source):
+    """Line numbers of the ``central_difference`` calls made in a function
+    (nested functions included) that also calls ``eye``: a loop of probes
+    along unit directions."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            calls = [n for n in ast.walk(fn) if isinstance(n, ast.Call)]
+            if any(_called(n) == "eye" for n in calls):
+                found.update(n.lineno for n in calls
+                             if _called(n) == "central_difference")
+    return sorted(found)
+
+
+def test_unit_direction_probes_sees_a_loop_over_eye_rows():
+    source = (
+        "import numpy as np\nimport ad\n\n"
+        "def check(f, x):\n"
+        "    units = np.eye(x.size)\n\n"
+        "    def probe(u):\n"
+        "        return ad.central_difference(f, [x], [u])\n"
+        "    return [probe(u) for u in units]\n\n"
+        "def along(f, x, u):\n"
+        "    return ad.central_difference(f, [x], [u])\n"
+    )
+    assert unit_direction_probes(source) == [8]
+    autodiff = (MODULES[0].parent / "autodiff.py").read_text(encoding="utf-8")
+    assert unit_direction_probes(autodiff) != []
+
+
+def test_only_finite_difference_check_probes_along_unit_directions():
+    # a per-entry gradient check goes through
+    # autodiff.finite_difference_check, the one loop of unit probes
+    paths = [p for p in MODULES if p.name != "autodiff.py"] + \
+        sorted((ROOT / "tests").glob("*.py"))
+    probes = {p.name: unit_direction_probes(p.read_text(encoding="utf-8"))
+              for p in paths}
+    assert {name: lines for name, lines in probes.items() if lines} == {}
 
 
 def _own_nodes(scope):
@@ -314,8 +360,7 @@ def label_triple_calls(source):
                for n in ast.walk(fn)}
     return sorted(n.lineno for n in ast.walk(tree)
                   if isinstance(n, ast.Call) and id(n) not in allowed
-                  and getattr(n.func, "id", getattr(n.func, "attr", None))
-                  == "LabelTriple")
+                  and _called(n) == "LabelTriple")
 
 
 def test_label_triple_calls_sees_every_call_outside_labels_of():
@@ -346,8 +391,7 @@ def inference_calls(source):
                and fn.name == "forward_infer" for n in ast.walk(fn)}
     return sorted(n.lineno for n in ast.walk(tree)
                   if isinstance(n, ast.Call) and id(n) not in allowed
-                  and getattr(n.func, "id", getattr(n.func, "attr", None))
-                  == "inference")
+                  and _called(n) == "inference")
 
 
 def test_inference_calls_sees_every_call_outside_model_forward_infer():

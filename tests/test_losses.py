@@ -111,7 +111,7 @@ def test_ctc_gradient_matches_finite_differences():
                 lambda t: _ctc1(t, target), Tensor(x)))
         except CtcNoValidPathError:
             continue
-    assert worst < 1e-4
+    assert worst < 1e-8
 
 
 def test_ctc_fault_injection_hook_breaks_the_oracle(short_extended_labels):
@@ -351,7 +351,7 @@ def test_attention_ce_gradient():
         err = finite_difference_check(
             lambda t: _ce1(t, target),
             Tensor(rng.normal(size=(L, K))))
-        assert err < 1e-4
+        assert err < 1e-8
 
 
 def test_batched_attention_ce_gradient_with_ragged_lengths():
@@ -361,7 +361,7 @@ def test_batched_attention_ce_gradient_with_ragged_lengths():
         err = finite_difference_check(
             lambda t: attention_ce_loss(t, target, [4, 1, 3]),
             Tensor(rng.normal(size=(3, 4, 5))))
-        assert err < 1e-4
+        assert err < 1e-8
 
 
 @pytest.mark.parametrize("target", [[0, -1], [0, 4], [7, 1]])
@@ -644,7 +644,7 @@ def test_align_loss_gradient_matches_finite_differences():
         err = finite_difference_check(
             lambda t: align_loss(t, Tensor(P), vis, pho, INV, cfg, [5]),
             Tensor(V))
-        assert err < 1e-4
+        assert err < 1e-8
 
 
 def test_align_loss_shape_validation():
@@ -729,7 +729,7 @@ def test_align_loss_gradient_with_ragged_lengths_and_rows_without_positives(
             return align_loss(*pair, vis, pho, INV, cfg, lengths=[6, 4])
 
         assert finite_difference_check(f, Tensor(rng.normal(size=(2, 6, 4)))) \
-            < 1e-4
+            < 1e-8
 
 
 def test_align_loss_guards_all_zero_feature_rows():

@@ -559,9 +559,12 @@ def test_checkpoint_version_check(tmp_path, model):
      "ModelConfig key 'max_frames' must be int, got True"),
     ({"p_drop": False}, "ModelConfig key 'p_drop' must be float, got False"),
     ({"p_drop": "0.1"}, "ModelConfig key 'p_drop' must be float, got '0.1'"),
+    ({"p_drop": 1.5}, "ModelConfig p_drop must be in [0, 1), got 1.5"),
+    ({"attention_heads": 3},
+     "ModelConfig model_dim must be divisible by attention_heads"),
 ], ids=["unknown", "removed", "missing", "bool-as-string", "bool-as-int",
         "count-as-string", "count-as-float", "count-as-bool", "float-as-bool",
-        "float-as-string"])
+        "float-as-string", "p_drop-out-of-range", "heads-not-dividing"])
 def test_checkpoint_load_names_a_config_key_at_fault(tmp_path, model, edit,
                                                      message):
     values = {**json.loads(model.cfg.to_json()), **edit}
