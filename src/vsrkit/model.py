@@ -103,7 +103,9 @@ class ModelConfig:
         if not 0.0 <= self.p_drop < 1.0:
             raise ValueError(f"p_drop must be in [0, 1), got {self.p_drop}")
         if self.model_dim % self.attention_heads:
-            raise ValueError("model_dim must be divisible by attention_heads")
+            raise ValueError(
+                f"model_dim must be divisible by attention_heads, got "
+                f"{self.model_dim} and {self.attention_heads}")
 
     def to_json(self):
         return json.dumps(self.__dict__, sort_keys=True)

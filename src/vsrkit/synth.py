@@ -6,8 +6,10 @@ sampled duration with isotropic noise. The codebook is structured so that
 viseme identity is a strong signal and within-viseme phoneme detail a weak
 one, mirroring what a visual channel exposes. Each utterance keeps its
 ground-truth alignment as frames per phoneme; it exists only because the
-data is synthetic, and training never consumes it. A manifest stores
-characters, not phonemes: labels follow from them (``labels_of``).
+data is synthetic, and training never consumes it. A manifest stores only
+what it cannot derive: per record the id, characters and durations, and
+all frames in one features.npy; labels follow from the characters
+(``labels_of``).
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ __all__ = [
     "viseme_frequencies",
 ]
 
-MANIFEST_VERSION = "vsrkit-manifest v2"
+MANIFEST_VERSION = "vsrkit-manifest v3"
 
 _CODEBOOK_STREAM = 101
 _LEXICON_STREAM = 202
@@ -277,31 +279,23 @@ def viseme_frequencies(labels, inv: LinguisticInventory) -> np.ndarray:
 
 
 def write_manifest(path, utterances, inv, lexicon):
-    """Persist a corpus: index.tsv, a packed little-endian feature blob,
-    and the inventory (visemes.tsv) and lexicon (lexicon.tsv) it is
-    labelled with, so the directory is self-contained. Under the
-    ``#vsrkit-manifest v2`` header, each index record holds id, T, C, blob
-    offset, character ids and frames per phoneme, tab-separated."""
+    """Persist a corpus: index.tsv, features.npy, and the inventory
+    (visemes.tsv) and lexicon (lexicon.tsv) it is labelled with, so the
+    directory is self-contained. Under the ``#vsrkit-manifest v3`` header,
+    each index record holds id, character ids and frames per phoneme,
+    tab-separated; features.npy stacks the records' frames in record order
+    as one float64 array of sum(T) rows."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    offset = 0
-    lines = [f"#{MANIFEST_VERSION}"]
-    with open(path / "features.bin", "wb") as blob:
-        for u in utterances:
-            feats = np.ascontiguousarray(u.features, dtype="<f8")
-            T, C = feats.shape
-            lines.append("\t".join([
-                u.id,
-                str(T),
-                str(C),
-                str(offset),
-                ",".join(map(str, u.labels.chars)),
-                ",".join(map(str, u.durations)),
-            ]))
-            blob.write(feats.tobytes())
-            offset += T * C * 8
+    lines = [f"#{MANIFEST_VERSION}"] + ["\t".join([
+        u.id,
+        ",".join(map(str, u.labels.chars)),
+        ",".join(map(str, u.durations)),
+    ]) for u in utterances]
     with open(path / "index.tsv", "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+    frames = [u.features for u in utterances] or [np.empty((0, 0))]
+    np.save(path / "features.npy", np.concatenate(frames, dtype="<f8"))
     save_inventory(path / "visemes.tsv", inv)
     save_lexicon(path / "lexicon.tsv", lexicon, inv)
 
@@ -309,12 +303,14 @@ def write_manifest(path, utterances, inv, lexicon):
 def read_manifest(path):
     """Load a corpus written by ``write_manifest``; returns (utterances,
     inventory, lexicon), labels derived by ``labels_of`` through the
-    manifest's own lexicon and inventory. A ``ManifestError`` names the path
-    of a missing file, a header other than v2 or an index without records,
-    and the record of a repeated id, a malformed field, a negative T or
-    offset, a C below 1 or unlike the first record's, a non-finite feature
-    value, no characters, a character outside the lexicon, or durations not
-    >= 1 summing to T."""
+    manifest's own lexicon and inventory, and each utterance's T frames the
+    next T rows of features.npy, T the sum of its durations. A
+    ``ManifestError`` names the path of a missing file, a header other than
+    v3, an index without records, and a features.npy that does not load,
+    is not a float64 array of width >= 1 or has rows the records do not
+    take exactly; and the record of a repeated id, a malformed field, no
+    characters, a character outside the lexicon, durations not >= 1 and
+    one per phoneme, or a non-finite feature value."""
     path = Path(path)
     index = path / "index.tsv"
     if not index.exists():
@@ -326,7 +322,7 @@ def read_manifest(path):
             f"unsupported manifest version header: {lines[0] if lines else '<empty>'!r}"
         )
 
-    for name in ("visemes.tsv", "lexicon.tsv", "features.bin"):
+    for name in ("visemes.tsv", "lexicon.tsv", "features.npy"):
         if not (path / name).exists():
             raise ManifestError(f"no {name} under {path}")
     if len(lines) == 1:
@@ -334,60 +330,49 @@ def read_manifest(path):
     inv = load_inventory(path / "visemes.tsv")
     lexicon = load_lexicon(path / "lexicon.tsv", inv)
 
-    blob_size = (path / "features.bin").stat().st_size
-    utterances, ids = [], set()
-    with open(path / "features.bin", "rb") as blob:
-        for ln in lines[1:]:
-            fields = ln.split("\t")
-            if len(fields) != 6:
-                raise ManifestError(f"malformed index record: {ln!r}")
-            uid = fields[0]
-            if uid in ids:
-                raise ManifestError(f"record {uid}: repeated id")
-            ids.add(uid)
-            T, C, off = (_parse_ints(uid, f, count=1)[0] for f in fields[1:4])
-            width = utterances[0].features.shape[1] if utterances else C
-            if min(T, off) < 0 or not 1 <= C == width:
-                raise ManifestError(
-                    f"record {uid}: T {T} and offset {off} must be >= 0, "
-                    f"C {C} >= 1 and the first record's {width}")
-            nbytes = T * C * 8
-            if off + nbytes > blob_size:
-                raise ManifestError(
-                    f"feature blob truncated: record {uid} wants bytes "
-                    f"[{off}, {off + nbytes}) of {blob_size}")
-            blob.seek(off)
-            features = np.frombuffer(blob.read(nbytes), dtype="<f8")
-            if not np.isfinite(features).all():
-                raise ManifestError(f"record {uid}: non-finite feature value")
-            chars = _parse_ints(uid, fields[4])
-            if not chars:
-                raise ManifestError(f"record {uid}: no characters")
-            bad = [i for i in chars if not 0 <= i < len(lexicon)]
-            if bad:
-                raise ManifestError(f"record {uid}: character id {bad[0]} "
-                                    f"outside [0, {len(lexicon)})")
-            labels = labels_of(chars, lexicon, inv)
-            durations = _parse_ints(uid, fields[5])
-            if len(durations) != len(labels.phonemes) or sum(durations) != T \
-                    or min(durations) < 1:
-                raise ManifestError(f"inconsistent durations for record {uid}")
-            utterances.append(Utterance(
-                id=uid,
-                features=features.reshape(T, C).copy(),
-                labels=labels,
-                durations=durations,
-            ))
+    blob = path / "features.npy"
+    try:
+        with open(blob, "rb") as fh:
+            frames = np.lib.format.read_array(fh, allow_pickle=False)
+    except (ValueError, EOFError) as e:
+        raise ManifestError(f"{blob}: {e}") from None
+    if frames.dtype != "<f8" or frames.ndim != 2 or frames.shape[1] < 1:
+        raise ManifestError(f"{blob}: want float64 rows of >= 1 features, "
+                            f"got {frames.dtype} of shape {frames.shape}")
+    utterances, ids, row = [], set(), 0
+    for ln in lines[1:]:
+        fields = ln.split("\t")
+        if len(fields) != 3:
+            raise ManifestError(f"malformed record in {index}: {ln!r}")
+        uid = fields[0]
+        if uid in ids:
+            raise ManifestError(f"record {uid}: repeated id")
+        ids.add(uid)
+        chars = _parse_ints(uid, fields[1])
+        if not chars:
+            raise ManifestError(f"record {uid}: no characters")
+        bad = [i for i in chars if not 0 <= i < len(lexicon)]
+        if bad:
+            raise ManifestError(f"record {uid}: character id {bad[0]} "
+                                f"outside [0, {len(lexicon)})")
+        labels = labels_of(chars, lexicon, inv)
+        durations = _parse_ints(uid, fields[2])
+        if len(durations) != len(labels.phonemes) or min(durations) < 1:
+            raise ManifestError(f"inconsistent durations for record {uid}")
+        features = frames[row:row + sum(durations)]
+        row += sum(durations)
+        if not np.isfinite(features).all():
+            raise ManifestError(f"record {uid}: non-finite feature value")
+        utterances.append(Utterance(uid, features, labels, durations))
+    if row != len(frames):
+        raise ManifestError(f"{blob} has {len(frames)} rows, but the "
+                            f"records of {index} take {row}")
     return utterances, inv, lexicon
 
 
-def _parse_ints(uid, s, count=None):
-    """Record ``uid``'s comma-separated integers ``s``, exactly ``count``
-    of them when given."""
+def _parse_ints(uid, s):
+    """Record ``uid``'s comma-separated integers ``s``."""
     try:
-        ints = tuple(int(x) for x in s.split(",")) if s else ()
-        if count not in (None, len(ints)):
-            raise ValueError
+        return tuple(int(x) for x in s.split(",")) if s else ()
     except ValueError:
         raise ManifestError(f"record {uid}: malformed integers {s!r}") from None
-    return ints

@@ -20,6 +20,7 @@ from .autodiff import backward, grad_of
 from .linguistics import LinguisticInventory
 from .losses import (
     LossConfig,
+    _min_frames,
     align_loss,
     attention_ce_loss,
     ctc_loss,
@@ -281,7 +282,8 @@ def train(cfg: TrainConfig, corpus, inv: LinguisticInventory,
     ``resume`` skips the leading epochs whose steps add up to its step
     count, and ``model_cfg`` must equal its saved config field for field.
     Each utterance fed must fit ``max_frames``, ``input_dim`` and
-    ``max_decode_len``.
+    ``max_decode_len``, and have the frames a CTC path of each of its
+    targets needs.
     Every step stops on a non-finite loss component, then hands
     ``log_fn`` a record of all loss components, the global gradient norm
     and the clip scale applied to it.
@@ -319,6 +321,15 @@ def train(cfg: TrainConfig, corpus, inv: LinguisticInventory,
     )
     fed = [u for data, _, epochs, _ in phases if epochs for u in data]
     _check_fits(state.model.cfg, fed, *_FITS)
+    for u in fed:
+        targets = {"char": u.labels.chars}
+        if state.model.cfg.with_branches:
+            targets.update(phoneme=u.labels.phonemes, viseme=u.labels.visemes)
+        for head, target in targets.items():
+            if _min_frames(target) > u.num_frames():
+                raise TrainingError(
+                    f"utterance {u.id} has {u.num_frames()} frames, but its "
+                    f"{head} CTC target needs {_min_frames(target)}")
     # (phase, epoch in phase, data, peak lr, epochs in phase, augment)
     schedule = [(phase, epoch, *p)
                 for phase, p in enumerate(phases, 1) if p[0]

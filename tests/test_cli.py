@@ -62,8 +62,8 @@ def test_gen_is_deterministic(tmp_path, cfg_file):
     assert run("--config", cfg_file, "--out", str(a), "--quiet", "gen") == 0
     assert run("--config", cfg_file, "--out", str(b), "--quiet", "gen") == 0
     assert (a / "index.tsv").read_bytes() == (b / "index.tsv").read_bytes()
-    assert (a / "features.bin").read_bytes() == \
-        (b / "features.bin").read_bytes()
+    assert (a / "features.npy").read_bytes() == \
+        (b / "features.npy").read_bytes()
 
 
 def test_gen_creates_missing_output_dir(tmp_path, cfg_file):
@@ -519,8 +519,8 @@ def test_effective_config_reproduces_the_run(tmp_path, cfg_file):
                "gen") == 0
     assert (data / "index.tsv").read_bytes() == \
         (data2 / "index.tsv").read_bytes()
-    assert (data / "features.bin").read_bytes() == \
-        (data2 / "features.bin").read_bytes()
+    assert (data / "features.npy").read_bytes() == \
+        (data2 / "features.npy").read_bytes()
 
 def test_unparsable_config_value_exits_one_naming_the_key(tmp_path, cfg_file,
                                                           capsys):
@@ -723,6 +723,26 @@ def test_train_names_an_utterance_past_a_model_bound(tmp_path, cfg_file,
     assert not (out / "checkpoints").exists()
 
 
+def test_train_names_an_utterance_too_short_for_a_ctc_path(tmp_path, capsys):
+    # one frame per phoneme: a label repeated next to itself needs a blank
+    # frame between the two that the utterance does not have
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[synth]\nnum_utterances = 40\nchar_vocab_size = 6\n"
+                   "sentence_len = 2,4\nframes_per_phoneme = 1,1\n"
+                   "[train]\nepochs_phase1 = 1\nepochs_phase2 = 1\n"
+                   "batch_size = 4\n", encoding="utf-8")
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert run("--config", str(cfg), "--out", str(data), "--quiet",
+               "gen") == 0
+    capsys.readouterr()
+    assert run("--config", str(cfg), "--out", str(out), "--quiet", "train",
+               "--data", str(data)) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"TrainingError: utterance utt\d+ has \d+ frames, but "
+                     r"its (char|phoneme|viseme) CTC target needs \d+", err), err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_train_takes_phoneme_vocab_from_the_manifest_inventory(tmp_path,
                                                               cfg_file):
     # one more phoneme than the bundled inventory, in viseme 15's row
@@ -799,7 +819,7 @@ def test_manifest_from_gen_is_rewritten_byte_for_byte(tmp_path_factory,
                "gen") == 0
     corpus, inv, lex = read_manifest(root / "gen")
     write_manifest(root / "again", corpus, inv, lex)
-    for name in ("index.tsv", "features.bin", "visemes.tsv", "lexicon.tsv"):
+    for name in ("index.tsv", "features.npy", "visemes.tsv", "lexicon.tsv"):
         assert (root / "again" / name).read_bytes() == \
             (root / "gen" / name).read_bytes(), name
     # the labels read back are the ones generated

@@ -1,11 +1,12 @@
 """The bits of a whole ``gen`` -> ``train`` -> ``eval`` run, pinned.
 
-The run is ``test_cli.CFG_TEXT``'s: ten utterances, six training steps and
-an eval under every decoder. Its outputs follow the BLAS kernel, so each
-pin names its platform: the numpy version, the OpenBLAS version and the
-OpenBLAS core that numpy's BLAS picked at start-up. On a platform with no
-pin the test is skipped and names the platform; it never passes there. A
-change that moves these bits on purpose updates the pins and says why.
+The run is ``test_cli.CFG_TEXT``'s: a ten-utterance manifest, six
+training steps and an eval under every decoder. Its outputs follow the
+BLAS kernel, so each pin names its platform: the numpy version, the
+OpenBLAS version and the OpenBLAS core that numpy's BLAS picked at
+start-up. On a platform with no pin the test is skipped and names the
+platform; it never passes there. A change that moves these bits on
+purpose updates the pins and says why.
 """
 import ctypes
 import hashlib
@@ -21,6 +22,8 @@ from vsrkit.model import DECODE_MODES
 # sha256 (first 16 hex digits) of each output, by (numpy, BLAS, core)
 PINS = {
     ("2.4.6", "scipy-openblas 0.3.31.188.0", "SkylakeX"): {
+        "index.tsv": "e5bdecec49f96218",
+        "features.npy": "faa048db3dd3cfa6",
         "metrics.jsonl": "4396ddf2d5ab1cea",
         "final.npz": "056b3eae17e87411",
         "ctc_greedy/report.jsonl": "0e51cae50fa4cde9",
@@ -77,8 +80,10 @@ def test_cli_run_reproduces_its_pinned_digests(tmp_path):
                  "gen"]) == 0
     assert main(["--config", str(cfg), "--out", str(rd), "--quiet",
                  "train", "--data", str(data)]) == 0
-    got = {"metrics.jsonl": _digest((rd / "metrics.jsonl").read_bytes()),
-           "final.npz": _array_digest(rd / "final.npz")}
+    got = {name: _digest((data / name).read_bytes())
+           for name in ("index.tsv", "features.npy")}
+    got.update({"metrics.jsonl": _digest((rd / "metrics.jsonl").read_bytes()),
+                "final.npz": _array_digest(rd / "final.npz")})
     for decode in DECODE_MODES:
         cfg = tmp_path / f"{decode}.ini"
         cfg.write_text(f"{CFG_TEXT}\n[eval]\ndecode = {decode}\n",

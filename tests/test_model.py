@@ -561,7 +561,8 @@ def test_checkpoint_version_check(tmp_path, model):
     ({"p_drop": "0.1"}, "ModelConfig key 'p_drop' must be float, got '0.1'"),
     ({"p_drop": 1.5}, "ModelConfig p_drop must be in [0, 1), got 1.5"),
     ({"attention_heads": 3},
-     "ModelConfig model_dim must be divisible by attention_heads"),
+     "ModelConfig model_dim must be divisible by attention_heads, got 16 "
+     "and 3"),
 ], ids=["unknown", "removed", "missing", "bool-as-string", "bool-as-int",
         "count-as-string", "count-as-float", "count-as-bool", "float-as-bool",
         "float-as-string", "p_drop-out-of-range", "heads-not-dividing"])

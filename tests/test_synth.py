@@ -216,6 +216,23 @@ def test_manifest_roundtrip(tmp_path, small_corpus):
         [e.character for e in lex.entries]
 
 
+@pytest.mark.parametrize("seed, n, dim", [(0, 1, 1), (5, 7, 3), (11, 40, 16)])
+def test_manifest_roundtrip_keeps_every_feature_bit(tmp_path, seed, n, dim):
+    lex = make_lexicon(INV, 12, seed=seed)
+    cfg = SynthConfig(seed=seed, num_utterances=n, char_vocab_size=12,
+                      feature_dim=dim)
+    corpus = generate_corpus(cfg, INV, lex)
+    write_manifest(tmp_path / "m", corpus, INV, lex)
+    back, _, _ = read_manifest(tmp_path / "m")
+    assert back == corpus
+    for a, b in zip(corpus, back):
+        assert b.features.dtype == np.float64
+        assert b.features.tobytes() == a.features.tobytes()
+    # the records take the rows of features.npy in order, nothing more
+    frames = np.load(tmp_path / "m" / "features.npy", allow_pickle=False)
+    assert frames.tobytes() == b"".join(u.features.tobytes() for u in corpus)
+
+
 def test_manifest_roundtrip_keeps_the_split_of_equal_phonemes(tmp_path):
     # /ɑ/ ends the first character and starts the second, so two adjacent
     # /ɑ/ make one run of 6 frames; the 2 + 4 split survives
@@ -253,10 +270,34 @@ def test_manifest_names_a_missing_inventory_or_lexicon(tmp_path, small_corpus,
 def test_manifest_names_a_missing_feature_blob(tmp_path, small_corpus):
     _, lex, corpus = small_corpus
     write_manifest(tmp_path / "m", corpus[:2], INV, lex)
-    (tmp_path / "m" / "features.bin").unlink()
+    (tmp_path / "m" / "features.npy").unlink()
     with pytest.raises(ManifestError, match=re.escape(
-            f"no features.bin under {tmp_path / 'm'}")):
+            f"no features.npy under {tmp_path / 'm'}")):
         read_manifest(tmp_path / "m")
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda p: p.write_bytes(b"not an array\n"), "magic string"),
+    (lambda p: p.write_bytes(p.read_bytes()[:-5]), "Failed to read all data"),
+    (lambda p: p.write_bytes(p.read_bytes()[:20]), "EOF"),
+    (lambda p: p.write_bytes(b""), "EOF"),
+    (lambda p: np.save(p, np.array([{"frames": 1}], dtype=object),
+                       allow_pickle=True), "allow_pickle"),
+    (lambda p: np.save(p, np.zeros((3, 4), dtype=np.float32)),
+     "got float32 of shape (3, 4)"),
+    (lambda p: np.save(p, np.zeros(12)), "got float64 of shape (12,)"),
+    (lambda p: np.save(p, np.zeros((12, 0))), "got float64 of shape (12, 0)"),
+], ids=["not-npy", "truncated-data", "truncated-header", "empty", "pickled",
+        "float32", "one-dimensional", "no-features"])
+def test_manifest_names_a_corrupt_feature_array(tmp_path, small_corpus,
+                                                corrupt, message):
+    _, lex, corpus = small_corpus
+    write_manifest(tmp_path / "m", corpus[:2], INV, lex)
+    blob = tmp_path / "m" / "features.npy"
+    corrupt(blob)
+    with pytest.raises(ManifestError, match=re.escape(f"{blob}: ")) as raised:
+        read_manifest(tmp_path / "m")
+    assert message in str(raised.value)
 
 
 def test_manifest_rejects_bad_version(tmp_path, small_corpus):
@@ -270,17 +311,25 @@ def test_manifest_rejects_bad_version(tmp_path, small_corpus):
         read_manifest(tmp_path / "m")
 
 
-def test_manifest_rejects_corrupted_length(tmp_path, small_corpus):
+def test_manifest_refuses_a_v2_manifest_naming_its_header(tmp_path,
+                                                          small_corpus):
+    # v2 kept T, C and a byte offset per record and a raw features.bin
     _, lex, corpus = small_corpus
-    write_manifest(tmp_path / "m", corpus[:2], INV, lex)
-    index = tmp_path / "m" / "index.tsv"
-    lines = index.read_text(encoding="utf-8").splitlines()
-    fields = lines[1].split("\t")
-    fields[1] = str(int(fields[1]) + 999)  # inflate the frame count
-    lines[1] = "\t".join(fields)
-    index.write_text("\n".join(lines), encoding="utf-8")
-    with pytest.raises(ManifestError):
-        read_manifest(tmp_path / "m")
+    u = corpus[0]
+    T, C = u.features.shape
+    m = tmp_path / "m"
+    write_manifest(m, [u], INV, lex)
+    (m / "features.npy").unlink()
+    (m / "features.bin").write_bytes(u.features.astype("<f8").tobytes())
+    (m / "index.tsv").write_text("\n".join([
+        "#vsrkit-manifest v2",
+        "\t".join([u.id, str(T), str(C), "0",
+                   ",".join(map(str, u.labels.chars)),
+                   ",".join(map(str, u.durations))]),
+    ]) + "\n", encoding="utf-8")
+    with pytest.raises(ManifestError, match=re.escape(
+            "unsupported manifest version header: '#vsrkit-manifest v2'")):
+        read_manifest(m)
 
 
 def _edit_record(manifest, row, column, edit):
@@ -294,6 +343,29 @@ def _edit_record(manifest, row, column, edit):
     index.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def test_manifest_rejects_corrupted_length(tmp_path, small_corpus):
+    # the records must take exactly the rows of features.npy
+    _, lex, corpus = small_corpus
+    m = tmp_path / "m"
+    rows = sum(u.num_frames() for u in corpus[:2])
+    write_manifest(m, corpus[:2], INV, lex)
+    _edit_record(m, 1, 2, lambda old: ",".join(
+        [*old.split(",")[:-1], str(int(old.split(",")[-1]) + 999)]))
+    with pytest.raises(ManifestError, match=re.escape(
+            f"{m / 'features.npy'} has {rows} rows, but the records of "
+            f"{m / 'index.tsv'} take {rows + 999}")):
+        read_manifest(m)
+
+    write_manifest(m, corpus[:2], INV, lex)
+    index = m / "index.tsv"
+    index.write_text("\n".join(index.read_text(encoding="utf-8")
+                               .splitlines()[:2]) + "\n", encoding="utf-8")
+    with pytest.raises(ManifestError, match=re.escape(
+            f"has {rows} rows, but the records of {index} take "
+            f"{corpus[0].num_frames()}")):
+        read_manifest(m)
+
+
 def test_manifest_rejects_a_negative_duration(tmp_path, small_corpus):
     _, lex, corpus = small_corpus
     # a negative and a zero count; every phoneme needs at least one frame
@@ -303,7 +375,7 @@ def test_manifest_rejects_a_negative_duration(tmp_path, small_corpus):
         assert len(durations) > 1
         # same total, so only the bound check can catch it
         durations[0], durations[-1] = bad, durations[-1] + durations[0] - bad
-        _edit_record(tmp_path / str(bad), 1, 5,
+        _edit_record(tmp_path / str(bad), 1, 2,
                      lambda _: ",".join(map(str, durations)))
         with pytest.raises(ManifestError,
                            match=f"inconsistent durations for record "
@@ -317,9 +389,9 @@ def test_manifest_names_the_record_of_a_non_finite_feature(tmp_path,
     for bad in (np.nan, np.inf, -np.inf):
         m = tmp_path / str(bad)
         write_manifest(m, corpus[:2], INV, lex)
-        with open(m / "features.bin", "r+b") as blob:
-            blob.seek(corpus[0].features.nbytes + 8)  # in the second record
-            blob.write(np.array([bad], dtype="<f8").tobytes())
+        frames = np.load(m / "features.npy", allow_pickle=False)
+        frames[corpus[0].num_frames(), 1] = bad  # in the second record
+        np.save(m / "features.npy", frames)
         with pytest.raises(ManifestError,
                            match=f"record {corpus[1].id}: non-finite"):
             read_manifest(m)
@@ -336,7 +408,7 @@ def test_manifest_names_the_record_of_an_out_of_range_label_id(
     assert len(lex) == 30
     write_manifest(tmp_path / "m", corpus[:2], INV, lex)
     # the first character id, or the whole list when value is empty
-    _edit_record(tmp_path / "m", 2, 4, lambda old: ",".join(
+    _edit_record(tmp_path / "m", 2, 1, lambda old: ",".join(
         [value, *old.split(",")[1:]] if value else []))
     with pytest.raises(ManifestError,
                        match=re.escape(f"record {corpus[1].id}: {message}")):
@@ -344,24 +416,39 @@ def test_manifest_names_the_record_of_an_out_of_range_label_id(
 
 
 @pytest.mark.parametrize("column, edit, message", [
-    (1, lambda _: "x", "malformed integers 'x'"),
-    (1, lambda _: "9,9", "malformed integers '9,9'"),
-    (1, lambda _: "-29", "T -29 and"),
-    (3, lambda _: "-8", "offset -8 must"),
-    (2, lambda _: "0", "C 0 >= 1"),
-    (2, lambda old: str(int(old) // 2), "C 8 >= 1 and the first record's 16"),
-], ids=["T-not-an-integer", "T-two-integers", "T-negative",
-        "offset-negative", "C-zero", "C-unlike-the-first"])
-def test_manifest_names_the_record_of_a_bad_size(tmp_path, small_corpus,
-                                                 column, edit, message):
+    (1, lambda old: old + ",x", "malformed integers '{old},x'"),
+    (2, lambda old: old.replace(",", ";"), "malformed integers '{new}'"),
+    (2, lambda old: old + ",", "malformed integers '{old},'"),
+    (2, lambda old: old.rpartition(",")[0], "inconsistent durations for "
+                                            "record {uid}"),
+    (2, lambda old: old + ",1", "inconsistent durations for record {uid}"),
+], ids=["chars-not-integers", "durations-not-integers",
+        "durations-empty-entry", "durations-one-short", "durations-one-over"])
+def test_manifest_names_the_record_of_a_malformed_field(tmp_path, small_corpus,
+                                                        column, edit, message):
     _, lex, corpus = small_corpus
-    assert corpus[1].features.shape[1] == 16
-    write_manifest(tmp_path / "m", corpus[:2], INV, lex)
+    # the second record has two or more characters and phonemes
+    pair = [corpus[0], next(u for u in corpus[1:] if len(u.labels.chars) > 1)]
+    write_manifest(tmp_path / "m", pair, INV, lex)
+    old = (tmp_path / "m" / "index.tsv").read_text(
+        encoding="utf-8").splitlines()[2].split("\t")[column]
     _edit_record(tmp_path / "m", 2, column, edit)
-    with pytest.raises(ManifestError, match=re.escape(
-            f"record {corpus[1].id}: ")) as raised:
+    with pytest.raises(ManifestError, match=re.escape(message.format(
+            old=old, new=edit(old), uid=pair[1].id))) as raised:
         read_manifest(tmp_path / "m")
-    assert message in str(raised.value)
+    assert pair[1].id in str(raised.value)
+
+
+def test_manifest_names_a_record_of_too_few_fields(tmp_path, small_corpus):
+    _, lex, corpus = small_corpus
+    write_manifest(tmp_path / "m", corpus[:2], INV, lex)
+    index = tmp_path / "m" / "index.tsv"
+    lines = index.read_text(encoding="utf-8").splitlines()
+    lines[2] = lines[2].rpartition("\t")[0]
+    index.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ManifestError, match=re.escape(
+            f"malformed record in {index}: {lines[2]!r}")):
+        read_manifest(tmp_path / "m")
 
 
 def test_manifest_names_a_repeated_record_id(tmp_path, small_corpus):

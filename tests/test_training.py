@@ -230,6 +230,37 @@ def test_an_utterance_past_a_model_bound_stops_before_any_step(name, unit,
     assert records == []
 
 
+@pytest.mark.parametrize("with_branches", [True, False])
+def test_an_utterance_too_short_for_a_ctc_path_stops_before_any_step(
+        with_branches):
+    # one frame per phoneme, so a target with a label repeated next to
+    # itself needs more frames than the utterance has
+    _, _, mcfg, tcfg = tiny_setup(with_branches=with_branches)
+    lex = make_lexicon(INV, 6, seed=1)  # each character one phoneme
+    corpus = generate_corpus(SynthConfig(
+        seed=1, num_utterances=40, char_vocab_size=6, sentence_len=(2, 4),
+        frames_per_phoneme=(1, 1), feature_dim=8), INV, lex)
+    mcfg = replace(mcfg, char_vocab=len(lex) + CHAR_OFFSET)
+    heads = ["char", "phoneme", "viseme"][:3 if with_branches else 1]
+
+    def needs(u, head):  # one frame per label, one per adjacent repeat
+        t = np.asarray(getattr(u.labels, f"{head}s"))
+        return t.size + int((t[1:] == t[:-1]).sum())
+
+    # phase 1 feeds every utterance (none is longer than its threshold)
+    assert max(u.num_frames() for u in corpus) <= tcfg.phase1_max_frames
+    short = [f"utterance {u.id} has {u.num_frames()} frames, but its {head} "
+             f"CTC target needs {needs(u, head)}"
+             for u in corpus for head in heads
+             if needs(u, head) > u.num_frames()]
+    assert short
+    records = []
+    with pytest.raises(TrainingError) as err:
+        train(tcfg, corpus, INV, mcfg, log_fn=records.append)
+    assert str(err.value) == short[0]
+    assert records == []
+
+
 def test_long_utterances_that_no_phase_feeds_do_not_stop_training():
     corpus, _, mcfg, tcfg = tiny_setup(epochs=(1, 0))
     mcfg = replace(mcfg, max_frames=tcfg.phase1_max_frames)
