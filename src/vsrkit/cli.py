@@ -110,9 +110,11 @@ def _config(section, cls, **values):
 def _load_config(path):
     cp = configparser.ConfigParser(interpolation=None)
     if path:
-        if not Path(path).exists():
-            raise UsageError(f"config file not found: {path}")
-        cp.read(path, encoding="utf-8")
+        try:
+            with open(path, encoding="utf-8") as fh:
+                cp.read_file(fh)
+        except (OSError, UnicodeDecodeError, configparser.Error) as e:
+            raise UsageError(f"cannot read config file {path}: {e}") from None
         for section in cp.sections():
             if section not in (*_CONFIG_SECTIONS, "eval", "gen"):
                 raise UsageError(f"unknown config section [{section}]")

@@ -1,5 +1,5 @@
-"""Vocabularies, lexicon, grapheme->phoneme->viseme conversion, and the
-semantic mapping / window masks used by the alignment loss.
+"""Vocabularies, lexicon, grapheme->phoneme->viseme conversion and their
+file formats.
 
 The phoneme inventory is a 16-class viseme grouping of segmental IPA
 symbols; class 0 is reserved for blank/silence in both vocabularies.
@@ -9,8 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain
-
-import numpy as np
 
 __all__ = [
     "LinguisticsError",
@@ -24,8 +22,6 @@ __all__ = [
     "default_lexicon",
     "labels_of",
     "text_to_labels",
-    "build_mapping_matrix",
-    "build_window_mask",
     "NUM_VISEMES",
     "BLANK",
 ]
@@ -292,39 +288,3 @@ def text_to_labels(text: str, lexicon: Lexicon, inv: LinguisticInventory) -> Lab
                                f"{missing[0]} not in lexicon")
     return labels_of(map(lexicon.char_index, text), lexicon, inv)
 
-
-def build_mapping_matrix(viseme_frame_classes, phoneme_frame_classes,
-                         inv: LinguisticInventory) -> np.ndarray:
-    """Binary T x T compatibility matrix between framewise class sequences.
-
-    Entry (i, j) is 1 exactly when the phoneme class at frame j maps onto the
-    viseme class at frame i and that viseme is not blank. Class arrays of
-    one shape (..., T) give one matrix per sequence, of shape (..., T, T).
-    """
-    vis = np.asarray(viseme_frame_classes, dtype=np.int64)
-    pho = np.asarray(phoneme_frame_classes, dtype=np.int64)
-    if vis.ndim == 0 or vis.shape != pho.shape:
-        raise LinguisticsError(
-            f"frame class sequences must be equal-length arrays of one "
-            f"shape, got {vis.shape} and {pho.shape}"
-        )
-    if vis.size and (vis.min() < 0 or vis.max() >= NUM_VISEMES):
-        raise LinguisticsError("viseme class out of range")
-    if pho.size and (pho.min() < 0 or pho.max() >= inv.num_phonemes):
-        raise LinguisticsError("phoneme class out of range")
-    p2v = np.asarray(inv.phoneme_to_viseme, dtype=np.int64)
-    mapped = p2v[pho]  # viseme class of each phoneme frame
-    rows = vis[..., :, None]
-    m = (rows == mapped[..., None, :]) & (rows != BLANK)
-    return m.astype(np.float64)
-
-
-def build_window_mask(T: int, w: int) -> np.ndarray:
-    """Binary T x T band matrix: (i, j) is 1 when |i - j| <= floor(w / 2)."""
-    if T < 1:
-        raise LinguisticsError(f"sequence length must be >= 1, got {T}")
-    if w < 1 or w % 2 == 0:
-        raise LinguisticsError(f"window width must be odd and >= 1, got {w}")
-    r = w // 2
-    idx = np.arange(T)
-    return (np.abs(idx[:, None] - idx[None, :]) <= r).astype(np.float64)

@@ -26,12 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, as_tensor
 from .decoding import log_probs
-from .linguistics import (
-    BLANK,
-    LinguisticInventory,
-    build_mapping_matrix,
-    build_window_mask,
-)
+from .linguistics import BLANK, LinguisticInventory
 
 __all__ = [
     "LossConfig",
@@ -291,16 +286,19 @@ def align_loss(V, P, viseme_classes, phoneme_classes,
     phoneme features P (both B x T x C), with ``lengths`` the B frame counts
     (0 is an empty utterance that adds 0 to the mean).
 
-    Per batch element the framewise classes (B x T, padded frames too, in
-    range) define the semantic mapping matrix, the window mask localizes
-    the contrast, and the loss is the KL divergence from the positive
-    distribution p to the local similarity distribution
-    q = softmax(cos(V_i, P_j) / tau) over the window, averaged over rows
-    that have positives and then over the batch. Gradients reach V and P
-    only; the classes are hard labels. The gradient is closed-form: (q - p)
-    on the rows with positives, scaled by 1 / (tau * B * (n_active + 1e-8)),
-    taken through the cosine similarity; the 1e-8 keeps an utterance with
-    no active row at 0. Padded frames get exactly zero gradient.
+    Per batch element, over its frames i, j < T_b, the window mask is
+    W_ij = 1 when |i - j| <= floor(w / 2), and the semantic mapping matrix
+    is M_ij = 1 when frame j's phoneme class maps onto frame i's viseme
+    class and that viseme is not blank. The positive distribution p_i is
+    row i of M * W normalized, and the loss is the KL divergence from p_i
+    to the local similarity distribution q_i = softmax(cos(V_i, P_j) / tau)
+    over the window, averaged over rows that have positives and then over
+    the batch. Every frame's classes (B x T, padded frames too) must be in
+    range. Gradients reach V and P only; the classes are hard labels. The
+    gradient is closed-form: (q - p) on the rows with positives, scaled by
+    1 / (tau * B * (n_active + 1e-8)), taken through the cosine similarity;
+    the 1e-8 keeps an utterance with no active row at 0. Padded frames get
+    exactly zero gradient.
     """
     V, P = as_tensor(V), as_tensor(P)
     if V.data.shape != P.data.shape or V.data.ndim != 3 or \
@@ -314,6 +312,11 @@ def align_loss(V, P, viseme_classes, phoneme_classes,
     pho = np.asarray(phoneme_classes, dtype=np.int64)
     if vis.shape != (B, T) or pho.shape != (B, T):
         raise ValueError("class arrays must be B x T")
+    for kind, classes, n in (("viseme", vis, inv.num_visemes),
+                             ("phoneme", pho, inv.num_phonemes)):
+        bad = classes[(classes < 0) | (classes >= n)]
+        if bad.size:
+            raise ValueError(f"{kind} class {bad[0]} outside [0, {n})")
     lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.shape != (B,):
         raise ValueError("lengths must have one entry per batch element")
@@ -322,11 +325,14 @@ def align_loss(V, P, viseme_classes, phoneme_classes,
         raise ValueError(f"batch element {bad[0]}: length "
                          f"{lengths[bad[0]]} outside [0, {T}]")
 
-    # every utterance's positive distribution and window, zero past T_b
-    frames = np.arange(T) < lengths[:, None]
-    window = (build_window_mask(T, cfg.window_w) > 0) \
+    # every utterance's window W and positive distribution, zero past T_b
+    idx = np.arange(T)
+    frames = idx < lengths[:, None]
+    window = (np.abs(idx[:, None] - idx) <= cfg.window_w // 2) \
         & frames[:, :, None] & frames[:, None, :]
-    p = build_mapping_matrix(vis, pho, inv) * window
+    mapped = np.asarray(inv.phoneme_to_viseme)[pho]  # viseme of each P frame
+    p = ((vis[:, :, None] == mapped[:, None, :]) & (vis != BLANK)[:, :, None]
+         & window).astype(np.float64)
     row_sum = p.sum(axis=-1)
     active = row_sum > 0
     p /= np.where(active, row_sum, 1.0)[..., None]

@@ -29,6 +29,7 @@ fall back on.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -500,7 +501,7 @@ class Model:
         """Read a model or training-state checkpoint: check the version, then
         give the model of ``__config__`` its ``param::`` arrays, matched by
         name and shape."""
-        with np.load(path, allow_pickle=False) as z:
+        with open_checkpoint(path) as z:
             version = str(z["__version__"]) if "__version__" in z else None
             if version != CHECKPOINT_VERSION:
                 raise CheckpointError(
@@ -531,6 +532,19 @@ class Model:
         for name in model.params:
             model.params[name] = Tensor(loaded[name])
         return model
+
+
+def open_checkpoint(path):
+    """The ``.npz`` archive at ``path``, open; a file that holds none (a
+    ``.npy`` array, text, a truncated archive) is a ``CheckpointError``
+    naming ``path``."""
+    try:
+        z = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        z = None
+    if not isinstance(z, np.lib.npyio.NpzFile):
+        raise CheckpointError(f"{path} holds no checkpoint (.npz archive)")
+    return z
 
 
 def json_section(z, path, name, keys, error):

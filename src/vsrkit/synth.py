@@ -75,14 +75,17 @@ class SynthConfig:
     codebook_seed: int = None
 
     def __post_init__(self):
-        for name in ("sentence_len", "frames_per_phoneme"):
+        # from 2 frames per phoneme every CTC target fits its utterance: L
+        # labels need at most 2L - 1 frames
+        for name, least in (("sentence_len", 1), ("frames_per_phoneme", 2)):
             bounds = getattr(self, name)
             if not (isinstance(bounds, tuple) and len(bounds) == 2 and all(
                     isinstance(v, (int, np.integer)) for v in bounds)):
                 raise ValueError(
                     f"{name} must be two integers lo,hi, got {bounds!r}")
-            if bounds[0] < 1 or bounds[0] > bounds[1]:
-                raise ValueError(f"bad {name} range {bounds}")
+            if bounds[0] < least or bounds[0] > bounds[1]:
+                raise ValueError(f"{name} must be lo,hi with {least} <= lo "
+                                 f"<= hi, got {bounds}")
         if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValueError(
                 f"noise_std must be finite and >= 0, got {self.noise_std}")

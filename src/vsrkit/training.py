@@ -28,7 +28,7 @@ from .losses import (
 )
 from .metrics import cer
 from .model import CHAR_OFFSET, EOS_ID, SOS_ID, Model, ModelConfig, \
-    check_arrays, json_section
+    check_arrays, json_section, open_checkpoint
 from .synth import Utterance, filter_by_length
 
 __all__ = [
@@ -131,7 +131,7 @@ class TrainState:
         """Model from ``Model.load``; step, rng and each parameter's two
         moments from the ``__train__``, ``m::`` and ``v::`` sections."""
         model = Model.load(path)
-        with np.load(path, allow_pickle=False) as z:
+        with open_checkpoint(path) as z:
             if "__train__" not in z.files:
                 raise TrainingError(
                     f"{path} holds a model but no training state")

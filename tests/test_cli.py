@@ -91,6 +91,29 @@ def test_missing_config_file(tmp_path):
                "gen") == 1
 
 
+@pytest.mark.parametrize("content", [
+    None,
+    b"[synth]\nseed = 1\nseed = 2\n",
+    b"[synth]\nseed = 1\n[synth]\nseed = 2\n",
+    b"seed = 1\n",
+    b"[synth]\nseed = 1\xff\n",
+], ids=["directory", "duplicate-key", "duplicate-section",
+        "no-section-header", "not-utf-8"])
+def test_a_config_file_that_cannot_be_read_is_a_usage_error_naming_it(
+        tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.ini"
+    if content is None:
+        cfg.mkdir()
+    else:
+        cfg.write_bytes(content)
+    out = tmp_path / "out"
+    assert run("--config", str(cfg), "--out", str(out), "--quiet",
+               "gen") == 1
+    assert f"vsrkit: error: cannot read config file {cfg}: " in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_smoke_and_determinism(tmp_path, cfg_file):
     data = tmp_path / "data"
     assert run("--config", cfg_file, "--out", str(data), "--quiet", "gen") == 0
@@ -640,6 +663,7 @@ def test_gen_setting_that_fails_validation_exits_one(tmp_path, capsys):
     ("gen", "synth", "seed = -1"),
     ("gen", "synth", "codebook_seed = -3"),
     ("gen", "synth", "char_vocab_size = 2"),
+    ("gen", "synth", "frames_per_phoneme = 1,3"),
     ("train", "train", "seed = -1"),
     ("train", "train", "epochs_phase1 = -1"),
     ("train", "train", "epochs_phase2 = -1"),
@@ -724,17 +748,20 @@ def test_train_names_an_utterance_past_a_model_bound(tmp_path, cfg_file,
 
 
 def test_train_names_an_utterance_too_short_for_a_ctc_path(tmp_path, capsys):
-    # one frame per phoneme: a label repeated next to itself needs a blank
-    # frame between the two that the utterance does not have
-    cfg = tmp_path / "cfg.ini"
-    cfg.write_text("[synth]\nnum_utterances = 40\nchar_vocab_size = 6\n"
-                   "sentence_len = 2,4\nframes_per_phoneme = 1,1\n"
-                   "[train]\nepochs_phase1 = 1\nepochs_phase2 = 1\n"
-                   "batch_size = 4\n", encoding="utf-8")
+    # every other frame of a two-frames-per-phoneme corpus: one frame per
+    # phoneme, so a label repeated next to itself needs a blank frame
+    # between the two that the utterance does not have
+    inv = default_inventory()
+    lex = make_lexicon(inv, 6, seed=0)
+    corpus = [dataclasses.replace(u, features=u.features[::2], durations=(
+        1,) * len(u.durations)) for u in generate_corpus(SynthConfig(
+            num_utterances=40, char_vocab_size=6, sentence_len=(2, 4),
+            frames_per_phoneme=(2, 2)), inv, lex)]
     data, out = tmp_path / "data", tmp_path / "run"
-    assert run("--config", str(cfg), "--out", str(data), "--quiet",
-               "gen") == 0
-    capsys.readouterr()
+    write_manifest(data, corpus, inv, lex)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[train]\nepochs_phase1 = 1\nepochs_phase2 = 1\n"
+                   "batch_size = 4\n", encoding="utf-8")
     assert run("--config", str(cfg), "--out", str(out), "--quiet", "train",
                "--data", str(data)) == 2
     err = capsys.readouterr().err
@@ -792,7 +819,7 @@ def test_every_config_key_survives_the_effective_config(section, data):
 @st.composite
 def _synth_settings(draw):
     sentence_lo = draw(st.integers(1, 3))
-    frames_lo = draw(st.integers(1, 4))
+    frames_lo = draw(st.integers(2, 4))
     return {
         "seed": draw(st.integers(0, 10**6)),
         "num_utterances": draw(st.integers(1, 5)),

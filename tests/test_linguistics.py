@@ -1,10 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from vsrkit.linguistics import (
     LinguisticsError,
-    build_mapping_matrix,
-    build_window_mask,
     default_inventory,
     default_lexicon,
     labels_of,
@@ -188,99 +191,20 @@ def test_save_and_reload_lexicon(tmp_path, inv, lexicon):
         [e.phonemes for e in lexicon.entries]
 
 
-# ----------------------------------------------------------------------
-# mapping matrix
-
-
-def test_mapping_matrix_blank_rows_are_zero(inv):
-    M = build_mapping_matrix([0, 0, 0], [1, 2, 3], inv)
-    assert np.array_equal(M, np.zeros((3, 3)))
-
-
-def test_mapping_matrix_distinct_classes(inv):
-    p = inv.phoneme_index("p")
-    t = inv.phoneme_index("t")
-    M = build_mapping_matrix([2, 4], [p, t], inv)
-    assert np.array_equal(M, np.eye(2))
-
-
-def test_mapping_matrix_same_viseme_class(inv):
-    p = inv.phoneme_index("p")
-    ph = inv.phoneme_index("pʰ")
-    M = build_mapping_matrix([2, 2], [p, ph], inv)
-    assert np.array_equal(M, np.ones((2, 2)))
-
-
-def test_mapping_matrix_matches_pairwise_lookup_oracle(inv):
-    # entry (i, j) may depend only on the class pair; compare against a
-    # full two-level table over every (viseme, phoneme) pair
-    table = np.zeros((inv.num_visemes, inv.num_phonemes))
-    for v in range(inv.num_visemes):
-        for p in range(inv.num_phonemes):
-            table[v, p] = 1.0 if v != 0 and inv.phoneme_to_viseme[p] == v else 0.0
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        T = int(rng.integers(1, 9))
-        vis = rng.integers(0, inv.num_visemes, size=T)
-        pho = rng.integers(0, inv.num_phonemes, size=T)
-        M = build_mapping_matrix(vis, pho, inv)
-        assert np.array_equal(M, table[np.ix_(vis, pho)])
-    # a (B, T) pair gives the per-row matrices, stacked
-    vis = rng.integers(0, inv.num_visemes, size=(3, 5))
-    pho = rng.integers(0, inv.num_phonemes, size=(3, 5))
-    assert np.array_equal(build_mapping_matrix(vis, pho, inv), np.stack(
-        [build_mapping_matrix(v, p, inv) for v, p in zip(vis, pho)]))
-
-
-def test_mapping_matrix_permutation_equivariance(inv):
-    rng = np.random.default_rng(1)
-    T = 7
-    vis = rng.integers(0, inv.num_visemes, size=T)
-    pho = rng.integers(0, inv.num_phonemes, size=T)
-    sigma = rng.permutation(T)
-    M = build_mapping_matrix(vis, pho, inv)
-    M_perm = build_mapping_matrix(vis[sigma], pho[sigma], inv)
-    assert np.array_equal(M_perm, M[np.ix_(sigma, sigma)])
-
-
-def test_mapping_matrix_errors(inv):
-    with pytest.raises(LinguisticsError, match="equal-length"):
-        build_mapping_matrix([1, 2], [1], inv)
-    with pytest.raises(LinguisticsError, match="viseme class out of range"):
-        build_mapping_matrix([16], [1], inv)
-    with pytest.raises(LinguisticsError, match="phoneme class out of range"):
-        build_mapping_matrix([1], [99], inv)
-
-
-# ----------------------------------------------------------------------
-# window mask
-
-
-def test_window_mask_width_one_is_identity():
-    assert np.array_equal(build_window_mask(5, 1), np.eye(5))
-
-
-def test_window_mask_wide_is_all_ones():
-    assert np.array_equal(build_window_mask(3, 5), np.ones((3, 3)))
-
-
-def test_window_mask_row_support():
-    W = build_window_mask(10, 5)
-    assert np.array_equal(np.flatnonzero(W[0]), [0, 1, 2])
-
-
-def test_window_mask_structure():
-    for T, w in [(1, 1), (4, 3), (9, 5), (6, 11)]:
-        W = build_window_mask(T, w)
-        assert np.array_equal(W, W.T)
-        assert np.array_equal(np.diag(W), np.ones(T))
-        r = w // 2
-        for i in range(T):
-            assert W[i].sum() == min(T - 1, i + r) - max(0, i - r) + 1
-
-
-def test_window_mask_rejects_bad_width():
-    with pytest.raises(LinguisticsError):
-        build_window_mask(4, 2)
-    with pytest.raises(LinguisticsError):
-        build_window_mask(0, 1)
+def test_linguistics_runs_without_numpy():
+    # vocabularies, lexicons and their files are plain Python; the arrays
+    # built from them belong to the modules that compute
+    script = (
+        "import sys\n"
+        "from vsrkit.linguistics import default_inventory, default_lexicon,\\\n"
+        "    text_to_labels\n"
+        "inv = default_inventory()\n"
+        "lex = default_lexicon(inv)\n"
+        "text_to_labels(lex.entries[0].character, lex, inv)\n"
+        "print('numpy' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False"]

@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from vsrkit import autodiff as ad
 from vsrkit import verify
 from vsrkit.autodiff import Tensor, backward, finite_difference_check, grad_of
-from vsrkit.linguistics import build_mapping_matrix, default_inventory
+from vsrkit.linguistics import default_inventory
 from vsrkit.losses import (
     CtcError,
     CtcNoValidPathError,
@@ -654,6 +655,32 @@ def test_align_loss_shape_validation():
                    np.ones((1, 2)), np.ones((1, 2)), INV, cfg, [2])
 
 
+def test_align_window_needs_an_odd_width_and_a_frame():
+    # LossConfig checks the width once; align_loss builds W from it
+    for w in (0, 2, -1):
+        with pytest.raises(ValueError, match=re.escape(
+                f"window_w must be odd and >= 1, got {w}")):
+            LossConfig(window_w=w)
+    with pytest.raises(ValueError, match="T >= 1"):
+        align_loss(Tensor(np.ones((1, 0, 3))), Tensor(np.ones((1, 0, 3))),
+                   np.ones((1, 0)), np.ones((1, 0)), INV, LossConfig(), [0])
+
+
+def test_align_loss_names_an_out_of_range_class():
+    cfg, V, P, vis, pho = _random_instance(np.random.default_rng(4), T=4)
+    with pytest.raises(ValueError, match="class arrays must be B x T"):
+        align_loss(Tensor(V), Tensor(P), vis, pho[:, :3], INV, cfg, [4, 2])
+    # frame 3 of element 1 is padding: every frame's classes are checked
+    for kind, value in [("viseme", INV.num_visemes), ("viseme", -1),
+                        ("phoneme", INV.num_phonemes), ("phoneme", -1)]:
+        classes = {"viseme": vis.copy(), "phoneme": pho.copy()}
+        classes[kind][1, 3] = value
+        with pytest.raises(ValueError, match=re.escape(
+                f"{kind} class {value} outside [0, ")):
+            align_loss(Tensor(V), Tensor(P), classes["viseme"],
+                       classes["phoneme"], INV, cfg, [4, 2])
+
+
 @pytest.mark.parametrize("lengths", [[4, -2], [4, 6]])
 def test_align_loss_names_the_element_with_a_bad_length(lengths):
     cfg, V, P, vis, pho = _random_instance(np.random.default_rng(3), T=4)
@@ -745,10 +772,3 @@ def test_align_loss_guards_all_zero_feature_rows():
     assert np.isfinite(float(loss.data))
     assert np.all(np.isfinite(grad_of(tv))) and np.all(np.isfinite(grad_of(tp)))
 
-
-def test_pipeline_masks_compose():
-    # mapping matrix from the earlier example through the mask product
-    p = INV.phoneme_index("p")
-    t = INV.phoneme_index("t")
-    M = build_mapping_matrix([2, 4], [p, t], INV)
-    assert np.array_equal(M, np.eye(2))

@@ -92,7 +92,7 @@ def _synth_configs(draw):
     sizes down to 6, where ``make_lexicon`` runs out of quota."""
     size = draw(st.integers(6, 48))
     lo = draw(st.integers(1, 4))
-    frames_lo = draw(st.integers(1, 4))
+    frames_lo = draw(st.integers(2, 4))
     return size, SynthConfig(
         seed=draw(st.integers(0, 2**16)),
         num_utterances=draw(st.integers(1, 20)),
@@ -149,7 +149,7 @@ def test_durations_within_range(small_corpus):
 def test_noiseless_features_are_exact_codebook_rows():
     lex = make_lexicon(INV, 20, seed=4)
     cfg = SynthConfig(seed=4, num_utterances=10, char_vocab_size=20,
-                      noise_std=0.0, frames_per_phoneme=(1, 1))
+                      noise_std=0.0, frames_per_phoneme=(2, 2))
     corpus = generate_corpus(cfg, INV, lex)
     book = phoneme_codebook(cfg, INV)
     for u in corpus:

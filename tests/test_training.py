@@ -13,7 +13,8 @@ from vsrkit import training
 from vsrkit.autodiff import Tensor, grad_of
 from vsrkit.linguistics import LabelTriple, default_inventory
 from vsrkit.losses import LossConfig
-from vsrkit.model import CHAR_OFFSET, ActivationConfig, Model, ModelConfig
+from vsrkit.model import CHAR_OFFSET, ActivationConfig, CheckpointError, \
+    Model, ModelConfig
 from vsrkit.synth import SynthConfig, Utterance, generate_corpus, \
     make_lexicon
 from vsrkit.training import (
@@ -233,13 +234,15 @@ def test_an_utterance_past_a_model_bound_stops_before_any_step(name, unit,
 @pytest.mark.parametrize("with_branches", [True, False])
 def test_an_utterance_too_short_for_a_ctc_path_stops_before_any_step(
         with_branches):
-    # one frame per phoneme, so a target with a label repeated next to
-    # itself needs more frames than the utterance has
+    # every other frame of a two-frames-per-phoneme corpus: one frame per
+    # phoneme, so a target with a label repeated next to itself needs more
+    # frames than the utterance has
     _, _, mcfg, tcfg = tiny_setup(with_branches=with_branches)
     lex = make_lexicon(INV, 6, seed=1)  # each character one phoneme
-    corpus = generate_corpus(SynthConfig(
-        seed=1, num_utterances=40, char_vocab_size=6, sentence_len=(2, 4),
-        frames_per_phoneme=(1, 1), feature_dim=8), INV, lex)
+    corpus = [replace(u, features=u.features[::2], durations=(1,) * len(
+        u.durations)) for u in generate_corpus(SynthConfig(
+            seed=1, num_utterances=40, char_vocab_size=6, sentence_len=(2, 4),
+            frames_per_phoneme=(2, 2), feature_dim=8), INV, lex)]
     mcfg = replace(mcfg, char_vocab=len(lex) + CHAR_OFFSET)
     heads = ["char", "phoneme", "viseme"][:3 if with_branches else 1]
 
@@ -423,6 +426,25 @@ def test_state_load_of_a_model_file_names_the_path(tmp_path):
     Model(mcfg).save(path)
     with pytest.raises(TrainingError, match=re.escape(str(path))):
         TrainState.load(path)
+
+
+@pytest.mark.parametrize("load", [Model.load, TrainState.load],
+                         ids=["model", "state"])
+@pytest.mark.parametrize("content", ["npy", "text", "truncated"])
+def test_a_file_that_holds_no_checkpoint_is_a_checkpoint_error_naming_it(
+        tmp_path, load, content):
+    path = tmp_path / f"ck.{'npy' if content == 'npy' else 'npz'}"
+    if content == "npy":
+        np.save(path, np.zeros(3))
+    elif content == "text":
+        path.write_text("step = 3\n", encoding="utf-8")
+    else:
+        _, _, mcfg, tcfg = tiny_setup()
+        TrainState.new(tcfg, mcfg).save(path)
+        path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"{path} holds no checkpoint (.npz archive)")):
+        load(path)
 
 
 @pytest.mark.parametrize("train, message", [
