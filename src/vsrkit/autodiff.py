@@ -1,4 +1,5 @@
-"""Minimal dense-array reverse-mode autodiff on float64 numpy arrays.
+"""Minimal dense-array reverse-mode autodiff on float32 or float64 numpy
+arrays; every op keeps the dtype of its inputs.
 
 Outside ``inference()``, every operation builds a node graph that
 ``backward`` replays in reverse topological order exactly once per node,
@@ -23,6 +24,7 @@ array, so gradient arrays may be shared and are read-only.
 from __future__ import annotations
 
 import itertools
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -54,6 +56,7 @@ __all__ = [
 # creation order; one next() is one C call, so threads never share an id
 _node_ids = itertools.count(1)
 _recording = ContextVar("recording", default=True)  # off in inference()
+_FLOAT32 = np.dtype(np.float32)  # kept by Tensor; all else is float64
 
 
 class AutodiffError(RuntimeError):
@@ -61,7 +64,8 @@ class AutodiffError(RuntimeError):
 
 
 class Tensor:
-    """A float64 array plus the bookkeeping needed for reverse mode.
+    """A float32 or float64 array plus the bookkeeping needed for reverse
+    mode; any other data is cast to float64.
 
     Leaf tensors (parameters, inputs) have no parents. Op results carry
     references to their parents and a closure that maps the output
@@ -72,7 +76,9 @@ class Tensor:
 
     def __init__(self, data, parents=(), grad_fn=None, op="leaf"):
         recording = _recording.get()
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == _FLOAT32 else \
+            data.astype(np.float64, copy=False)
         self.parents = tuple(parents) if recording else ()
         self._grad_fn = grad_fn if recording else None
         self.grad = None
@@ -143,7 +149,8 @@ def linear(x, w, b=None):
     def grad_fn(g):
         g2 = g.reshape(-1, g.shape[-1])
         grads = ((g2 @ w.data.T).reshape(x.data.shape), x2.T @ g2)
-        return grads if b is None else (*grads, np.ones(len(g2)) @ g2)
+        return grads if b is None else \
+            (*grads, np.ones(len(g2), g2.dtype) @ g2)
 
     return Tensor(out.reshape(*x.data.shape[:-1], -1), parents, grad_fn,
                   op="linear")
@@ -166,7 +173,7 @@ def slice_(a, key):
 
 
 def _scatter(a, rows):
-    out = np.zeros((*rows.shape, a.shape[-1]))
+    out = np.zeros((*rows.shape, a.shape[-1]), a.dtype)
     out[rows] = a  # masked rows never repeat: no accumulation
     return out
 
@@ -216,11 +223,11 @@ def layer_norm(x, scale, bias, eps):
     xhat = xc * inv
 
     def grad_fn(g):  # every sum is a product with ones
-        gh, g2, ones = g * scale.data, g.reshape(-1, n), np.ones(n)
+        gh, g2, ones = g * scale.data, g.reshape(-1, n), np.ones(n, g.dtype)
         gx = inv * (gh - ((gh @ ones)[..., None]
                           + xhat * ((gh * xhat) @ ones)[..., None])
                     * (1.0 / n))
-        rows = np.ones(len(g2))
+        rows = np.ones(len(g2), g.dtype)
         return gx, rows @ (g2 * xhat.reshape(-1, n)), rows @ g2
 
     return Tensor(xhat * scale.data + bias.data, (x, scale, bias), grad_fn,
@@ -242,12 +249,14 @@ def attention(q, k, v, heads, disallow=None):
         return g.swapaxes(-2, -3).reshape(a.data.shape)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scale = 1.0 / np.sqrt(qh.shape[-1])
-    ones = np.ones(kh.shape[-2])  # row sums as BLAS matrix-vector products
+    scale = 1.0 / math.sqrt(qh.shape[-1])  # a numpy scalar would upcast
+    # row sums as BLAS matrix-vector products
+    ones = np.ones(kh.shape[-2], kh.dtype)
     p = qh @ kh.swapaxes(-1, -2)  # softmax in place on the scores
     p *= scale
     if disallow is not None:
-        p += np.where(disallow, -1e30, 0.0)[..., None, :, :]
+        mask = np.where(disallow, -1e30, 0.0).astype(p.dtype, copy=False)
+        p += mask[..., None, :, :]
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= (p @ ones)[..., None]
@@ -360,9 +369,15 @@ def central_difference(f, xs, us, step=1e-4):
     ``xs``, which ``f`` reads, moves in place by +-h and +-2h times its
     array of ``us`` and is then restored. This estimates the sum of
     <grad, u> over the arrays; a unit direction probes one entry alone.
-    Cancelling the h^2 error keeps round-off near 1e-12 at this h."""
+    Cancelling the h^2 error keeps round-off near 1e-12 at this h, in
+    float64: float32 round-off alone is about 1e-3 here, so any other dtype
+    is a ValueError."""
     if step <= 0:
         raise ValueError("step must be positive")
+    for x in xs:
+        if x.dtype != np.float64:
+            raise ValueError(f"finite differences need float64 arrays, "
+                             f"got {x.dtype}")
     origs = [x.copy() for x in xs]
     d = []
     try:
@@ -398,7 +413,7 @@ def finite_difference_check(f, x, step=1e-4):
 
     ``f`` maps a leaf Tensor to a scalar Tensor. The analytic gradient comes
     from one reverse pass, the numeric one from ``central_difference`` along
-    each unit direction in turn.
+    each unit direction in turn, so ``x`` must be float64.
     """
     leaf = Tensor(np.array(as_tensor(x).data))
     backward(f(leaf))

@@ -53,6 +53,7 @@ def benchmark_model_config(lexicon_size):
         p_drop=0.1,
         max_decode_len=8,
         max_frames=120,
+        dtype="float32",
     )
 
 

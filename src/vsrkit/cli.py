@@ -75,7 +75,8 @@ def _coerce(section, key, value: str, py_type):
                          f"a valid {py_type.__name__}") from None
 
 
-_TYPES_BY_NAME = {"int": int, "float": float, "bool": bool, "tuple": tuple}
+_TYPES_BY_NAME = {"int": int, "float": float, "bool": bool, "tuple": tuple,
+                  "str": str}
 
 
 def _section_values(cp, section, schema):

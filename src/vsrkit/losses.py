@@ -10,12 +10,13 @@ batch, a ``Tensor`` built from its value, its inputs and its gradient
 function: the value and its masks are computed in numpy for the whole
 batch at once, and the gradient has a closed form (for CTC, from the
 forward-backward recursion) rather than coming from taping every
-intermediate. Padded frames and rows get exactly zero gradient. One
-``ctc_loss`` call takes dicts of heads by name and runs one recursion over
-the utterances of them all. ``total_loss`` combines the losses into the
-objective and returns every present component by name, in the order a
-training record logs them, so objective and component names are written
-once.
+intermediate. Each computes in float64 whatever its inputs' dtype, and
+hands back each gradient in its input's dtype. Padded frames and rows get
+exactly zero gradient. One ``ctc_loss`` call takes dicts of heads by name
+and runs one recursion over the utterances of them all. ``total_loss``
+combines the losses into the objective and returns every present
+component by name, in the order a training record logs them, so objective
+and component names are written once.
 """
 from __future__ import annotations
 
@@ -214,9 +215,11 @@ def ctc_loss(logits, targets, lengths):
                       np.arange(lp.shape[2])).astype(np.float64)
         # d(-log p_b) / d logits
         grad = np.where(frame_valid, np.exp(lp) - occ, 0.0)
-        losses.append(Tensor(np.float64(-log_p[rows].mean()), (lg,),
-                             lambda g, grad=grad: ((g * (1.0 / B)) * grad,),
-                             op="ctc_loss"))
+        losses.append(Tensor(
+            np.float64(-log_p[rows].mean()), (lg,),
+            lambda g, grad=grad, dt=lg.data.dtype:
+                (((g * (1.0 / B)) * grad).astype(dt, copy=False),),
+            op="ctc_loss"))
     return dict(zip(names, losses))
 
 
@@ -262,7 +265,8 @@ def attention_ce_loss(logits, targets, lengths) -> Tensor:
     grad = (np.exp(lp) - (targets[..., None] == np.arange(K))) \
         * weight[..., None]
     return Tensor(np.float64(-(picked * weight).sum()), (logits,),
-                  lambda g: (g * grad,), op="attention_ce_loss")
+                  lambda g: ((g * grad).astype(x.dtype, copy=False),),
+                  op="attention_ce_loss")
 
 
 def _unit_rows(x):
@@ -338,8 +342,8 @@ def align_loss(V, P, viseme_classes, phoneme_classes,
     p /= np.where(active, row_sum, 1.0)[..., None]
     n_active = active.sum(axis=-1)
 
-    v_hat, v_grad = _unit_rows(V.data)
-    p_hat, p_grad = _unit_rows(P.data)
+    v_hat, v_grad = _unit_rows(V.data.astype(np.float64, copy=False))
+    p_hat, p_grad = _unit_rows(P.data.astype(np.float64, copy=False))
     scaled = (v_hat @ p_hat.swapaxes(-1, -2)) * (1.0 / cfg.tau)
     log_q = log_probs(np.where(window, scaled, -1e30))
 
@@ -352,8 +356,9 @@ def align_loss(V, P, viseme_classes, phoneme_classes,
     def grad_fn(g):
         scale = g / (cfg.tau * B * (n_active + _ALIGN_EPSILON))
         gz = (np.exp(log_q) * active[..., None] - p) * scale[:, None, None]
-        return (v_grad(gz @ p_hat),
-                p_grad(gz.swapaxes(-1, -2) @ v_hat))
+        return (v_grad(gz @ p_hat).astype(V.data.dtype, copy=False),
+                p_grad(gz.swapaxes(-1, -2) @ v_hat).astype(P.data.dtype,
+                                                           copy=False))
 
     return Tensor(np.float64(per_utt.sum() * (1.0 / B)), (V, P), grad_fn,
                   op="align_loss")

@@ -17,19 +17,27 @@ only attention and the depthwise conv unpack, inside the block. Padded rows
 of their outputs are exactly zero. With ``valid=None`` nothing is packed.
 
 There is one checkpoint file layout, written by ``Model.save`` and read by
-``Model.load``: a ``.npz`` with ``__version__`` ("vsrkit-checkpoint v5"),
-``__config__`` (the model config JSON) and ``param::<name>`` arrays. A
-training state is the same file with extra sections that ``Model.load``
-ignores: ``__train__`` (the step and the rng state) and the optimizer
-moments. ``Model.load`` builds the model of the saved config, checks every
-saved name and shape against its parameters and then assigns the saved
-arrays, so the building blocks read ``params`` by name with nothing to
-fall back on.
+``Model.load``: a ``.npz`` with ``__version__`` ("vsrkit-checkpoint v6"),
+``__config__`` (the model config JSON, ``dtype`` among its keys) and
+``param::<name>`` arrays. A training state is the same file with extra
+sections that ``Model.load`` ignores: ``__train__`` (the step and the rng
+state) and the optimizer moments. ``Model.load`` builds the model of the
+saved config, checks every saved name, shape and dtype against its
+parameters and then assigns the saved arrays, so the building blocks read
+``params`` by name with nothing to fall back on. A damaged member is a
+``CheckpointError`` naming the file.
+
+``ModelConfig.dtype`` is the dtype of every parameter and so of every
+activation: "float64" (the default) or "float32". Features are cast to it
+on the way in; the losses compute in float64 and hand back gradients in
+it.
 """
 from __future__ import annotations
 
 import json
+import os
 import zipfile
+import zlib
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -57,9 +65,11 @@ __all__ = [
     "CHAR_OFFSET",
 ]
 
-CHECKPOINT_VERSION = "vsrkit-checkpoint v5"
+CHECKPOINT_VERSION = "vsrkit-checkpoint v6"
 # the JSON values a ``__config__`` key of each ``ModelConfig`` type takes
-_JSON_TYPES = {"bool": bool, "int": int, "float": (int, float)}
+_JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
+# the values of ``ModelConfig.dtype``
+_DTYPES = ("float64", "float32")
 
 # character token layout shared by both char heads
 BLANK_ID = BLANK
@@ -93,6 +103,7 @@ class ModelConfig:
     max_frames: int = 256
     head_hidden_mult: int = 4  # head hidden width = mult * vocab size
     with_branches: bool = True  # False: the single-stage ablation
+    dtype: str = "float64"  # of every parameter: one of _DTYPES
 
     def __post_init__(self):
         for name in ("char_vocab", "phoneme_vocab", "input_dim", "model_dim",
@@ -103,6 +114,9 @@ class ModelConfig:
                                  f"got {getattr(self, name)}")
         if not 0.0 <= self.p_drop < 1.0:
             raise ValueError(f"p_drop must be in [0, 1), got {self.p_drop}")
+        if self.dtype not in _DTYPES:
+            raise ValueError(f"dtype must be one of {', '.join(_DTYPES)}, "
+                             f"got {self.dtype!r}")
         if self.model_dim % self.attention_heads:
             raise ValueError(
                 f"model_dim must be divisible by attention_heads, got "
@@ -257,6 +271,8 @@ class Model:
 
         head("heads/char_ctc", cfg.char_vocab)
         head("heads/char_attn", cfg.char_vocab)
+        for p in params.values():  # drawn in float64 whatever the dtype
+            p.data = p.data.astype(cfg.dtype, copy=False)
         return params
 
     def count_active_params(self, act: ActivationConfig) -> int:
@@ -360,9 +376,9 @@ class Model:
         return ad.silu(droppath_sum(F, P, V, mask_p, mask_v, self.cfg.p_drop))
 
     def sample_drop_masks(self, rng, batch_size):
-        keep = 1.0 - self.cfg.p_drop
-        mp = (rng.random((batch_size, 1, 1)) < keep).astype(np.float64)
-        mv = (rng.random((batch_size, 1, 1)) < keep).astype(np.float64)
+        keep, dtype = 1.0 - self.cfg.p_drop, self.cfg.dtype
+        mp = (rng.random((batch_size, 1, 1)) < keep).astype(dtype)
+        mv = (rng.random((batch_size, 1, 1)) < keep).astype(dtype)
         return mp, mv
 
     def char_forward(self, fused, valid=None):
@@ -405,19 +421,18 @@ class Model:
         """Full training-mode forward pass. A model with branches runs both
         and fuses them under branch-drop masks sampled from ``rng``; a model
         built without them fuses the trunk features alone."""
-        features = as_tensor(features)
-        if features.data.ndim != 3 or \
-                features.data.shape[-1] != self.cfg.input_dim:
+        x = as_tensor(features).data.astype(self.cfg.dtype, copy=False)
+        if x.ndim != 3 or x.shape[-1] != self.cfg.input_dim:
             raise ValueError(f"features must be B x T x {self.cfg.input_dim}, "
-                             f"got {features.data.shape}")
-        B, T, _ = features.data.shape
+                             f"got {x.shape}")
+        B, T, _ = x.shape
         lengths = np.asarray(lengths)
         if lengths.shape != (B,) or not np.all((lengths >= 1) & (lengths <= T)):
             raise ValueError(f"lengths must be {B} values in [1, {T}], "
                              f"got {lengths.tolist()}")
         valid = np.arange(T)[None, :] < lengths[:, None]
         out = ForwardOutputs()
-        F = self.trunk_forward(features, valid)
+        F = self.trunk_forward(x, valid)
         if self.cfg.with_branches:
             out.P, out.phoneme_logits = self.branch_forward(F, "phoneme", valid)
             out.V, out.viseme_logits = self.branch_forward(F, "viseme", valid)
@@ -444,7 +459,7 @@ class Model:
         """
         if decode not in DECODE_MODES:
             raise ValueError(f"unknown decode mode {decode!r}")
-        x = as_tensor(features).data
+        x = as_tensor(features).data.astype(self.cfg.dtype, copy=False)
         if x.shape[1:] != (self.cfg.input_dim,) or not len(x):
             raise ValueError(
                 f"forward_infer takes one T x {self.cfg.input_dim} "
@@ -486,30 +501,38 @@ class Model:
     # checkpoints
 
     def save(self, path, **sections):
-        """Write the one checkpoint layout: ``__version__``, ``__config__``
-        (the model config JSON) and one ``param::<name>`` array per
-        parameter. ``sections`` are extra named arrays stored alongside,
-        such as a training state's; ``load`` ignores them."""
-        np.savez(path,
-                 __version__=np.array(CHECKPOINT_VERSION),
-                 __config__=np.array(self.cfg.to_json()),
-                 **{f"param::{k}": p.data for k, p in self.params.items()},
-                 **sections)
+        """Write the one checkpoint layout to ``path``: ``__version__``,
+        ``__config__`` (the model config JSON) and one ``param::<name>``
+        array per parameter. ``sections`` are extra named arrays stored
+        alongside, such as a training state's; ``load`` ignores them. The
+        archive is written beside ``path`` and then renamed onto it, so
+        ``path`` holds its previous file or the whole new one."""
+        tmp = f"{path}.partial.npz"  # savez appends .npz to a name lacking it
+        try:
+            np.savez(tmp,
+                     __version__=np.array(CHECKPOINT_VERSION),
+                     __config__=np.array(self.cfg.to_json()),
+                     **{f"param::{k}": p.data for k, p in self.params.items()},
+                     **sections)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
     @classmethod
     def load(cls, path):
         """Read a model or training-state checkpoint: check the version, then
         give the model of ``__config__`` its ``param::`` arrays, matched by
-        name and shape."""
-        with open_checkpoint(path) as z:
-            version = str(z["__version__"]) if "__version__" in z else None
-            if version != CHECKPOINT_VERSION:
-                raise CheckpointError(
-                    f"unsupported checkpoint version {version!r} in {path}; "
-                    f"expected {CHECKPOINT_VERSION!r}")
-            values = json_section(z, path, "__config__", (), CheckpointError)
-            loaded = {k.removeprefix("param::"): z[k] for k in z.files
-                      if k.startswith("param::")}
+        name, shape and dtype."""
+        z = read_checkpoint(path)
+        version = str(z["__version__"]) if "__version__" in z else None
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(
+                f"unsupported checkpoint version {version!r} in {path}; "
+                f"expected {CHECKPOINT_VERSION!r}")
+        values = json_section(z, path, "__config__", (), CheckpointError)
+        loaded = {k.removeprefix("param::"): a for k, a in z.items()
+                  if k.startswith("param::")}
         bad = sorted(set(values) ^ {f.name for f in fields(ModelConfig)})
         if bad:
             kind = "unknown" if bad[0] in values else "missing"
@@ -534,24 +557,34 @@ class Model:
         return model
 
 
-def open_checkpoint(path):
-    """The ``.npz`` archive at ``path``, open; a file that holds none (a
-    ``.npy`` array, text, a truncated archive) is a ``CheckpointError``
-    naming ``path``."""
+def read_checkpoint(path):
+    """Every member of the ``.npz`` archive at ``path``, read, by name. A
+    file that holds none (a ``.npy`` array, text, a truncated archive) is a
+    ``CheckpointError`` naming ``path``, and so is a member that cannot be
+    read whole (a flipped byte fails its CRC)."""
     try:
         z = np.load(path, allow_pickle=False)
     except (ValueError, EOFError, zipfile.BadZipFile):
         z = None
     if not isinstance(z, np.lib.npyio.NpzFile):
         raise CheckpointError(f"{path} holds no checkpoint (.npz archive)")
-    return z
+    members = {}
+    with z:
+        for name in z.files:
+            try:
+                members[name] = z[name]
+            except (zipfile.BadZipFile, zlib.error, ValueError, EOFError,
+                    OSError) as e:
+                raise CheckpointError(f"{path}: member {name} is damaged "
+                                      f"({e})") from None
+    return members
 
 
 def json_section(z, path, name, keys, error):
-    """The JSON object in section ``name`` of the open checkpoint ``z``;
+    """The JSON object in section ``name`` of the checkpoint members ``z``;
     raises ``error`` naming ``path`` and the section if the section is
     missing or is not a JSON object, or the first of ``keys`` it lacks."""
-    if name not in z.files:
+    if name not in z:
         raise error(f"{path} lacks section {name}")
     try:
         value = json.loads(str(z[name]))
@@ -568,7 +601,8 @@ def json_section(z, path, name, keys, error):
 def check_arrays(path, what, loaded, expected, error):
     """Raise ``error`` naming ``path`` and the first ``what`` array of
     ``expected`` (name -> array) that ``loaded`` lacks or holds in another
-    shape, else the first ``loaded`` name that ``expected`` lacks."""
+    shape or dtype, else the first ``loaded`` name that ``expected``
+    lacks."""
     for name in [*expected, *loaded]:
         if name not in loaded:
             raise error(f"{path} lacks {what} {name}")
@@ -578,3 +612,7 @@ def check_arrays(path, what, loaded, expected, error):
             raise error(f"{what} {name} in {path} has shape "
                         f"{loaded[name].shape}, expected "
                         f"{expected[name].shape}")
+        if loaded[name].dtype != expected[name].dtype:
+            raise error(f"{what} {name} in {path} has dtype "
+                        f"{loaded[name].dtype}, expected "
+                        f"{expected[name].dtype}")

@@ -8,6 +8,7 @@ parameter or moment array sees it change."""
 from __future__ import annotations
 
 import json
+import math
 import operator
 import time
 from dataclasses import asdict, dataclass, field
@@ -28,7 +29,7 @@ from .losses import (
 )
 from .metrics import cer
 from .model import CHAR_OFFSET, EOS_ID, SOS_ID, Model, ModelConfig, \
-    check_arrays, json_section, open_checkpoint
+    check_arrays, json_section, read_checkpoint
 from .synth import Utterance, filter_by_length
 
 __all__ = [
@@ -131,13 +132,12 @@ class TrainState:
         """Model from ``Model.load``; step, rng and each parameter's two
         moments from the ``__train__``, ``m::`` and ``v::`` sections."""
         model = Model.load(path)
-        with open_checkpoint(path) as z:
-            if "__train__" not in z.files:
-                raise TrainingError(
-                    f"{path} holds a model but no training state")
-            meta = json_section(z, path, "__train__", ("step", "rng_state"),
-                                TrainingError)
-            moments = {k: z[k] for k in z.files if k.startswith(("m::", "v::"))}
+        z = read_checkpoint(path)
+        if "__train__" not in z:
+            raise TrainingError(f"{path} holds a model but no training state")
+        meta = json_section(z, path, "__train__", ("step", "rng_state"),
+                            TrainingError)
+        moments = {k: a for k, a in z.items() if k.startswith(("m::", "v::"))}
         check_arrays(path, "moment", moments,
                      {f"{kind}::{k}": p.data for kind in "mv"
                       for k, p in model.params.items()}, TrainingError)
@@ -243,13 +243,15 @@ def _adamw_step(state: TrainState, lr):
     the clip scale applied to it."""
     grads = {name: grad_of(p) for name, p in state.model.params.items()}
     norm = np.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
-    scale = _CLIP_NORM / norm if norm > _CLIP_NORM else 1.0
+    scale = float(_CLIP_NORM / norm) if norm > _CLIP_NORM else 1.0
 
-    # (m / bc1) / (sqrt(v / bc2) + 1e-8), bias corrections folded in
+    # (m / bc1) / (sqrt(v / bc2) + 1e-8), bias corrections folded in; every
+    # factor is a Python float, as a numpy float64 would upcast float32
     t = state.step + 1
-    root_bc2 = np.sqrt(1.0 - _BETA2 ** t)
-    step = lr * root_bc2 / (1.0 - _BETA1 ** t)
+    root_bc2 = math.sqrt(1.0 - _BETA2 ** t)
+    step = float(lr) * root_bc2 / (1.0 - _BETA1 ** t)
     eps = 1e-8 * root_bc2
+    decay = 1.0 - float(lr) * _WEIGHT_DECAY
     for name, p in state.model.params.items():
         g = grads[name] if scale == 1.0 else grads[name] * scale
         m, v = state.opt_m[name], state.opt_v[name]
@@ -265,7 +267,7 @@ def _adamw_step(state: TrainState, lr):
         np.divide(m, buf, out=buf)
         buf *= step
         if p.data.ndim >= 2:  # decoupled decay on weight matrices only
-            p.data *= 1.0 - lr * _WEIGHT_DECAY
+            p.data *= decay
         p.data -= buf
         p.grad = None
     return float(norm), float(scale)

@@ -106,6 +106,52 @@ def test_fused_op_gradients_match_finite_differences(name):
                     cases=10)
 
 
+# every op on float arguments, as (op, arguments)
+OPS = {
+    "add": (ad.add, (OTHER, OTHER[0])),
+    "mul": (ad.mul, (OTHER, OTHER[0])),
+    "slice": (lambda x: x[1:, [0, 0, 2]], (OTHER,)),
+    "silu": (ad.silu, (OTHER,)),
+    "linear": (ad.linear, (X3, W45, B5)),
+    "layer_norm": (lambda x, s, b: ad.layer_norm(x, s, b, 1e-5),
+                   (X3, LN_SCALE, LN_BIAS)),
+    "attention_key_mask": (_attention_with(KEY_MASK), (X3, KV, KV)),
+    "attention_causal": (_attention_with(CAUSAL), (X3, X3, X3)),
+    "depthwise_conv": (ad.depthwise_conv, (X3, CONV_W)),
+    "pack": (lambda x: ad.pack(x, ROWS), (X3,)),
+    "unpack": (lambda x: ad.unpack(x, ROWS), (X3[ROWS],)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPS))
+def test_every_op_keeps_float32_and_follows_its_float64_values(name):
+    op, args = OPS[name]
+    runs = {}
+    for dtype in (np.float32, np.float64):
+        out = op(*(Tensor(a.astype(dtype)) for a in args))
+        grads = out._grad_fn(np.cos(np.arange(out.data.size) + 0.5).reshape(
+            out.data.shape).astype(dtype))
+        assert [g.dtype for g in (out.data, *grads)] == \
+            [np.dtype(dtype)] * (1 + len(args))
+        runs[dtype] = (out.data, *grads)
+    for lo, hi in zip(runs[np.float32], runs[np.float64]):
+        np.testing.assert_allclose(lo, hi, rtol=1e-4, atol=1e-5)
+
+
+@pytest.mark.parametrize("data, dtype", [
+    (np.ones(3, np.float32), np.float32),
+    (np.ones(3), np.float64),
+    (np.ones(3, np.float16), np.float64),
+    (np.arange(3), np.float64),
+    (2, np.float64),
+], ids=["float32", "float64", "float16", "int", "python-int"])
+def test_a_tensor_keeps_float32_and_float64_and_casts_the_rest(data, dtype):
+    t = Tensor(data)
+    assert t.data.dtype == dtype
+    if isinstance(data, np.ndarray) and data.dtype == dtype:
+        assert t.data is data
+
+
 def _padded_conv(x, w, g):
     """The zero-padded depthwise conv and its gradients, tap by tap in the
     same order as ``ad.depthwise_conv``: the reference its slicing keeps."""
@@ -555,6 +601,33 @@ def test_central_difference_restores_after_a_non_finite_probe():
     with pytest.raises(AutodiffError, match="non-finite"):
         central_difference(reciprocal, [x], [np.ones(2)], step=1e-5)
     assert np.array_equal(x, before)
+
+
+def test_finite_differences_refuse_a_float32_array():
+    x = np.ones((2, 2), np.float32)
+    with pytest.raises(ValueError, match="float64 arrays, got float32"):
+        central_difference(lambda: weighted_sum(Tensor(x)), [x],
+                           [np.ones((2, 2))])
+    with pytest.raises(ValueError, match="float64 arrays, got float32"):
+        finite_difference_check(weighted_sum, Tensor(x))
+    with pytest.raises(ValueError, match="float64 arrays, got float32"):
+        finite_difference_check(weighted_sum, x)
+
+
+def test_every_oracle_suite_builds_float64_models(monkeypatch):
+    built = []
+
+    class Recorded(verify.Model):
+        def __init__(self, cfg, seed=0):
+            super().__init__(cfg, seed)
+            built.append({p.data.dtype for p in self.params.values()})
+
+    monkeypatch.setattr(verify, "Model", Recorded)
+    verify._tiny_model(np.random.default_rng(0))
+    # each finite difference refuses a float32 array, so a suite that
+    # probed one would raise here
+    assert all(r["passed"] for r in verify.run_all(fast=True))
+    assert len(built) > 1 and all(b == {np.dtype(np.float64)} for b in built)
 
 
 def test_gradient_suite_passes_at_full_loss_instance_count():

@@ -362,6 +362,38 @@ def test_eval_single_activation(tmp_path, cfg_file):
                if r["kind"] == "utterance")
 
 
+def test_a_float32_run_trains_float32_arrays_and_decodes(tmp_path, cfg_file,
+                                                         capsys):
+    data = _manifest(tmp_path, cfg_file)
+    rd, ed = tmp_path / "run", tmp_path / "eval"
+    wrong = tmp_path / "f16.ini"
+    wrong.write_text(CFG_TEXT + "dtype = float16\n", encoding="utf-8")
+    assert run("--config", str(wrong), "--out", str(rd), "--quiet", "train",
+               "--data", str(data)) == 1
+    assert "[model]: dtype must be one of float64, float32, got 'float16'" \
+        in capsys.readouterr().err
+    assert not rd.exists()
+
+    cfg = tmp_path / "f32.ini"
+    cfg.write_text(CFG_TEXT + "dtype = float32\n", encoding="utf-8")
+    assert run("--config", str(cfg), "--out", str(rd), "--quiet", "train",
+               "--data", str(data)) == 0
+    assert "dtype = float32" in \
+        (rd / "effective_config.ini").read_text(encoding="utf-8")
+    with np.load(rd / "final.npz") as z:
+        dtypes = {z[k].dtype for k in z.files
+                  if k.startswith(("param::", "m::", "v::"))}
+    assert dtypes == {np.dtype(np.float32)}
+    assert run("--config", str(cfg), "--out", str(ed), "--quiet", "eval",
+               "--checkpoint", str(rd / "final.npz"),
+               "--data", str(data)) == 0
+    records = [json.loads(ln)
+               for ln in (ed / "report.jsonl").read_text().splitlines()]
+    assert sum(r["kind"] == "utterance" for r in records) == 4 * 10
+    assert [c["activation"] for c in records[-1]["configs"]] == \
+        ["f", "f+p", "f+v", "f+p+v"]
+
+
 def _branchless_run(tmp_path, cfg_file):
     data = _manifest(tmp_path, cfg_file)
     rd = tmp_path / "run"
@@ -800,6 +832,7 @@ _VALUES = {
     float: st.floats(allow_nan=False, allow_infinity=False),
     bool: st.booleans(),
     tuple: st.tuples(st.integers(1, 99), st.integers(1, 99)),
+    str: st.text("abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1),
 }
 
 
@@ -858,7 +891,8 @@ def test_manifest_from_gen_is_rewritten_byte_for_byte(tmp_path_factory,
 _WORDS = st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=6)
 
 # values a key of each type rejects: a wrong type, a wrong arity for the
-# two-integer ranges, and a non-finite float
+# two-integer ranges, a non-finite float, and a word that names no dtype
+# (the one str key, [model] dtype)
 _WRONG_VALUES = {
     int: _WORDS | st.floats(allow_nan=False, allow_infinity=False).filter(
         lambda x: not x.is_integer()).map(repr),
@@ -868,6 +902,7 @@ _WRONG_VALUES = {
     tuple: st.lists(st.integers(1, 99), min_size=1, max_size=4).filter(
         lambda xs: len(xs) != 2).map(lambda xs: ",".join(map(str, xs)))
     | st.tuples(_WORDS, _WORDS).map(",".join),
+    str: _WORDS,
 }
 
 _TYPED_KEYS = [

@@ -20,6 +20,7 @@ from vsrkit.model import (
     SOS_ID,
     ActivationConfig,
     CheckpointError,
+    ForwardOutputs,
     Hypothesis,
     Model,
     ModelConfig,
@@ -631,7 +632,8 @@ def test_checkpoint_roundtrip_keeps_every_config_field(tmp_path):
     changed = {"char_vocab": 9, "phoneme_vocab": 7, "input_dim": 3,
                "model_dim": 12, "trunk_layers": 1, "char_encoder_layers": 1,
                "attention_heads": 3, "p_drop": 0.3, "max_decode_len": 5,
-               "max_frames": 20, "head_hidden_mult": 3, "with_branches": False}
+               "max_frames": 20, "head_hidden_mult": 3, "with_branches": False,
+               "dtype": "float32"}
     assert set(changed) == {f.name for f in fields(ModelConfig)}
     cfg = ModelConfig(**changed)
     assert all(getattr(cfg, f.name) != f.default for f in fields(ModelConfig)
@@ -639,6 +641,83 @@ def test_checkpoint_roundtrip_keeps_every_config_field(tmp_path):
     path = tmp_path / "model.npz"
     Model(cfg, seed=2).save(path)
     assert Model.load(path).cfg == cfg
+
+
+def test_a_float32_model_holds_its_float64_draws_rounded(tmp_path):
+    wide = Model(CFG, seed=4)
+    narrow = Model(replace(CFG, dtype="float32"), seed=4)
+    assert list(narrow.params) == list(wide.params)
+    for name, p in narrow.params.items():
+        assert p.data.dtype == np.float32, name
+        assert np.array_equal(p.data, wide.params[name].data.astype(
+            np.float32)), name
+    path = tmp_path / "model.npz"
+    narrow.save(path)
+    again = Model.load(path)
+    assert again.cfg.dtype == "float32"
+    assert all(np.array_equal(again.params[k].data, p.data)
+               and again.params[k].data.dtype == np.float32
+               for k, p in narrow.params.items())
+
+
+def test_a_float32_model_computes_its_float64_twin_to_float32_precision(
+        model):
+    narrow = Model(replace(CFG, dtype="float32"), seed=3)
+    feats, lengths, dec_in = batch(np.random.default_rng(12))
+    lengths[1] -= 2
+    wide, got = (m.forward_train(feats, lengths, dec_in,
+                                 np.random.default_rng(0))
+                 for m in (model, narrow))
+    for f in fields(ForwardOutputs):
+        a, b = getattr(got, f.name).data, getattr(wide, f.name).data
+        assert a.dtype == np.float32, f.name
+        np.testing.assert_allclose(a, b, rtol=1e-3, atol=1e-4,
+                                   err_msg=f.name)
+    for decode in DECODE_MODES:  # features of any dtype are cast
+        hyp = narrow.forward_infer(feats[0].astype(np.float16),
+                                   ALL_ACTIVATIONS[-1], decode, 4)
+        assert all(0 <= t < CFG.char_vocab for t in hyp.tokens), decode
+
+
+@pytest.mark.parametrize("name", ["float16", "Float32", "f4", ""])
+def test_model_config_names_a_dtype_it_does_not_take(name):
+    with pytest.raises(ValueError, match=re.escape(
+            f"dtype must be one of float64, float32, got {name!r}")):
+        replace(CFG, dtype=name)
+
+
+def test_checkpoint_load_refuses_a_parameter_of_another_dtype(tmp_path):
+    narrow = Model(replace(CFG, dtype="float32"), seed=1)
+    narrow.params["trunk/in_proj_w"] = Tensor(
+        narrow.params["trunk/in_proj_w"].data.astype(np.float64))
+    path = tmp_path / "model.npz"
+    narrow.save(path)
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"parameter trunk/in_proj_w in {path} has dtype float64, "
+            f"expected float32")):
+        Model.load(path)
+
+
+def test_a_save_that_fails_leaves_the_previous_file_whole(tmp_path, model,
+                                                          monkeypatch):
+    path = tmp_path / "model.npz"
+    Model(CFG, seed=9).save(path)
+    model.save(path)  # replaces the file, leaving nothing beside it
+    assert list(tmp_path.iterdir()) == [path]
+    assert all(np.array_equal(Model.load(path).params[k].data, p.data)
+               for k, p in model.params.items())
+    before = path.read_bytes()
+
+    def torn(file, **arrays):  # writes part of an archive, then fails
+        with open(file, "wb") as fh:
+            fh.write(before[:100])
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(np, "savez", torn)
+    with pytest.raises(OSError, match="No space left"):
+        Model(CFG, seed=9).save(path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_checkpoint_config_decides_the_branches(tmp_path, model):

@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import struct
+import zipfile
 from dataclasses import fields, replace
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 import reference_batch
 from vsrkit import training
-from vsrkit.autodiff import Tensor, grad_of
+from vsrkit.autodiff import Tensor, backward, grad_of
 from vsrkit.linguistics import LabelTriple, default_inventory
 from vsrkit.losses import LossConfig
 from vsrkit.model import CHAR_OFFSET, ActivationConfig, CheckpointError, \
@@ -375,7 +377,7 @@ _CHANGED_MODEL_FIELDS = {
     "char_vocab": 30, "phoneme_vocab": 30, "input_dim": 9, "model_dim": 32,
     "trunk_layers": 2, "char_encoder_layers": 2, "attention_heads": 4,
     "p_drop": 0.2, "max_decode_len": 7, "max_frames": 41,
-    "head_hidden_mult": 3, "with_branches": False}
+    "head_hidden_mult": 3, "with_branches": False, "dtype": "float32"}
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(ModelConfig)])
@@ -522,6 +524,89 @@ def test_state_load_checks_moment_names_and_shapes(tmp_path, edit, message):
     with pytest.raises(TrainingError,
                        match=re.escape(message.format(path=path))):
         train(tcfg, corpus, INV, mcfg, resume=path)
+
+
+def test_state_load_refuses_a_moment_of_another_dtype(tmp_path):
+    _, _, mcfg, tcfg = tiny_setup()
+    path = tmp_path / "state.npz"
+    TrainState.new(tcfg, replace(mcfg, dtype="float32")).save(path)
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    arrays["v::trunk/in_proj_w"] = arrays["v::trunk/in_proj_w"].astype(
+        np.float64)
+    np.savez(path, **arrays)
+    with pytest.raises(TrainingError, match=re.escape(
+            f"moment v::trunk/in_proj_w in {path} has dtype float64, "
+            f"expected float32")):
+        TrainState.load(path)
+
+
+def _flip_a_byte(path, member):
+    """Flip the last byte of the data of archive member ``member``."""
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo(f"{member}.npy")
+    raw = bytearray(path.read_bytes())
+    # a local file header is 30 bytes, then the name and the extra field
+    name_len, extra_len = struct.unpack_from("<HH", raw,
+                                             info.header_offset + 26)
+    raw[info.header_offset + 30 + name_len + extra_len
+        + info.compress_size - 1] ^= 0xFF
+    path.write_bytes(raw)
+
+
+@pytest.mark.parametrize("load", [Model.load, TrainState.load],
+                         ids=["model", "state"])
+@pytest.mark.parametrize("member", [
+    "param::heads/phoneme_w2", "m::trunk/in_proj_w", "v::char_decoder/embed",
+    "__train__", "__config__"])
+def test_a_damaged_member_is_a_checkpoint_error_naming_the_path(
+        tmp_path, load, member):
+    _, _, mcfg, tcfg = tiny_setup()
+    path = tmp_path / "state.npz"
+    TrainState.new(tcfg, mcfg).save(path)
+    _flip_a_byte(path, member)
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"{path}: member {member} is damaged (Bad CRC-32")):
+        load(path)
+
+
+# ----------------------------------------------------------------------
+# float32
+
+
+def test_a_float32_step_tapes_no_float64_array_but_its_scalar_losses():
+    corpus, _, mcfg, tcfg = tiny_setup()
+    state = TrainState.new(tcfg, replace(mcfg, dtype="float32"))
+    losses = training._batch_losses(tcfg, state, corpus[:4], INV,
+                                    augment_rng=np.random.default_rng(0))
+    tape = backward(losses["total"])
+    wide = [n for n in tape.nodes
+            if np.dtype(np.float64) in {n.data.dtype, getattr(n.grad, "dtype",
+                                                               None)}]
+    assert len(tape.nodes) - len(wide) > 100
+    assert all(n.data.ndim == 0 for n in wide)
+    # the losses, their weights (leaves) and the sums of total_loss
+    assert {n.op for n in wide} == {"ctc_loss", "attention_ce_loss",
+                                    "align_loss", "leaf", "mul", "add"}
+    assert all(p.grad.dtype == np.float32
+               for p in state.model.params.values())
+
+
+def test_a_float32_run_resumed_from_a_checkpoint_logs_the_uninterrupted_run(
+        tmp_path):
+    corpus, _, mcfg, tcfg = tiny_setup(epochs=(1, 1))
+    mcfg = replace(mcfg, dtype="float32")
+    full, state = logged(tcfg, corpus, INV, mcfg, checkpoint_dir=tmp_path)
+    ck = tmp_path / "epoch_p1e1.npz"
+    saved = TrainState.load(ck)
+    assert {a.dtype for a in (*[p.data for p in saved.model.params.values()],
+                              *saved.opt_m.values(), *saved.opt_v.values())} \
+        == {np.dtype(np.float32)}
+    rest, again = logged(tcfg, corpus, INV, mcfg, resume=ck)
+    assert 0 < saved.step < len(full)
+    assert full[:saved.step] + rest == full
+    assert all(np.array_equal(again.model.params[k].data, p.data)
+               for k, p in state.model.params.items())
 
 
 # ----------------------------------------------------------------------
